@@ -12,13 +12,13 @@ paper's experiments:
   edit script;
 * ``campaign`` — the Figure 10 / acceptance 16-job fleet batch through
   :class:`~repro.service.FleetUpdateService`, cold and warm;
-* ``dissemination`` — the event-kernel protocols
+* ``dissemination`` — flood and event-kernel protocols
   (``docs/SIMULATOR.md``): the pinned lossy 1k-node flood-vs-Trickle
   comparison whose committed baseline records the transmission ratio,
-  a 5k-node Trickle convergence (the CI smoke workload), and a flood
-  campaign run whose fast path is the kernel driver and whose
-  reference path is the legacy round loop — the harness's digest
-  cross-check *is* the kernel-vs-legacy identity certification;
+  a 5k-node Trickle convergence (the CI smoke workload), and a faulted
+  flood campaign whose committed digest pins the flood engine's
+  answer (the workload keeps its old ``campaign_kernel_parity``
+  name);
 * ``versioning`` — the version-graph planner (``docs/VERSIONING.md``):
   the pinned lossy 1k-node fleet with cohorts at v3/v5/v6 converging
   to v7, run once with the planner's plans and once with forced full
@@ -31,17 +31,18 @@ paper's experiments:
   duty-cycle campaign whose baseline pins the deferral count and zero
   airtime violations, and the battery-less harvest campaign whose
   baseline pins brownout/resume counts and the fleet lifetime
-  metrics.  Every workload runs through both the kernel driver and
-  the legacy round loop, so the digest cross-check certifies the two
-  profile implementations identical.
+  metrics.
 
 A workload's ``job`` callable returns ``(digest, metrics)``.  The
 digest must be a pure function of the answer (never of wall time), so
 the harness can run the same job on the fast and the reference path
 (:mod:`repro.fastpath`) and certify the answers bit-identical while it
-measures the speedup.  ``metrics`` entries named in
-``EQUAL_METRICS`` are asserted equal between the two paths as well
-(iteration counts are guaranteed equal by the kernel contract).
+measures the speedup.  Only the ILP kernels differ between the two
+paths; every other area runs the same code twice, so its speedup is
+about 1.0x and its digest is checked against the committed baseline.
+``metrics`` entries named in ``EQUAL_METRICS`` are asserted equal
+between the two paths as well (iteration counts are guaranteed equal
+by the kernel contract).
 """
 
 from __future__ import annotations
@@ -406,9 +407,9 @@ def _campaign_parity_payload():
 
 
 def _campaign_parity_job(payload) -> "tuple[str, dict]":
-    # The fast path drives the rounds through the event kernel, the
-    # reference path through the legacy while-loop: the harness's
-    # digest cross-check certifies them byte-identical every rep.
+    # One faulted flood campaign.  The flood has one round loop, so
+    # the fast and reference reps run the same code; the committed
+    # baseline digest is what pins the answer.
     from ..net.campaign import run_campaign
 
     topology, plan = payload

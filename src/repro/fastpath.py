@@ -1,12 +1,14 @@
 """The global fast-path/reference-path switch.
 
-The perf-sensitive kernels — the simplex pivot loop, integer-program
-matrix lowering, chunk-model constraint generation, and instruction
-encode/decode — each exist twice: the *reference* implementation (the
-original, loop-per-row code, kept verbatim) and the *fast* implementation
-(vectorized with numpy / bulk lookups).  Both must produce bit-identical
-answers; ``tests/test_ilp_fastpath.py`` runs them side by side and
-``repro bench`` records the speedup of one over the other.
+The ILP kernels — the simplex pivot loop, integer-program matrix
+lowering, chunk-model constraint generation, and the solve-memo warm
+start — each exist twice: the *reference* implementation (the
+original, loop-per-row code, kept verbatim) and the *fast*
+implementation (vectorized with numpy).  Only ``repro.ilp`` and
+``repro.regalloc.ilp_model`` read the switch; every other layer has
+one implementation.  Both paths must produce bit-identical answers;
+``tests/test_ilp_fastpath.py`` runs them side by side and ``repro
+bench`` records the speedup of one over the other.
 
 This module owns the process-wide switch.  The fast path is the
 default; the reference path is selected either with the

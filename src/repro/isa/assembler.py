@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..fastpath import fastpath_enabled
 from .instructions import (
     EncodingError,
     F_ADDR,
@@ -76,15 +75,8 @@ class BinaryImage:
         return tuple(flat)
 
     def to_bytes(self) -> bytes:
-        words = self.words()
-        if fastpath_enabled():
-            # One little-endian uint16 bulk conversion; identical bytes
-            # to the word-at-a-time reference loop below.
-            return np.asarray(words, dtype="<u2").tobytes()
-        out = bytearray()
-        for word in words:
-            out += word.to_bytes(2, "little")
-        return bytes(out)
+        """The code words as little-endian 16-bit bytes."""
+        return np.asarray(self.words(), dtype="<u2").tobytes()
 
     @property
     def size_words(self) -> int:
@@ -139,7 +131,7 @@ def assemble(
             address += instr.size_words
 
     # Pass 2: resolve targets, then encode the whole program in one
-    # batch (the fast/reference split lives in ``encode_batch``).
+    # batch.
     image = BinaryImage(data=data, data_base=data_base, symbols=symbols)
     address = 0
     resolved_instrs: list[MachineInstr] = []
@@ -196,8 +188,6 @@ def disassemble_words(words: list[int]) -> list[MachineInstr]:
     """Decode a flat word list back into instructions.
 
     Used by tests to confirm the encoding round-trips and by the patcher
-    to sanity-check a reconstructed image.  Delegates to
-    :func:`repro.isa.instructions.decode_batch`, which carries the
-    fast/reference split.
+    to sanity-check a reconstructed image.
     """
     return decode_batch(words)

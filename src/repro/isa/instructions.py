@@ -30,8 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..fastpath import fastpath_enabled
-
 F_RR = "rr"
 F_IMM = "imm"
 F_ADDR = "addr"
@@ -299,118 +297,17 @@ def _check_reg(reg: int) -> None:
         raise EncodingError(f"register r{reg} out of range")
 
 
-# ---------------------------------------------------------------------------
-# Batch encode / decode (fast path; see repro.fastpath)
-# ---------------------------------------------------------------------------
-
-
 def encode_batch(instrs: list[MachineInstr]) -> list[tuple[int, ...]]:
-    """Encode many instructions at once; labels encode to ``()``.
-
-    On the reference path this is exactly ``[encode(i) for i in
-    instrs]``.  The fast path runs one flat loop with the opcode table
-    and format dispatch hoisted out of the per-instruction dataclass
-    property chain; the emitted words (and the first raised
-    :class:`EncodingError`, message included) are identical —
-    ``tests/test_ilp_fastpath.py`` certifies the round-trip
-    differentially.
-    """
-    if not fastpath_enabled():
-        return [encode(instr) for instr in instrs]
-    out: list[tuple[int, ...]] = []
-    append = out.append
-    opcodes = OPCODES
-    for instr in instrs:
-        mnemonic = instr.mnemonic
-        if mnemonic == "label":
-            append(())
-            continue
-        spec = opcodes[mnemonic]
-        fmt = spec.fmt
-        op_shifted = spec.opcode << 10
-        if fmt == F_RR:
-            rd = instr.rd
-            rr = instr.rr
-            if not 0 <= rd < 32:
-                raise EncodingError(f"register r{rd} out of range")
-            if not 0 <= rr < 32:
-                raise EncodingError(f"rr/port {rr} out of range in {instr}")
-            append((op_shifted | (rd << 5) | rr,))
-        elif fmt == F_IMM:
-            rd = instr.rd
-            imm = instr.imm
-            if not 0 <= rd < 32:
-                raise EncodingError(f"register r{rd} out of range")
-            if not 0 <= imm <= 0xFF:
-                raise EncodingError(f"immediate {imm} out of range in {instr}")
-            append((op_shifted | (rd << 5), imm))
-        elif fmt == F_ADDR:
-            rd = instr.rd
-            addr = instr.addr
-            if not 0 <= rd < 32:
-                raise EncodingError(f"register r{rd} out of range")
-            if not 0 <= addr <= 0xFFFF:
-                raise EncodingError(f"address {addr:#x} out of range in {instr}")
-            append((op_shifted | (rd << 5), addr))
-        elif fmt == F_BR:
-            offset = instr.addr
-            if not _OFFSET_MIN <= offset <= _OFFSET_MAX:
-                raise EncodingError(f"branch offset {offset} out of range in {instr}")
-            append((op_shifted | (offset & ((1 << _OFFSET_BITS) - 1)),))
-        else:  # F_NONE
-            append((op_shifted,))
-    return out
+    """Encode many instructions at once; labels encode to ``()``."""
+    return [encode(instr) for instr in instrs]
 
 
 def decode_batch(words: list[int]) -> list[MachineInstr]:
-    """Decode a flat word list back into an instruction list.
-
-    The reference path walks :func:`decode` word by word; the fast path
-    is the same walk with table lookups and format dispatch flattened
-    into one loop.  Both produce identical instructions and raise the
-    identical :class:`EncodingError` on the first unknown opcode.
-    """
-    if not fastpath_enabled():
-        instrs = []
-        index = 0
-        while index < len(words):
-            instr, consumed = decode(words, index)
-            instrs.append(instr)
-            index += consumed
-        return instrs
-    by_opcode = BY_OPCODE
+    """Decode a flat word list back into an instruction list."""
     instrs = []
-    append = instrs.append
     index = 0
-    count = len(words)
-    offset_mask = (1 << _OFFSET_BITS) - 1
-    offset_sign = 1 << (_OFFSET_BITS - 1)
-    while index < count:
-        word = words[index]
-        spec = by_opcode.get(word >> 10)
-        if spec is None:
-            raise EncodingError(f"unknown opcode {word >> 10} in word {word:#06x}")
-        fmt = spec.fmt
-        instr = MachineInstr(mnemonic=spec.mnemonic)
-        if fmt == F_RR:
-            instr.rd = (word >> 5) & 0x1F
-            instr.rr = word & 0x1F
-            index += 1
-        elif fmt == F_NONE:
-            index += 1
-        elif fmt == F_IMM:
-            instr.rd = (word >> 5) & 0x1F
-            instr.imm = words[index + 1]
-            index += 2
-        elif fmt == F_ADDR:
-            instr.rd = (word >> 5) & 0x1F
-            instr.addr = words[index + 1]
-            index += 2
-        else:  # F_BR
-            raw = word & offset_mask
-            if raw >= offset_sign:
-                raw -= 1 << _OFFSET_BITS
-            instr.addr = raw
-            index += 1
-        append(instr)
+    while index < len(words):
+        instr, consumed = decode(words, index)
+        instrs.append(instr)
+        index += consumed
     return instrs

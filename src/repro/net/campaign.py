@@ -24,17 +24,14 @@ import json
 import random
 import zlib
 from dataclasses import dataclass, field
-from functools import partial
 from typing import TYPE_CHECKING
 
 from ..diff.packets import DEFAULT_OVERHEAD, DEFAULT_PAYLOAD
 from ..energy.power_model import MICA2, PowerModel
-from ..fastpath import fastpath_enabled
 from ..obs import metrics, trace
 from .dissemination import PATCH_CYCLES_PER_BYTE, NodeLedger
 from .errors import NetConfigError
 from .faults import FaultPlan
-from .kernel import SimKernel
 from .lossy import NACK_BYTES
 from .node_state import APPLY_ROUNDS, NodeUpdateState, packetise_blob
 from .profiles import DeviceProfile
@@ -181,9 +178,9 @@ class CampaignReport:
         return "\n".join(lines)
 
 
-#: Seconds of kernel time one campaign round occupies when the flood
-#: loop runs on the event kernel (and when fault-plan rounds are
-#: mapped to kernel time for the trickle/gossip protocols).
+#: Seconds of simulated time one campaign round occupies (fault-plan
+#: rounds map to kernel time at this rate for the trickle/gossip
+#: protocols).
 ROUND_S = 1.0
 
 #: Dissemination protocols :func:`run_campaign` can drive.
@@ -319,7 +316,7 @@ def run_campaign(
         loss=loss,
         faults=plan.describe(),
     ):
-        report = _run_campaign(
+        report = _CampaignEngine(
             topology,
             blob,
             plan,
@@ -334,7 +331,7 @@ def run_campaign(
             apply_rounds=apply_rounds,
             stall_limit=stall_limit,
             profile=profile,
-        )
+        ).run()
     metrics.counter("campaign.runs").inc()
     metrics.histogram("campaign.rounds").observe(report.rounds)
     metrics.counter("campaign.broadcasts").inc(report.broadcasts)
@@ -363,18 +360,23 @@ def run_campaign(
 
 
 class _CampaignEngine:
-    """State and round phases of one flood campaign.
+    """State, fault bookkeeping and round loop of one flood campaign.
 
-    Two drivers share this engine: the retained synchronous ``while``
-    loop (:func:`_drive_rounds`, the reference path) and the
-    event-kernel driver (:func:`_drive_kernel`, the fast path), which
-    schedules the round ticks and every fault-plan entry as kernel
-    events keyed ``(time, seq, node)``.  Both call the same methods in
-    the same order on the same RNG streams, so the resulting
-    :class:`CampaignReport` is byte-identical between them — pinned by
-    ``tests/test_campaign_kernel.py`` and the ``dissemination`` bench
-    area's in-harness digest check.
+    :meth:`run` is the only round loop: each round it checks termination
+    (:meth:`advance_round`), fires the round's fault-plan entries
+    (:meth:`apply_faults`), then runs the round body
+    (:meth:`run_phases`: NACK, broadcast and apply phases).  A transfer
+    mode replaces only the round body and the two class constants
+    below; the LT fountain (:mod:`repro.net.coding`) is one, so crash,
+    reboot and partition handling, the stall rule and the report exist
+    once.  Reports are pinned by ``tests/golden/campaign_digests.json``.
     """
+
+    #: Stream name of the link and fault RNGs
+    #: (``repro-<stream>-link:<seed>``, ``repro-<stream>-fault:<plan seed>``).
+    RNG_STREAM = "campaign"
+    #: What a crash destroys on a node that has not committed yet.
+    CRASH_LOSS = "staging bank lost"
 
     def __init__(
         self,
@@ -425,8 +427,8 @@ class _CampaignEngine:
         self.patch_j = PATCH_CYCLES_PER_BYTE * len(blob) * power.cycle_energy_j
 
         # String seeding: deterministic across platforms (see fuzz.runner).
-        self.rng_link = random.Random(f"repro-campaign-link:{seed}")
-        self.rng_fault = random.Random(f"repro-campaign-fault:{plan.seed}")
+        self.rng_link = random.Random(f"repro-{self.RNG_STREAM}-link:{seed}")
+        self.rng_fault = random.Random(f"repro-{self.RNG_STREAM}-fault:{plan.seed}")
 
         hops = topology.hops_from_sink()
         self.unreachable = tuple(
@@ -440,21 +442,15 @@ class _CampaignEngine:
             for node in range(node_count)
         }
         sink = self.states[0]
-        sink.committed = True
-        sink.version = new_version
-        sink.state = "committed"
+        sink.commit(new_version)
         sink.bank = {pkt.index: pkt.payload for pkt in self.packets}
 
         if self.count == 0:
             # Nothing to ship: every reachable node trivially holds the
             # (empty) script and commits at once.
             for node in range(1, node_count):
-                if node in self.unreachable:
-                    continue
-                state = self.states[node]
-                state.committed = True
-                state.version = new_version
-                state.state = "committed"
+                if node not in self.unreachable:
+                    self.states[node].commit(new_version)
 
         self.ledgers = {node: NodeLedger() for node in range(node_count)}
         self.crashes_by_round: dict[int, list] = {}
@@ -534,6 +530,15 @@ class _CampaignEngine:
                 self.harvest_round_j[trace_.node] = (
                     prof.harvest_w * ROUND_S * trace_.harvest_scale
                 )
+
+    # -- the round loop --------------------------------------------------
+
+    def run(self) -> CampaignReport:
+        """Run rounds until the campaign is done, then report."""
+        while self.rounds < self.max_rounds and self.advance_round():
+            self.apply_faults()
+            self.run_phases()
+        return self.build_report()
 
     # -- predicates ------------------------------------------------------
 
@@ -692,9 +697,7 @@ class _CampaignEngine:
         self.states[crash.node].crash()
         metrics.counter("net.fault.crashes").inc()
         detail = (
-            "after commit"
-            if self.states[crash.node].committed
-            else "staging bank lost"
+            "after commit" if self.states[crash.node].committed else self.CRASH_LOSS
         )
         self.fault_log.append(
             f"r{self.rounds}: node {crash.node} crashed ({detail})"
@@ -1002,94 +1005,6 @@ class _CampaignEngine:
             plan_digest=self.plan.digest(),
             profile_stats=profile_stats,
         )
-
-
-def _drive_rounds(engine: _CampaignEngine) -> None:
-    """The retained synchronous round loop (the reference path)."""
-    while engine.rounds < engine.max_rounds:
-        if not engine.advance_round():
-            break
-        engine.apply_faults()
-        engine.run_phases()
-
-
-def _drive_kernel(engine: _CampaignEngine) -> None:
-    """Drive the same engine from the event kernel (the fast path).
-
-    Every round tick and every fault-plan entry becomes a kernel event
-    at time ``round * ROUND_S``; within one instant the schedule order
-    — tick, crashes (plan order), reboots (plan order), partition
-    open/close (window order), phases — reproduces the reference
-    loop's sequencing via the kernel's ``(time, seq, node)`` key.
-    """
-    kernel = SimKernel(engine.node_count, power=engine.power)
-
-    def tick() -> None:
-        if not engine.advance_round():
-            kernel.stop()
-
-    for round_no in range(1, engine.max_rounds + 1):
-        at = round_no * ROUND_S
-        kernel.schedule_at(at, 0, tick)
-        for crash in engine.crashes_by_round.get(round_no, ()):
-            kernel.schedule_at(
-                at, crash.node, partial(engine.fire_crash, crash)
-            )
-        for crash in engine.reboots_by_round.get(round_no, ()):
-            kernel.schedule_at(
-                at, crash.node, partial(engine.fire_reboot, crash)
-            )
-        for index, window in enumerate(engine.plan.partitions):
-            if window.start == round_no:
-                kernel.schedule_at(
-                    at, 0, partial(engine.fire_partition, index, True)
-                )
-            if window.end == round_no:
-                kernel.schedule_at(
-                    at, 0, partial(engine.fire_partition, index, False)
-                )
-        kernel.schedule_at(at, 0, engine.run_phases)
-    kernel.run()
-
-
-def _run_campaign(
-    topology: Topology,
-    blob: bytes,
-    plan: FaultPlan,
-    *,
-    loss: float,
-    seed: int,
-    power: PowerModel,
-    max_rounds: int,
-    payload_per_packet: int,
-    overhead_per_packet: int,
-    old_version: int,
-    new_version: int,
-    apply_rounds: int,
-    stall_limit: int,
-    profile: DeviceProfile | None = None,
-) -> CampaignReport:
-    engine = _CampaignEngine(
-        topology,
-        blob,
-        plan,
-        loss=loss,
-        seed=seed,
-        power=power,
-        max_rounds=max_rounds,
-        payload_per_packet=payload_per_packet,
-        overhead_per_packet=overhead_per_packet,
-        old_version=old_version,
-        new_version=new_version,
-        apply_rounds=apply_rounds,
-        stall_limit=stall_limit,
-        profile=profile,
-    )
-    if fastpath_enabled():
-        _drive_kernel(engine)
-    else:
-        _drive_rounds(engine)
-    return engine.build_report()
 
 
 __all__ = [

@@ -41,10 +41,10 @@ from typing import Dict, List, Optional, Tuple
 from ..diff.packets import DEFAULT_OVERHEAD, DEFAULT_PAYLOAD
 from ..energy.power_model import MICA2, PowerModel
 from ..obs import metrics, trace
-from .dissemination import PATCH_CYCLES_PER_BYTE, NodeLedger
+from .campaign import DEFAULT_STALL_LIMIT, _CampaignEngine
 from .errors import NetConfigError
 from .faults import FaultPlan
-from .node_state import packetise_blob
+from .node_state import APPLY_ROUNDS, packetise_blob
 from .topology import Topology
 
 #: Legal coding schemes (see module docstring).
@@ -270,6 +270,161 @@ def pad_packets(blob: bytes, payload_per_packet: int) -> "List[bytes]":
 # ---------------------------------------------------------------------------
 
 
+class _FountainEngine(_CampaignEngine):
+    """The flood campaign engine with a decode-and-forward fountain as
+    its round body.
+
+    The base engine keeps the round loop, fault-plan events, the stall
+    rule and the report; this class replaces the round body (server
+    election, coded bursts, rank-``k`` commit) and the two class
+    constants.  A node's decoder is volatile: it lives only while the
+    node's state is ``receiving``, so the crash handler's state change
+    discards it and the node restarts from rank zero after reboot.
+    """
+
+    RNG_STREAM = "coding"
+    CRASH_LOSS = "decoder state lost"
+
+    def __init__(
+        self,
+        topology: Topology,
+        blob: bytes,
+        plan: FaultPlan,
+        params: CodedTransferParams,
+        *,
+        payload_per_packet: int,
+        overhead_per_packet: int,
+        **engine,
+    ):
+        super().__init__(
+            topology,
+            blob,
+            plan,
+            payload_per_packet=payload_per_packet,
+            overhead_per_packet=overhead_per_packet,
+            apply_rounds=APPLY_ROUNDS,
+            **engine,
+        )
+        self.params = params
+        self.padded = pad_packets(blob, payload_per_packet)
+        self.packet_bits = 8 * (
+            payload_per_packet + overhead_per_packet + CODE_HEADER_BYTES
+        )
+        self.streams = [
+            LTStream(max(self.count, 1), f"repro-coding:{params.seed}:{sender}")
+            for sender in range(self.node_count)
+        ]
+        self.next_seq = [0] * self.node_count
+        self.decoders: Dict[int, GenerationDecoder] = {}
+
+    def decoder(self, node: int) -> GenerationDecoder:
+        """``node``'s decoder, started afresh unless it is receiving."""
+        state = self.states[node]
+        if state.state != "receiving":
+            state.state = "receiving"
+            self.decoders[node] = GenerationDecoder(self.count)
+        return self.decoders[node]
+
+    def run_phases(self) -> None:
+        """One round: server election, coded bursts, rank-k commit."""
+        states = self.states
+        neighbors = self.topology.neighbors
+        ledgers = self.ledgers
+        plan = self.plan
+        rounds = self.rounds
+        link_up = self.link_up
+        rng_link = self.rng_link
+        loss = self.loss
+        tx_j = self.packet_bits * self.power.tx_bit_energy_j
+        rx_j = self.packet_bits * self.power.rx_bit_energy_j
+
+        # -- server election ----------------------------------------------
+        # Each needy node elects its lowest-indexed decoded neighbour as
+        # its server (receivers advertise their rank deficit, the
+        # election is implicit in who they listen to); a server's burst
+        # covers every needy peer in range at once — the coded
+        # multicast gain, since every coded packet is innovative to
+        # every receiver regardless of *which* packets each one lost.
+        servers: Dict[int, int] = {}
+        for node in range(1, self.node_count):
+            state = states[node]
+            if state.committed or not state.alive or node in self.unreachable:
+                continue
+            candidates = [
+                peer
+                for peer in neighbors.get(node, ())
+                if states[peer].committed
+                and states[peer].alive
+                and link_up(node, peer, rounds)
+            ]
+            if candidates:
+                chosen = min(candidates)
+                deficit = self.count - self.decoder(node).rank
+                servers[chosen] = max(servers.get(chosen, 0), deficit)
+
+        # -- coded bursts --------------------------------------------------
+        for sender in sorted(servers):
+            needy = [
+                (peer, self.decoder(peer))
+                for peer in neighbors.get(sender, ())
+                if states[peer].alive
+                and not states[peer].committed
+                and link_up(sender, peer, rounds)
+            ]
+            if not needy:
+                continue
+            # Send just enough for the worst-off elector to finish in
+            # expectation, capped by the burst budget.
+            shots = min(
+                self.params.burst,
+                max(1, math.ceil(servers[sender] / (1.0 - loss))),
+            )
+            stream = self.streams[sender]
+            for _ in range(shots):
+                sequence = self.next_seq[sender]
+                self.next_seq[sender] += 1
+                mask = stream.mask_at(sequence)
+                payload = stream.payload_at(sequence, self.padded)
+                self.broadcasts += 1
+                ledgers[sender].tx_j += tx_j
+                ledgers[sender].packets_sent += 1
+                for peer, decoder in needy:
+                    ledgers[peer].rx_j += rx_j
+                    if rng_link.random() < loss:
+                        self.drops += 1
+                        continue
+                    if (
+                        plan.corrupt_prob
+                        and self.rng_fault.random() < plan.corrupt_prob
+                    ):
+                        # The flipped byte fails the packet CRC before
+                        # the mask ever reaches the decoder.
+                        self.crc_rejections += 1
+                        continue
+                    if decoder.complete or not decoder.add(mask, payload):
+                        self.duplicates += 1  # non-innovative: no rank gained
+                        continue
+                    ledgers[peer].packets_received += 1
+                    self.last_progress = rounds
+
+        # -- rank-k commit: verify, patch, flip ----------------------------
+        for node in range(1, self.node_count):
+            state = states[node]
+            if not state.alive or state.state != "receiving":
+                continue
+            decoder = self.decoders[node]
+            if not decoder.complete:
+                continue
+            if b"".join(decoder.payloads())[: len(self.blob)] != self.blob:
+                # Unreachable with per-packet CRCs; never commit an
+                # unverified generation.
+                state.state = "idle"
+                continue
+            ledgers[node].cpu_j += self.patch_j
+            state.commit(self.new_version)
+            self.last_progress = rounds
+
+
 def run_coded_campaign(
     topology: Topology,
     blob: bytes,
@@ -284,7 +439,7 @@ def run_coded_campaign(
     overhead_per_packet: int = DEFAULT_OVERHEAD,
     old_version: int = 0,
     new_version: int = 1,
-    stall_limit: int = 24,
+    stall_limit: int = DEFAULT_STALL_LIMIT,
 ):
     """Disseminate ``blob`` by decode-and-forward fountain coding.
 
@@ -296,14 +451,13 @@ def run_coded_campaign(
     the round they reach rank ``k``.  No NACKs, no retransmission
     naming: a lost packet is repaired by *any* later innovative packet.
 
-    Fault plans apply exactly as in the flood campaign — crashes wipe
-    volatile decoder state, partitions sever links, corruption burns a
-    reception (the per-packet CRC rejects it before it reaches the
-    decoder).  Returns a :class:`repro.net.campaign.CampaignReport`
-    with ``broadcasts`` counting coded transmissions.
+    Fault plans apply exactly as in the flood campaign, whose engine
+    this runs on — crashes wipe volatile decoder state, partitions
+    sever links, corruption burns a reception (the per-packet CRC
+    rejects it before it reaches the decoder).  Returns a
+    :class:`repro.net.campaign.CampaignReport` with ``broadcasts``
+    counting coded transmissions.
     """
-    from .campaign import CampaignReport  # cycle: campaign routes here
-
     coded = params if params is not None else CodedTransferParams()
     if coded.scheme != "lt":
         raise NetConfigError(
@@ -322,14 +476,14 @@ def run_coded_campaign(
         bytes=len(blob),
         loss=loss,
     ):
-        report = _run_coded(
+        report = _FountainEngine(
             topology, blob, plan, coded,
             loss=loss, seed=seed, power=power, max_rounds=max_rounds,
             payload_per_packet=payload_per_packet,
             overhead_per_packet=overhead_per_packet,
             old_version=old_version, new_version=new_version,
-            stall_limit=stall_limit, report_cls=CampaignReport,
-        )
+            stall_limit=stall_limit,
+        ).run()
     metrics.counter("net.coding.runs").inc()
     metrics.counter("net.coding.transmissions").inc(report.broadcasts)
     metrics.counter("net.coding.drops").inc(report.drops)
@@ -337,249 +491,6 @@ def run_coded_campaign(
     if report.converged:
         metrics.counter("net.coding.converged").inc()
     return report
-
-
-def _run_coded(
-    topology: Topology,
-    blob: bytes,
-    plan: FaultPlan,
-    params: CodedTransferParams,
-    *,
-    loss: float,
-    seed: int,
-    power: PowerModel,
-    max_rounds: int,
-    payload_per_packet: int,
-    overhead_per_packet: int,
-    old_version: int,
-    new_version: int,
-    stall_limit: int,
-    report_cls,
-):
-    node_count = topology.node_count
-    padded = pad_packets(blob, payload_per_packet)
-    k = len(padded)
-    packet_bits = 8 * (payload_per_packet + overhead_per_packet + CODE_HEADER_BYTES)
-    patch_j = PATCH_CYCLES_PER_BYTE * len(blob) * power.cycle_energy_j
-
-    rng_link = random.Random(f"repro-coding-link:{seed}")
-    rng_fault = random.Random(f"repro-coding-fault:{plan.seed}")
-
-    hops = topology.hops_from_sink()
-    unreachable = tuple(
-        sorted(node for node in range(node_count) if node not in hops)
-    )
-
-    streams = [
-        LTStream(max(k, 1), f"repro-coding:{params.seed}:{sender}")
-        for sender in range(node_count)
-    ]
-    next_seq = [0] * node_count
-    decoders: "List[Optional[GenerationDecoder]]" = [
-        GenerationDecoder(k) if k else None for _ in range(node_count)
-    ]
-    committed = [False] * node_count
-    alive = [True] * node_count
-    committed[0] = True
-    if k == 0:
-        for node in range(1, node_count):
-            if node not in unreachable:
-                committed[node] = True
-
-    ledgers = {node: NodeLedger() for node in range(node_count)}
-    fault_log: "List[str]" = []
-    broadcasts = 0
-    drops = 0
-    crc_rejections = 0
-    duplicates = 0  # dependent (non-innovative) receptions
-    rounds = 0
-    last_progress = 0
-
-    crashes_by_round: "Dict[int, list]" = {}
-    reboots_by_round: "Dict[int, list]" = {}
-    event_rounds: "set[int]" = set()
-    for crash in plan.crashes:
-        if crash.node >= node_count:
-            continue
-        crashes_by_round.setdefault(crash.round, []).append(crash)
-        if crash.round <= max_rounds:
-            event_rounds.add(crash.round)
-        if crash.reboot_round is not None:
-            reboots_by_round.setdefault(crash.reboot_round, []).append(crash)
-            if crash.reboot_round <= max_rounds:
-                event_rounds.add(crash.reboot_round)
-    for window in plan.partitions:
-        if window.start <= max_rounds:
-            event_rounds.add(window.start)
-        if window.end <= max_rounds:
-            event_rounds.add(window.end)
-
-    def link_up(a: int, b: int) -> bool:
-        return not any(w.severs(a, b, rounds) for w in plan.partitions)
-
-    def pending() -> "List[int]":
-        out = []
-        for node in range(1, node_count):
-            if node in unreachable or committed[node]:
-                continue
-            if alive[node]:
-                out.append(node)
-            elif any(
-                crash.node == node and crash.reboot_round is not None
-                and crash.reboot_round > rounds
-                for crash in plan.crashes
-            ):
-                out.append(node)
-        return out
-
-    while rounds < max_rounds:
-        if not pending():
-            break
-        if rounds - last_progress >= stall_limit and not any(
-            event > rounds for event in event_rounds
-        ):
-            break
-        rounds += 1
-
-        for crash in crashes_by_round.get(rounds, ()):
-            node = crash.node
-            if not alive[node]:
-                continue
-            alive[node] = False
-            metrics.counter("net.fault.crashes").inc()
-            detail = "after commit" if committed[node] else "decoder state lost"
-            fault_log.append(f"r{rounds}: node {node} crashed ({detail})")
-            if not committed[node]:
-                decoders[node] = GenerationDecoder(k) if k else None
-        for crash in reboots_by_round.get(rounds, ()):
-            node = crash.node
-            if alive[node]:
-                continue
-            alive[node] = True
-            metrics.counter("net.fault.reboots").inc()
-            image = "new image" if committed[node] else "golden image"
-            version = new_version if committed[node] else old_version
-            fault_log.append(
-                f"r{rounds}: node {node} rebooted ({image} v{version})"
-            )
-        for window in plan.partitions:
-            island = ",".join(str(n) for n in window.nodes)
-            if window.start == rounds:
-                metrics.counter("net.fault.partitions").inc()
-                fault_log.append(f"r{rounds}: partition {{{island}}} isolated")
-            if window.end == rounds:
-                fault_log.append(f"r{rounds}: partition {{{island}}} healed")
-
-        # -- broadcast phase: elected servers fountain to needy peers --
-        # Each needy node elects its lowest-indexed decoded neighbour as
-        # its server (receivers advertise their rank deficit, the
-        # election is implicit in who they listen to); a server's burst
-        # covers every needy peer in range at once — the coded
-        # multicast gain, since every coded packet is innovative to
-        # every receiver regardless of *which* packets each one lost.
-        servers: "Dict[int, int]" = {}
-        for node in range(1, node_count):
-            if committed[node] or not alive[node] or node in unreachable:
-                continue
-            candidates = [
-                peer
-                for peer in topology.neighbors.get(node, ())
-                if committed[peer] and alive[peer] and link_up(node, peer)
-            ]
-            if candidates:
-                chosen = min(candidates)
-                deficit = k - decoders[node].rank if decoders[node] else 0
-                servers[chosen] = max(servers.get(chosen, 0), deficit)
-        for sender in sorted(servers):
-            needy = [
-                peer
-                for peer in topology.neighbors.get(sender, ())
-                if alive[peer] and not committed[peer] and link_up(sender, peer)
-            ]
-            if not needy:
-                continue
-            # Send just enough for the worst-off elector to finish in
-            # expectation, capped by the burst budget.
-            deficit = servers[sender]
-            shots = min(
-                params.burst,
-                max(1, math.ceil(deficit / (1.0 - loss))),
-            )
-            for _ in range(shots):
-                sequence = next_seq[sender]
-                next_seq[sender] += 1
-                mask = streams[sender].mask_at(sequence)
-                payload = streams[sender].payload_at(sequence, padded)
-                broadcasts += 1
-                ledgers[sender].tx_j += packet_bits * power.tx_bit_energy_j
-                ledgers[sender].packets_sent += 1
-                for peer in needy:
-                    ledgers[peer].rx_j += packet_bits * power.rx_bit_energy_j
-                    if rng_link.random() < loss:
-                        drops += 1
-                        continue
-                    if (
-                        plan.corrupt_prob
-                        and rng_fault.random() < plan.corrupt_prob
-                    ):
-                        # The flipped byte fails the packet CRC before
-                        # the mask ever reaches the decoder.
-                        crc_rejections += 1
-                        continue
-                    decoder = decoders[peer]
-                    if decoder is None or decoder.complete:
-                        duplicates += 1
-                        continue
-                    if decoder.add(mask, payload):
-                        ledgers[peer].packets_received += 1
-                        last_progress = rounds
-                    else:
-                        duplicates += 1
-
-        # -- commit phase: rank-k nodes verify, patch, and flip --------
-        for node in range(1, node_count):
-            if committed[node] or not alive[node]:
-                continue
-            decoder = decoders[node]
-            if decoder is not None and decoder.complete:
-                rebuilt = b"".join(decoder.payloads())[: len(blob)]
-                if rebuilt != blob:
-                    # Unreachable with per-packet CRCs; never commit an
-                    # unverified generation.
-                    decoders[node] = GenerationDecoder(k)
-                    continue
-                ledgers[node].cpu_j += patch_j
-                committed[node] = True
-                last_progress = rounds
-
-    quarantined = tuple(
-        sorted(
-            node for node in range(1, node_count) if not committed[node]
-        )
-    )
-    return report_cls(
-        outcome="converged" if not quarantined else "partial",
-        rounds=rounds,
-        packets=k,
-        script_bytes=len(blob),
-        old_version=old_version,
-        new_version=new_version,
-        node_versions={
-            node: new_version if committed[node] else old_version
-            for node in range(node_count)
-        },
-        quarantined=quarantined,
-        unreachable=unreachable,
-        ledgers=ledgers,
-        broadcasts=broadcasts,
-        retransmissions=0,
-        nacks=0,
-        drops=drops,
-        crc_rejections=crc_rejections,
-        duplicates=duplicates,
-        fault_log=fault_log,
-        plan_digest=plan.digest(),
-    )
 
 
 __all__ = [

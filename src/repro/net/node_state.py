@@ -154,12 +154,16 @@ class NodeUpdateState:
         self._apply_left -= 1
         if self._apply_left > 0:
             return False
-        # Boot-pointer flip: atomic, after full verification.
+        self.commit(new_version)
+        return True
+
+    def commit(self, new_version: int) -> None:
+        """Boot-pointer flip: atomic, and only ever called after the
+        whole update has been verified."""
         self.committed = True
         self.version = new_version
         self.state = "committed"
         self.advertised_missing.clear()
-        return True
 
     # -- page-granular checkpointed apply -------------------------------
     #
@@ -212,10 +216,7 @@ class NodeUpdateState:
             return False
         if self.pages_done < self.pages_total or self.pages_total == 0:
             return False
-        self.committed = True
-        self.version = new_version
-        self.state = "committed"
-        self.advertised_missing.clear()
+        self.commit(new_version)
         return True
 
     # -- crash / reboot -------------------------------------------------

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..config import CohortPlan
 from ..energy.power_model import MICA2, PowerModel
 from ..net.campaign import run_campaign
-from ..net.coding import CodedTransferParams, run_coded_campaign
+from ..net.coding import CodedTransferParams
 from ..net.errors import NetConfigError
 from ..net.faults import FaultPlan
 from ..net.topology import Topology
@@ -161,9 +161,11 @@ def run_versioned_campaign(
 ) -> VersionedCampaignReport:
     """Execute every cohort plan as one dissemination wave each.
 
-    ``coding`` switches the waves to coded transfer: the ``"lt"``
-    fountain replaces the flood protocol's NACK repair, the ``"xor"``
-    burst parity rides inside the Trickle/gossip kernel.  Waves run in
+    Every wave goes through :func:`repro.net.campaign.run_campaign`,
+    which also rejects protocol × coding mismatches: ``coding``
+    switches the waves to coded transfer (the ``"lt"`` fountain
+    replaces the flood protocol's NACK repair, the ``"xor"`` burst
+    parity rides inside the Trickle/gossip kernel).  Waves run in
     ascending ``from_version`` order with derived seeds, so the whole
     campaign is deterministic and its report digest stable.
     """
@@ -175,18 +177,6 @@ def run_versioned_campaign(
                 f"cohort plans disagree on the target: v{plan.to_version} "
                 f"vs v{target}",
             )
-    if coding is not None and coding.scheme == "lt" and protocol != "flood":
-        raise NetConfigError(
-            "coding", coding.scheme,
-            "the 'lt' fountain replaces flood dissemination; use "
-            "scheme='xor' with the trickle/gossip kernel",
-        )
-    if coding is not None and coding.scheme == "xor" and protocol == "flood":
-        raise NetConfigError(
-            "coding", coding.scheme,
-            "the 'xor' burst parity rides the kernel protocols; use "
-            "scheme='lt' with protocol='flood'",
-        )
 
     target_digest = graph.image_digest(target)
     report = VersionedCampaignReport(
@@ -207,26 +197,15 @@ def run_versioned_campaign(
             # rebuild the canonical target image along its exact path.
             graph.replay(plan.path, edges)
             blob = encode_plan_blob(edges)
-            wave_seed = seed + 1000 * index
-            if coding is not None and coding.scheme == "lt":
-                wave = run_coded_campaign(
-                    topology, blob, fault_plan,
-                    params=coding, loss=loss, seed=wave_seed, power=power,
-                    max_rounds=max_rounds,
-                    payload_per_packet=graph.config.payload_per_packet,
-                    overhead_per_packet=graph.config.overhead_per_packet,
-                    old_version=plan.from_version, new_version=target,
-                )
-            else:
-                wave = run_campaign(
-                    topology, blob, fault_plan,
-                    loss=loss, seed=wave_seed, power=power,
-                    max_rounds=max_rounds,
-                    payload_per_packet=graph.config.payload_per_packet,
-                    overhead_per_packet=graph.config.overhead_per_packet,
-                    old_version=plan.from_version, new_version=target,
-                    protocol=protocol, coding=coding,
-                )
+            wave = run_campaign(
+                topology, blob, fault_plan,
+                loss=loss, seed=seed + 1000 * index, power=power,
+                max_rounds=max_rounds,
+                payload_per_packet=graph.config.payload_per_packet,
+                overhead_per_packet=graph.config.overhead_per_packet,
+                old_version=plan.from_version, new_version=target,
+                protocol=protocol, coding=coding,
+            )
             words, data = graph.replay(plan.path, edges)
             final_digest = hashlib.sha256(
                 json.dumps(

@@ -1,20 +1,188 @@
-"""Regenerate the golden baselines after an intentional planner change.
+"""Regenerate the golden baselines after an intentional planner or
+dissemination change.
 
 Run from the repository root::
 
     PYTHONPATH=src python tests/golden/regen.py
+
+``campaign_digests.json`` pins the report digest of every case in
+:func:`campaign_cases`: the NACK flood and the LT fountain, each
+through every entry point that reaches it, plus the built-in device
+profiles and an empty blob.  ``tests/test_golden_regression.py``
+re-runs the same table and compares digest by digest.
 """
 
+import dataclasses
 import json
+from functools import lru_cache
 from pathlib import Path
 
 from repro.core import compile_source, measure_cycles, plan_update
 from repro.energy import DEFAULT_ENERGY_MODEL
 from repro.workloads import CASES
 from repro.config import UpdateConfig
+from repro.net import (
+    BATTERYLESS_HARVEST,
+    LORAWAN_DR3,
+    MICA2_PROFILE,
+    FaultPlan,
+    NodeCrash,
+    PartitionWindow,
+    PowerTrace,
+    grid,
+    random_geometric,
+    run_campaign,
+)
+from repro.net.coding import CodedTransferParams, run_coded_campaign
+from repro.versioning import build_version_graph, plan_cohorts, run_versioned_campaign
 
 ENERGY_CASES = ["1", "4", "6", "8", "12"]
 ENERGY_CNT = 1000.0
+
+CAMPAIGN_BLOB = bytes(range(251)) * 2
+PROFILE_BLOB = bytes(range(256)) * 4  # 16 battery-less flash pages
+HEAVY_BLOB = bytes(range(256)) * 8  # 32 pages: brownouts guaranteed
+LOSSES = (0.0, 0.15, 0.3)
+TOPOLOGIES = {
+    "grid5x5": lambda: grid(5, 5),
+    "geo40": lambda: random_geometric(40, radio_range=0.3, seed=2),
+}
+
+
+def heavy_plan() -> FaultPlan:
+    """A crash with reboot, a permanent crash, a partition window,
+    corruption and duplication, all in one plan."""
+    return FaultPlan(
+        crashes=(
+            NodeCrash(node=7, round=2, reboot_round=5),
+            NodeCrash(node=13, round=4, reboot_round=9),
+            NodeCrash(node=3, round=6),
+        ),
+        partitions=(PartitionWindow(3, 7, (10, 11, 15, 16)),),
+        corrupt_prob=0.02,
+        duplicate_prob=0.03,
+        seed=17,
+    )
+
+
+def flood_parity_plan() -> FaultPlan:
+    """The plan of the PYTHONHASHSEED sweep in tests/test_campaign_kernel.py."""
+    return FaultPlan(
+        crashes=(NodeCrash(node=2, round=2, reboot_round=5),),
+        partitions=(PartitionWindow(1, 4, (5, 6, 8)),),
+        corrupt_prob=0.05,
+        duplicate_prob=0.05,
+        seed=7,
+    )
+
+
+@lru_cache(maxsize=None)
+def version_graph():
+    """Case 3 released as v3/v5 plus two derived releases v6 and v7."""
+    case = CASES["3"]
+    v5 = case.new_source
+    v6 = v5.replace("u8 am_type = 4;", "u8 am_type = 5;")
+    v7 = v5.replace("u8 am_type = 4;", "u8 am_type = 6;").replace(
+        "cnt = cnt + 1;", "cnt = cnt + 2;"
+    )
+    return build_version_graph({3: case.old_source, 5: v5, 6: v6, 7: v7})
+
+
+def _versioned(topology, plan, loss, coding):
+    graph = version_graph()
+    fleet = {0: 7}
+    for node in range(1, topology.node_count):
+        fleet[node] = (3, 5, 6)[node % 3]
+    return run_versioned_campaign(
+        graph, plan_cohorts(graph, fleet), topology,
+        loss=loss, seed=5, fault_plan=plan, coding=coding,
+    )
+
+
+def campaign_cases() -> dict:
+    """Pinned campaign runs: key -> zero-argument callable returning a
+    report with a ``digest()``."""
+    lt = CodedTransferParams(scheme="lt")
+    cases = {}
+    for topo_name, make_topology in TOPOLOGIES.items():
+        for loss in LOSSES:
+            for plan_name, make_plan in (("clean", lambda: None), ("faulted", heavy_plan)):
+                tail = f"{topo_name}/loss{loss}/{plan_name}"
+
+                def flood(t=make_topology, p=make_plan, loss=loss):
+                    return run_campaign(t(), CAMPAIGN_BLOB, p(), loss=loss, seed=5)
+
+                def lt_direct(t=make_topology, p=make_plan, loss=loss):
+                    return run_coded_campaign(
+                        t(), CAMPAIGN_BLOB, p(), params=lt, loss=loss, seed=5
+                    )
+
+                def lt_routed(t=make_topology, p=make_plan, loss=loss):
+                    return run_campaign(
+                        t(), CAMPAIGN_BLOB, p(), loss=loss, seed=5, coding=lt
+                    )
+
+                def flood_waves(t=make_topology, p=make_plan, loss=loss):
+                    return _versioned(t(), p(), loss, None)
+
+                def lt_waves(t=make_topology, p=make_plan, loss=loss):
+                    return _versioned(t(), p(), loss, lt)
+
+                cases[f"flood/run_campaign/{tail}"] = flood
+                cases[f"flood/versioned/{tail}"] = flood_waves
+                cases[f"lt/run_coded_campaign/{tail}"] = lt_direct
+                cases[f"lt/run_campaign/{tail}"] = lt_routed
+                cases[f"lt/versioned/{tail}"] = lt_waves
+
+    cases["flood/run_campaign/flood-parity"] = lambda: run_campaign(
+        grid(4, 4), b"y" * 400, flood_parity_plan(), loss=0.1, seed=3
+    )
+
+    trace = PowerTrace(node=3, brownout_at_j=(0.001, 0.004))
+    cases.update({
+        "profile/mica2/clean": lambda: run_campaign(
+            grid(4, 4), PROFILE_BLOB, loss=0.1, seed=7, profile=MICA2_PROFILE
+        ),
+        "profile/mica2/faulted": lambda: run_campaign(
+            grid(5, 5), PROFILE_BLOB, heavy_plan(), loss=0.1, seed=7,
+            profile=MICA2_PROFILE,
+        ),
+        "profile/lorawan-dr3/converged": lambda: run_campaign(
+            grid(4, 4), PROFILE_BLOB, loss=0.1, seed=7, max_rounds=3000,
+            profile=LORAWAN_DR3,
+        ),
+        "profile/lorawan-dr3/stalled-budget": lambda: run_campaign(
+            grid(4, 4), PROFILE_BLOB, loss=0.1, seed=7, max_rounds=60,
+            profile=LORAWAN_DR3,
+        ),
+        "profile/batteryless/harvest": lambda: run_campaign(
+            grid(4, 4), HEAVY_BLOB, loss=0.1, seed=7, max_rounds=3000,
+            profile=BATTERYLESS_HARVEST,
+        ),
+        "profile/batteryless/power-trace": lambda: run_campaign(
+            grid(3, 3), HEAVY_BLOB, FaultPlan(power_traces=(trace,)), seed=7,
+            max_rounds=3000, profile=BATTERYLESS_HARVEST,
+        ),
+        "profile/batteryless/power-trace-faulted": lambda: run_campaign(
+            grid(5, 5), HEAVY_BLOB,
+            dataclasses.replace(heavy_plan(), power_traces=(trace,)),
+            loss=0.1, seed=7, max_rounds=3000, profile=BATTERYLESS_HARVEST,
+        ),
+    })
+
+    for plan_name, make_plan in (("clean", lambda: None), ("faulted", heavy_plan)):
+        cases[f"empty/flood/{plan_name}"] = lambda p=make_plan: run_campaign(
+            grid(5, 5), b"", p(), loss=0.15, seed=5
+        )
+        cases[f"empty/lt/run_coded_campaign/{plan_name}"] = (
+            lambda p=make_plan: run_coded_campaign(
+                grid(5, 5), b"", p(), params=lt, loss=0.15, seed=5
+            )
+        )
+        cases[f"empty/lt/run_campaign/{plan_name}"] = lambda p=make_plan: run_campaign(
+            grid(5, 5), b"", p(), loss=0.15, seed=5, coding=lt
+        )
+    return cases
 
 
 def main() -> None:
@@ -48,14 +216,20 @@ def main() -> None:
         )
         energy[cid] = {"cnt": ENERGY_CNT, "ratio_ucc_over_gcc": round(ratio, 6)}
 
+    campaigns = {key: run().digest() for key, run in campaign_cases().items()}
+
     (golden / "fig09_scripts.json").write_text(
         json.dumps(scripts, indent=2, sort_keys=True) + "\n"
     )
     (golden / "fig12_energy.json").write_text(
         json.dumps(energy, indent=2, sort_keys=True) + "\n"
     )
+    (golden / "campaign_digests.json").write_text(
+        json.dumps(campaigns, indent=2, sort_keys=True) + "\n"
+    )
     print(f"wrote {golden / 'fig09_scripts.json'}")
     print(f"wrote {golden / 'fig12_energy.json'}")
+    print(f"wrote {golden / 'campaign_digests.json'} ({len(campaigns)} campaigns)")
 
 
 if __name__ == "__main__":

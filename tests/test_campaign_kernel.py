@@ -1,13 +1,13 @@
-"""Flood campaign on the event kernel: parity, dispatch, stability.
+"""Campaign protocols: ``protocol=`` dispatch and digest stability.
 
-The flood campaign runs its rounds through the event kernel by default
-(``repro.fastpath``) with the legacy synchronous while-loop kept as
-the reference path.  These tests pin the byte-identity of the two
-drivers, the ``protocol=`` dispatch surface, and digest stability
-across ``PYTHONHASHSEED`` (the kernel heap must never leak hash order
-into a report).
+These tests pin the ``protocol=`` dispatch surface of
+:func:`repro.net.run_campaign` and digest stability across
+``PYTHONHASHSEED``: neither the event-kernel heap (Trickle/gossip)
+nor the flood engine may leak hash order into a report.  The flood's
+digest is also checked against ``tests/golden/campaign_digests.json``.
 """
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -15,68 +15,26 @@ from pathlib import Path
 import pytest
 
 from repro import UpdateSession, compile_source
-from repro.fastpath import reference_mode
-from repro.net import (
-    FaultPlan,
-    NodeCrash,
-    PartitionWindow,
-    grid,
-    random_geometric,
-    run_campaign,
-)
+from repro.net import FaultPlan, NodeCrash, grid, run_campaign
 from repro.net.campaign import PROTOCOLS, CampaignReport
 from repro.net.errors import NetConfigError
 from repro.net.kernel import KernelReport
 from repro.workloads import CASES
 
 REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
+GOLDEN = Path(__file__).resolve().parent / "golden" / "campaign_digests.json"
 
 BLOB = bytes(range(251)) * 2
-
-
-def heavy_plan():
-    return FaultPlan(
-        crashes=(
-            NodeCrash(node=7, round=2, reboot_round=5),
-            NodeCrash(node=13, round=4, reboot_round=9),
-            NodeCrash(node=3, round=6),
-        ),
-        partitions=(PartitionWindow(3, 7, (10, 11, 15, 16)),),
-        corrupt_prob=0.02,
-        duplicate_prob=0.03,
-        seed=17,
-    )
-
-
-class TestKernelLegacyParity:
-    """The kernel driver and the legacy round loop are byte-identical."""
-
-    @pytest.mark.parametrize(
-        "topology,loss,plan",
-        [
-            (grid(5, 5), 0.0, None),
-            (grid(5, 5), 0.15, heavy_plan()),
-            (random_geometric(40, radio_range=0.3, seed=2), 0.1, None),
-            (random_geometric(40, radio_range=0.3, seed=2), 0.2, heavy_plan()),
-        ],
-        ids=["grid-clean", "grid-faulted", "geo-lossy", "geo-faulted"],
-    )
-    def test_drivers_agree_byte_for_byte(self, topology, loss, plan):
-        fast = run_campaign(topology, BLOB, plan, loss=loss, seed=5)
-        with reference_mode(True):
-            legacy = run_campaign(topology, BLOB, plan, loss=loss, seed=5)
-        assert fast.to_json() == legacy.to_json()
-        assert fast.digest() == legacy.digest()
-
-    def test_flood_still_returns_campaign_report(self):
-        report = run_campaign(grid(3, 3), BLOB, loss=0.1, seed=1)
-        assert isinstance(report, CampaignReport)
-        assert report.converged
 
 
 class TestProtocolDispatch:
     def test_protocols_constant(self):
         assert PROTOCOLS == ("flood", "trickle", "gossip")
+
+    def test_flood_still_returns_campaign_report(self):
+        report = run_campaign(grid(3, 3), BLOB, loss=0.1, seed=1)
+        assert isinstance(report, CampaignReport)
+        assert report.converged
 
     def test_trickle_dispatch_returns_kernel_report(self):
         report = run_campaign(
@@ -143,20 +101,19 @@ report = run_campaign(grid(3, 3), b"x" * 600, loss=0.1, seed=3, plan=plan,
 print(report.digest())
 """
 
-_FLOOD_PARITY_DIGEST = """
-from repro.fastpath import reference_mode
+_FLOOD_DIGEST = """
 from repro.net.campaign import run_campaign
 from repro.net.faults import FaultPlan, NodeCrash, PartitionWindow
 from repro.net.topology import grid
 plan = FaultPlan(crashes=(NodeCrash(node=2, round=2, reboot_round=5),),
                  partitions=(PartitionWindow(1, 4, (5, 6, 8)),),
                  corrupt_prob=0.05, duplicate_prob=0.05, seed=7)
-fast = run_campaign(grid(4, 4), b"y" * 400, loss=0.1, seed=3, plan=plan)
-with reference_mode(True):
-    legacy = run_campaign(grid(4, 4), b"y" * 400, loss=0.1, seed=3, plan=plan)
-assert fast.to_json() == legacy.to_json()
-print(fast.digest())
+report = run_campaign(grid(4, 4), b"y" * 400, loss=0.1, seed=3, plan=plan)
+print(report.digest())
 """
+
+#: The flood snippet's run is also a golden-file entry.
+_FLOOD_GOLDEN = json.loads(GOLDEN.read_text())["flood/run_campaign/flood-parity"]
 
 
 def _run_under_hashseed(snippet: str, seed: str) -> str:
@@ -176,16 +133,19 @@ def _run_under_hashseed(snippet: str, seed: str) -> str:
 
 
 @pytest.mark.parametrize(
-    "snippet",
-    [_TRICKLE_DIGEST, _FLOOD_PARITY_DIGEST],
+    "snippet,golden",
+    [(_TRICKLE_DIGEST, None), (_FLOOD_DIGEST, _FLOOD_GOLDEN)],
     ids=["kernel-protocols", "flood-parity"],
 )
-def test_kernel_digests_stable_across_hashseed(snippet):
+def test_kernel_digests_stable_across_hashseed(snippet, golden):
     outputs = {
         _run_under_hashseed(snippet, seed) for seed in ("0", "1", "4242")
     }
     assert len(outputs) == 1, (
-        "kernel report digest depends on PYTHONHASHSEED: "
+        "report digest depends on PYTHONHASHSEED: "
         f"{outputs}"
     )
-    assert outputs.pop().strip()
+    digest = outputs.pop().strip()
+    assert digest
+    if golden is not None:
+        assert digest == golden

@@ -167,7 +167,12 @@ class TestCodedCampaign:
         )
         report = run_coded_campaign(grid(3, 3), BLOB, plan, loss=0.1, seed=3)
         assert report.converged
-        assert any("node 4 crashed" in entry for entry in report.fault_log)
+        # The engine's shared crash/reboot handlers, with the fountain's
+        # crash wording: the node lost its decoder and booted golden.
+        assert report.fault_log == [
+            "r2: node 4 crashed (decoder state lost)",
+            "r6: node 4 rebooted (golden image v0)",
+        ]
 
     def test_corruption_burns_receptions_not_correctness(self):
         plan = FaultPlan(corrupt_prob=0.15, seed=9)

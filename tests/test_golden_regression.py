@@ -7,6 +7,13 @@ at a fixed execution count.  Script sizes are pinned exactly (they are
 fully deterministic); energy ratios get a small relative tolerance so
 benign energy-model recalibrations don't churn the goldens.
 
+``campaign_digests.json`` pins the report digest of every campaign in
+``regen.campaign_cases``: the NACK flood and the LT fountain through
+each entry point that reaches them (``run_campaign``,
+``run_coded_campaign``, ``run_versioned_campaign`` waves), with and
+without a crash/reboot/partition/corruption/duplication plan, the
+built-in device profiles, and an empty blob.  Digests are exact.
+
 Regenerate after an intentional change with::
 
     PYTHONPATH=src python tests/golden/regen.py
@@ -21,10 +28,13 @@ from repro.core import measure_cycles, plan_update
 from repro.energy import DEFAULT_ENERGY_MODEL
 from repro.workloads import CASES
 from repro.config import UpdateConfig
+from tests.golden.regen import campaign_cases
 
 GOLDEN = Path(__file__).parent / "golden"
 SCRIPTS = json.loads((GOLDEN / "fig09_scripts.json").read_text())
 ENERGY = json.loads((GOLDEN / "fig12_energy.json").read_text())
+CAMPAIGNS = json.loads((GOLDEN / "campaign_digests.json").read_text())
+CAMPAIGN_CASES = campaign_cases()
 
 ENERGY_RTOL = 0.02
 
@@ -67,3 +77,15 @@ def test_fig12_energy_ratio_pinned(cid, compiled_case_olds):
     # UCC never costs more energy than the GCC baseline on the sweep
     # cases at this Cnt (Figure 12's non-negative savings).
     assert ratio <= 1.0 + 1e-9
+
+
+def test_campaign_goldens_cover_every_case():
+    assert set(CAMPAIGNS) == set(CAMPAIGN_CASES)
+
+
+@pytest.mark.parametrize("key", sorted(CAMPAIGNS))
+def test_campaign_digest_pinned(key):
+    assert CAMPAIGN_CASES[key]().digest() == CAMPAIGNS[key], (
+        f"campaign {key}: report digest moved — regenerate "
+        "tests/golden/ only if the change is intentional"
+    )

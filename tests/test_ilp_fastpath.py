@@ -1,12 +1,13 @@
 """Differential certification of the fast path (:mod:`repro.fastpath`).
 
-Every vectorized code path in the repo keeps its original
-implementation alive behind ``reference_mode(True)``.  These tests run
-the two side by side — on the simplex, the branch & bound lowering,
-the chunk-model generator, the Figure 9 edit grid, fuzz-generated
-update pairs, and the batch instruction codec — and require the
-answers to be *bit-identical*: same floats, same iteration counts,
-same bytes.  The speed may differ; the answer may not.
+Every vectorized ILP code path keeps its original implementation
+alive behind ``reference_mode(True)``.  These tests run the two side by
+side — on the simplex, the branch & bound lowering, the chunk-model
+generator, the Figure 9 edit grid and fuzz-generated update pairs —
+and require the answers to be *bit-identical*: same floats, same
+iteration counts, same bytes.  The speed may differ; the answer may
+not.  The batch instruction codec has no twin; it is checked against
+the one-instruction ``encode``/``decode`` below.
 
 The crafted degenerate tableau (Beale's classic cycling example)
 additionally pins the anti-cycling behaviour: Dantzig pricing hands
@@ -37,7 +38,9 @@ from repro.ilp.simplex import DEGENERATE_BLAND_AFTER
 from repro.isa.instructions import (
     EncodingError,
     MachineInstr,
+    decode,
     decode_batch,
+    encode,
     encode_batch,
 )
 from repro.obs import metrics
@@ -229,7 +232,7 @@ class TestUpdatePipelineDifferential:
 
 
 class TestBatchCodecDifferential:
-    """encode_batch/decode_batch against the one-at-a-time reference."""
+    """encode_batch/decode_batch against one-at-a-time encode/decode."""
 
     def _blink_image(self):
         from repro.workloads.programs import PROGRAMS
@@ -240,26 +243,29 @@ class TestBatchCodecDifferential:
         image = self._blink_image()
         words = image.words()
         instrs = [enc.instr for enc in image.code]
-        fast_decoded = decode_batch(words)
-        fast_encoded = encode_batch(instrs)
-        with reference_mode(True):
-            ref_decoded = decode_batch(words)
-            ref_encoded = encode_batch(instrs)
-        assert fast_decoded == ref_decoded
-        assert fast_encoded == ref_encoded
-        assert [w for ws in fast_encoded for w in ws] == words
+        encoded = encode_batch(instrs)
+        assert encoded == [encode(instr) for instr in instrs]
+        assert [w for ws in encoded for w in ws] == words
+        decoded = decode_batch(words)
+        assert decoded == [decode(words, enc.address)[0] for enc in image.code]
+        assert encode_batch(decoded) == encoded
+        assert image.to_bytes() == b"".join(w.to_bytes(2, "little") for w in words)
 
     def test_error_message_parity(self):
         image = self._blink_image()
         instr = image.code[0].instr
         bad = MachineInstr(mnemonic=instr.mnemonic, rd=99, rr=instr.rr,
                            imm=instr.imm, addr=instr.addr)
-        with pytest.raises(EncodingError) as fast_exc:
-            encode_batch([bad])
-        with reference_mode(True):
-            with pytest.raises(EncodingError) as ref_exc:
-                encode_batch([bad])
-        assert str(fast_exc.value) == str(ref_exc.value)
+        with pytest.raises(EncodingError) as batch_exc:
+            encode_batch([instr, bad])
+        with pytest.raises(EncodingError) as single_exc:
+            encode(bad)
+        assert str(batch_exc.value) == str(single_exc.value)
+        with pytest.raises(EncodingError) as batch_exc:
+            decode_batch([0xFFFF])
+        with pytest.raises(EncodingError) as single_exc:
+            decode([0xFFFF], 0)
+        assert str(batch_exc.value) == str(single_exc.value)
 
 
 def _random_ip(rng: random.Random, n_vars: int) -> IntegerProgram:

@@ -21,7 +21,6 @@ import pytest
 
 from repro.core.errors import PlanStateError
 from repro.core.session import UpdateSession
-from repro.fastpath import reference_mode
 from repro.fuzz.fault_fuzz import run_fault_fuzz
 from repro.net import (
     BATTERYLESS_HARVEST,
@@ -124,15 +123,6 @@ class TestMica2Neutrality:
         assert profiled.to_json() == plain.to_json()
         assert profiled.profile_stats is None
         assert "profile" not in profiled.to_json()
-
-    def test_kernel_path_byte_identical(self):
-        topo = grid(4, 4)
-        with reference_mode(True):
-            plain = run_campaign(topo, BLOB, loss=0.1, seed=7)
-            profiled = run_campaign(
-                topo, BLOB, loss=0.1, seed=7, profile=MICA2_PROFILE
-            )
-        assert profiled.to_json() == plain.to_json()
 
     def test_trickle_and_gossip_byte_identical(self):
         topo = grid(4, 4)
