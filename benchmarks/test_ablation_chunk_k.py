@@ -7,6 +7,7 @@ The paper fixes one K without studying it — DESIGN.md calls this out
 as an ablation worth running.
 """
 
+from repro.config import UpdateConfig
 from repro.core import plan_update
 from repro.workloads import CASES, RA_CASE_IDS
 
@@ -23,7 +24,9 @@ def test_ablation_chunk_threshold(benchmark, case_olds):
         for cid in RA_CASE_IDS:
             case = CASES[cid]
             result = plan_update(
-                case_olds[cid], case.new_source, ra="ucc", da="ucc", k=k
+                case_olds[cid],
+                case.new_source,
+                config=UpdateConfig(ra="ucc", da="ucc", k=k),
             )
             total_diff += result.diff_inst
             total_script += result.script_bytes
@@ -40,5 +43,8 @@ def test_ablation_chunk_threshold(benchmark, case_olds):
 
     case = CASES["6"]
     benchmark(
-        plan_update, case_olds["6"], case.new_source, ra="ucc", da="ucc", k=4
+        plan_update,
+        case_olds["6"],
+        case.new_source,
+        config=UpdateConfig(ra="ucc", da="ucc", k=4),
     )

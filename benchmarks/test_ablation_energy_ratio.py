@@ -12,6 +12,7 @@ ratio and reports
   sooner.
 """
 
+from repro.config import UpdateConfig
 from repro.core import UpdatePlanner
 from repro.energy import EnergyModel
 from repro.workloads import CASES
@@ -29,7 +30,9 @@ def test_ablation_energy_ratio(benchmark, case_olds):
     choices = []
     for ratio in RATIOS:
         model = EnergyModel(bit_cost_ratio=ratio)
-        planner = UpdatePlanner(old, energy=model, expected_runs=cnt)
+        planner = UpdatePlanner(
+            old, energy=model, config=UpdateConfig(expected_runs=cnt)
+        )
         chosen = planner.plan_adaptive(case.new_source, cnt=cnt, energy=model)
         choice = "UCC" if chosen.ra_strategy.endswith("(ucc)") else "baseline"
         choices.append(choice)
@@ -53,4 +56,4 @@ def test_ablation_energy_ratio(benchmark, case_olds):
 
     model = EnergyModel(bit_cost_ratio=1000.0)
     planner = UpdatePlanner(old, energy=model)
-    benchmark(planner.plan, case.new_source, ra="ucc", da="ucc")
+    benchmark(planner.plan, case.new_source, config=UpdateConfig(ra="ucc", da="ucc"))

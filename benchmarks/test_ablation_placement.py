@@ -40,7 +40,12 @@ def test_ablation_placement_strategy(benchmark, case_olds):
     assert totals["auto"] <= totals["ucc"]
 
     case = CASES["9"]
-    benchmark(plan_update, case_olds["9"], case.new_source, ra="ucc", da="ucc")
+    benchmark(
+        plan_update,
+        case_olds["9"],
+        case.new_source,
+        config=UpdateConfig(ra="ucc", da="ucc"),
+    )
 
 
 GROWTH_SRC = """

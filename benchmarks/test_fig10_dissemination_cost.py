@@ -45,7 +45,12 @@ def test_fig10_dissemination_cost(benchmark, case_olds):
     assert wins == len(RA_CASE_IDS), "UCC-RA must never lose on Diff_inst"
 
     case = CASES["6"]
-    benchmark(plan_update, case_olds["6"], case.new_source, ra="ucc", da="ucc")
+    benchmark(
+        plan_update,
+        case_olds["6"],
+        case.new_source,
+        config=UpdateConfig(ra="ucc", da="ucc"),
+    )
 
 
 def test_fig10_case13_reuse(case_olds):

@@ -52,7 +52,10 @@ def test_fig12_energy_savings(benchmark, case_olds):
 
     case = CASES["4"]
     benchmark(
-        plan_update, case_olds["4"], case.new_source, ra="ucc", da="ucc"
+        plan_update,
+        case_olds["4"],
+        case.new_source,
+        config=UpdateConfig(ra="ucc", da="ucc"),
     )
 
 

@@ -48,7 +48,12 @@ def test_fig16_data_layout(benchmark, case_olds):
     ucc = plan_update(case_olds["D2"], case.new_source, config=UpdateConfig(ra="ucc", da="ucc"))
     assert ucc.diff_inst <= 2
 
-    benchmark(plan_update, case_olds["D1"], CASES["D1"].new_source, ra="ucc", da="ucc")
+    benchmark(
+        plan_update,
+        case_olds["D1"],
+        CASES["D1"].new_source,
+        config=UpdateConfig(ra="ucc", da="ucc"),
+    )
 
 
 def test_fig16_space_threshold_tradeoff(case_olds):

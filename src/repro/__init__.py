@@ -14,9 +14,8 @@ Quick tour
 >>> ucc.diff_inst <= gcc.diff_inst
 True
 
-The typed configs above are the supported surface (:mod:`repro.api`);
-the legacy ``ra="ucc"`` string keywords still work but emit
-:class:`DeprecationWarning`.  Batches go through
+The typed configs above are the supported surface (:mod:`repro.api`)
+and the only way to set a planning knob.  Batches go through
 :class:`repro.service.FleetUpdateService` (``repro batch`` on the CLI).
 
 Subpackages (see DESIGN.md for the full inventory):

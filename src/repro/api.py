@@ -2,11 +2,8 @@
 
 This module is the supported programmatic surface.  Every entry point
 takes a frozen config dataclass (:class:`CompileConfig`,
-:class:`UpdateConfig`, :class:`TopologySpec`, :class:`FleetJob`) instead
-of string-flag keyword arguments; the legacy ``ra=``/``da=``/``cp=``
-spellings still work on the underlying classes but emit
-:class:`DeprecationWarning` (see ``docs/API.md`` for the migration
-table).
+:class:`UpdateConfig`, :class:`TopologySpec`, :class:`FleetJob`), which
+is the one place each planning knob is set (see ``docs/API.md``).
 
 The surface is pinned: ``tools/check_api.py`` diffs ``__all__`` (and
 each member's signature) against ``tools/api_surface.txt`` in CI, so
@@ -24,7 +21,7 @@ True
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from .config import (
     CP_STRATEGIES,
@@ -46,7 +43,7 @@ from .core.session import (
     UpdateSession,
     VersionedCampaignResult,
 )
-from .core.update import UpdatePlanner, UpdateResult
+from .core.update import UpdatePlanner, UpdateResult, plan_update
 from .energy import MICA2, PowerModel
 from .net.campaign import PROTOCOLS, CampaignReport
 from .net.coding import (
@@ -81,8 +78,7 @@ from .net.kernel import (
 )
 from .net.topology import Topology
 from .net.trickle import TrickleParams, run_trickle
-from .service.fleet import FleetResult, FleetUpdateService, JobOutcome
-from .service.fleet import run_batch as _run_batch
+from .service.fleet import FleetResult, FleetUpdateService, JobOutcome, run_batch
 from .versioning import (
     VersionedCampaignReport,
     VersionGraph,
@@ -100,26 +96,6 @@ def compile_source(
     """Compile one translation unit under a :class:`CompileConfig`."""
     cfg = config if config is not None else CompileConfig()
     return Compiler(cfg.to_options()).compile(source, filename=filename)
-
-
-def plan_update(
-    old: CompiledProgram,
-    new_source: str,
-    config: Optional[UpdateConfig] = None,
-) -> UpdateResult:
-    """Plan one update of ``old`` to ``new_source`` under an
-    :class:`UpdateConfig` (strategy, knobs, verification)."""
-    cfg = config if config is not None else UpdateConfig()
-    return UpdatePlanner(old, config=cfg).plan(new_source)
-
-
-def make_planner(
-    old: CompiledProgram,
-    config: Optional[UpdateConfig] = None,
-) -> UpdatePlanner:
-    """An :class:`UpdatePlanner` bound to ``old``; reuse it to plan
-    several candidate updates against the same deployed version."""
-    return UpdatePlanner(old, config=config if config is not None else UpdateConfig())
 
 
 def make_session(
@@ -141,25 +117,6 @@ def make_session(
         loss=loss,
         loss_seed=loss_seed,
         config=config,
-    )
-
-
-def run_batch(
-    jobs: Sequence[FleetJob],
-    workers: Optional[int] = None,
-    timeout_s: Optional[float] = None,
-    retries: int = 1,
-    use_processes: bool = True,
-) -> FleetResult:
-    """Plan a batch of :class:`FleetJob`s through a fresh
-    :class:`FleetUpdateService` (cached, process-parallel, outcomes in
-    job order)."""
-    return _run_batch(
-        jobs,
-        workers=workers,
-        timeout_s=timeout_s,
-        retries=retries,
-        use_processes=use_processes,
     )
 
 
@@ -214,7 +171,6 @@ __all__ = [
     "compile_source",
     "generate_power_traces",
     "get_profile",
-    "make_planner",
     "make_session",
     "plan_cohorts",
     "plan_update",

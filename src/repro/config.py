@@ -1,8 +1,7 @@
 """Typed configuration objects — the vocabulary of :mod:`repro.api`.
 
-One frozen dataclass per decision surface, replacing the string-flag
-kwargs (``ra="ucc"``, ``da``, ``cp``) and ``**planner_kwargs`` that
-used to thread through the pipeline:
+One frozen dataclass per decision surface; each is the only way to
+set the knobs it holds:
 
 * :class:`CompileConfig` — one baseline compile (maps 1:1 onto
   :class:`repro.core.compiler.CompilerOptions`);
@@ -23,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Mapping, Optional, Tuple
 
 from .diff.packets import DEFAULT_OVERHEAD, DEFAULT_PAYLOAD
@@ -151,7 +150,7 @@ class UpdateConfig:
     checked: Optional[bool] = None
     #: verify the sensor-side patch round-trips (cheap; on by default)
     verify: bool = True
-    #: chunking threshold K (paper §3.2)
+    #: chunking threshold K (paper §3.2); 0 merges no unchanged run
     k: int = DEFAULT_K
     #: projected execution count Cnt driving eq. 18 decisions
     expected_runs: float = 1000.0
@@ -172,8 +171,8 @@ class UpdateConfig:
                 f"UpdateConfig.cp must be None or one of {CP_STRATEGIES}, "
                 f"got {self.cp!r}"
             )
-        if self.k < 1:
-            raise ValueError(f"UpdateConfig.k must be >= 1, got {self.k}")
+        if self.k < 0:
+            raise ValueError(f"UpdateConfig.k must be >= 0, got {self.k}")
         if self.expected_runs < 0:
             raise ValueError("UpdateConfig.expected_runs must be >= 0")
 
@@ -445,35 +444,6 @@ class CohortPlan:
         return _digest_of(asdict(self))
 
 
-def merge_legacy_strategy(
-    config: Optional[UpdateConfig],
-    ra: Optional[str] = None,
-    da: Optional[str] = None,
-    cp: Optional[str] = None,
-    verify: Optional[bool] = None,
-    checked: Optional[bool] = None,
-) -> UpdateConfig:
-    """Fold legacy string-flag kwargs into an :class:`UpdateConfig`.
-
-    Shared by the deprecation shims in :mod:`repro.core.update` and
-    :mod:`repro.core.session`; explicit legacy values override the
-    config's fields.
-    """
-    merged = config if config is not None else UpdateConfig()
-    overrides = {}
-    if ra is not None:
-        overrides["ra"] = ra
-    if da is not None:
-        overrides["da"] = da
-    if cp is not None:
-        overrides["cp"] = cp
-    if verify is not None:
-        overrides["verify"] = verify
-    if checked is not None:
-        overrides["checked"] = checked
-    return replace(merged, **overrides) if overrides else merged
-
-
 __all__ = [
     "CP_STRATEGIES",
     "DA_STRATEGIES",
@@ -489,5 +459,4 @@ __all__ = [
     "VersionGraphConfig",
     "VersionSpec",
     "baseline_ra",
-    "merge_legacy_strategy",
 ]

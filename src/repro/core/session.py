@@ -14,11 +14,10 @@ the normalised compiler-side metrics.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
-from ..config import UpdateConfig, merge_legacy_strategy
+from ..config import UpdateConfig
 from ..diff.patcher import patched_words
 from ..energy.power_model import MICA2, PowerModel
 from ..net.campaign import CampaignReport, run_campaign
@@ -121,30 +120,18 @@ class UpdateSession:
         loss_seed: int = 1,
         config: UpdateConfig | None = None,
         version: int = 0,
-        **planner_kwargs,
     ):
         """``loss`` switches dissemination to the lossy NACK-repair
         model with that per-link drop probability.
 
-        ``config`` carries the planning strategy and knobs for every
-        :meth:`push_update`.  ``version`` labels the deployed program
-        (a fleet mid-history starts above 0).  Extra
-        ``**planner_kwargs`` (``k``, ``expected_runs``,
-        ``space_threshold``, ``energy``, ``profile``) are a
-        deprecation shim forwarded to :class:`UpdatePlanner`; pass a
-        config instead.
+        ``config`` carries the planning strategy and every planner knob
+        (``k``, ``expected_runs``, ``space_threshold``) for each push;
+        a push may pass its own.  ``version`` labels the deployed
+        program (a fleet mid-history starts above 0).
         """
         if version < 0:
             raise PlanStateError(
                 "session", f"version label must be >= 0, got {version}"
-            )
-        if planner_kwargs:
-            warnings.warn(
-                f"UpdateSession(**planner_kwargs) is deprecated "
-                f"(got {sorted(planner_kwargs)}); pass "
-                f"config=repro.UpdateConfig(...) instead",
-                DeprecationWarning,
-                stacklevel=2,
             )
         self.deployed = deployed
         self.topology = topology or grid(8, 8)
@@ -158,18 +145,13 @@ class UpdateSession:
         self.loss = loss
         self.loss_seed = loss_seed
         self.config = config if config is not None else UpdateConfig()
-        self.planner_kwargs = planner_kwargs
         #: fleet-wide version counter advanced by successful pushes
         self.version = version
         #: compiled program of every version this session has deployed
         self.history: dict[int, CompiledProgram] = {version: deployed}
 
     def push_update(
-        self,
-        new_source: str,
-        ra: str | None = None,
-        da: str | None = None,
-        config: UpdateConfig | None = None,
+        self, new_source: str, config: UpdateConfig | None = None
     ) -> SessionResult:
         """Compile, disseminate, and patch one update.
 
@@ -179,30 +161,17 @@ class UpdateSession:
         program advances to the new version, so successive calls model a
         long-lived maintenance campaign.
 
-        Strategy comes from ``config`` (falling back to the session's
-        config); the ``ra``/``da`` string keywords are deprecation
-        shims and emit :class:`DeprecationWarning`.
+        Strategy and knobs come from ``config``, falling back to the
+        session's config.
         """
-        if ra is not None or da is not None:
-            warnings.warn(
-                "the ra=/da= string flags are deprecated; pass "
-                "config=repro.UpdateConfig(ra=..., da=...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        cfg = merge_legacy_strategy(
-            config if config is not None else self.config, ra=ra, da=da
-        )
+        cfg = config if config is not None else self.config
         with trace.span(
             "session.push_update", ra=cfg.ra, da=cfg.da, loss=self.loss
         ):
             return self._push_update(new_source, cfg)
 
     def _push_update(self, new_source: str, cfg: UpdateConfig) -> SessionResult:
-        planner = UpdatePlanner(
-            self.deployed, config=cfg, **self.planner_kwargs
-        )
-        update = planner.plan(new_source)
+        update = UpdatePlanner(self.deployed, config=cfg).plan(new_source)
 
         if self.loss > 0.0:
             dissemination = disseminate_lossy(
@@ -239,7 +208,7 @@ class UpdateSession:
 
     def push_campaign(
         self,
-        payloads: "Mapping[int, str] | str",
+        payloads: "Mapping[int, str]",
         plan: FaultPlan | None = None,
         config: UpdateConfig | None = None,
         max_rounds: int = 200,
@@ -263,9 +232,7 @@ class UpdateSession:
         into a :class:`repro.versioning.VersionGraph`, each stale
         cohort gets its cheapest plan (chained diffs, merged diff, or
         full image), and a :class:`VersionedCampaignResult` comes
-        back.  Passing a bare source string is deprecated and emits
-        :class:`DeprecationWarning` (it behaves like the single-entry
-        mapping).
+        back.
 
         Never raises for an unconverged fleet — inspect
         ``result.report.outcome``.  The session's deployed program
@@ -283,15 +250,6 @@ class UpdateSession:
         (radio draws, MTU fragmentation, airtime budget, capacitor
         brownout model) on the single-release campaign.
         """
-        if isinstance(payloads, str):
-            warnings.warn(
-                "push_campaign(payload=...) with a bare source string is "
-                "deprecated; pass a version-keyed mapping "
-                "{session.version + 1: source} instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            payloads = {self.version + 1: payloads}
         releases = {int(v): source for v, source in payloads.items()}
         if not releases:
             raise PlanStateError(
@@ -345,10 +303,7 @@ class UpdateSession:
         coding: "CodedTransferParams | None",
         profile: "DeviceProfile | None" = None,
     ) -> CampaignResult:
-        planner = UpdatePlanner(
-            self.deployed, config=cfg, **self.planner_kwargs
-        )
-        update = planner.plan(new_source)
+        update = UpdatePlanner(self.deployed, config=cfg).plan(new_source)
 
         # Sink-side check that the script reconstructs the new image
         # — the same verification each committed node's staged bank

@@ -3,7 +3,8 @@
 This is the sink-side loop of paper Figures 1-2.  Given the previous
 :class:`~repro.core.compiler.CompiledProgram` (which carries the old
 register-allocation records and data layout) and the modified source,
-the planner recompiles under a chosen strategy:
+the planner recompiles under the strategy an
+:class:`~repro.config.UpdateConfig` selects:
 
 * ``ra="ucc"``   — update-conscious register allocation (§3) per
   function, falling back to the baseline for brand-new functions;
@@ -18,10 +19,9 @@ to measure ``Diff_cycle``.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 
-from ..config import UpdateConfig, merge_legacy_strategy
+from ..config import UpdateConfig
 from ..datalayout.gcc_da import allocate_gcc_da
 from ..datalayout.layout import collect_layout_objects
 from ..datalayout.ucc_da import UCCDAReport, allocate_ucc_da
@@ -116,84 +116,42 @@ class UpdatePlanner:
         self,
         old: CompiledProgram,
         energy: EnergyModel = DEFAULT_ENERGY_MODEL,
-        k: int | None = None,
-        expected_runs: float | None = None,
-        space_threshold: int | None = None,
         profile=None,
         config: UpdateConfig | None = None,
     ):
-        """``config`` carries every planning knob (strategy selection
-        plus ``k``/``expected_runs``/``space_threshold``); the explicit
-        numeric keywords override the config's fields when given.
+        """``config`` carries every planning knob: the strategies plus
+        ``k``/``expected_runs``/``space_threshold``.
 
         ``profile`` optionally carries a
         :class:`repro.sim.executor.RunResult` of the *old* binary with
         ``collect_profile=True`` (see :func:`profile_program`); its
         per-instruction execution counts then drive the paper's
         ``freq(s)`` instead of the static loop-nesting estimate."""
-        base = config if config is not None else UpdateConfig()
-        overrides = {}
-        if k is not None:
-            overrides["k"] = k
-        if expected_runs is not None:
-            overrides["expected_runs"] = expected_runs
-        if space_threshold is not None:
-            overrides["space_threshold"] = space_threshold
-        self.config = replace(base, **overrides) if overrides else base
+        self.config = config if config is not None else UpdateConfig()
         self.old = old
         self.energy = energy
-        self.k = self.config.k
-        self.expected_runs = self.config.expected_runs
-        self.space_threshold = self.config.space_threshold
         self.profile = profile
 
     def plan(
-        self,
-        new_source: str,
-        ra: str | None = None,
-        da: str | None = None,
-        cp: str | None = None,
-        verify: bool | None = None,
-        checked: bool | None = None,
-        config: UpdateConfig | None = None,
+        self, new_source: str, config: UpdateConfig | None = None
     ) -> UpdateResult:
-        """Recompile ``new_source`` under the given strategy and diff.
+        """Recompile ``new_source`` under ``config`` (default: the
+        planner's own) and diff.
 
-        ``cp`` selects the code-placement strategy: ``"ucc"`` keeps
-        surviving functions at their old flash addresses (padding
+        ``config.cp`` selects the code-placement strategy: ``"ucc"``
+        keeps surviving functions at their old flash addresses (padding
         shrinkage), ``"gcc"`` packs afresh.  By default the
         update-conscious strategies evaluate *both* placements and ship
         whichever needs the smaller script — padding NOPs and call-site
         re-encodings trade against each other, and which wins depends
         on the call graph.
 
-        ``checked`` runs the full :mod:`repro.analysis` verification
-        passes over the planned update and raises
+        ``config.checked`` runs the full :mod:`repro.analysis`
+        verification passes over the planned update and raises
         :class:`~repro.analysis.VerificationError` on any finding;
         ``None`` inherits the old program's ``options.checked``.
-
-        The preferred calling convention is ``plan(source, config=
-        UpdateConfig(...))``; the ``ra``/``da``/``cp`` string keywords
-        are deprecation shims and emit :class:`DeprecationWarning`.
         """
-        if ra is not None or da is not None or cp is not None:
-            warnings.warn(
-                "the ra=/da=/cp= string flags are deprecated; pass "
-                "config=repro.UpdateConfig(ra=..., da=..., cp=...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        if config is None:
-            # Fold in any direct attribute mutation (legacy pattern).
-            config = replace(
-                self.config,
-                k=self.k,
-                expected_runs=self.expected_runs,
-                space_threshold=self.space_threshold,
-            )
-        cfg = merge_legacy_strategy(
-            config, ra=ra, da=da, cp=cp, verify=verify, checked=checked
-        )
+        cfg = config if config is not None else self.config
         with trace.span("update.plan", ra=cfg.ra, da=cfg.da):
             return self._plan(new_source, cfg)
 
@@ -349,29 +307,19 @@ class UpdatePlanner:
         self,
         new_source: str,
         cnt: float | None = None,
-        da: str | None = None,
         energy: EnergyModel | None = None,
         config: UpdateConfig | None = None,
     ) -> UpdateResult:
         """Plan under both UCC-RA and the baseline, measure both, and
         return whichever minimises eq. 18's total energy at execution
-        count ``cnt`` (defaults to the planner's ``expected_runs``).
+        count ``cnt`` (defaults to the config's ``expected_runs``).
 
         This is the paper's §5.5 fallback made explicit: *"UCC-RA falls
         back to GCC-RA when [the code] is executed more than 10^7 times
         because of the diminishing energy gain."*
         """
-        if da is not None:
-            warnings.warn(
-                "the da= string flag is deprecated; pass "
-                "config=repro.UpdateConfig(da=...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        base = merge_legacy_strategy(
-            config if config is not None else self.config, da=da
-        )
-        cnt = self.expected_runs if cnt is None else cnt
+        base = config if config is not None else self.config
+        cnt = base.expected_runs if cnt is None else cnt
         energy = energy or self.energy
         # Both candidate plans see the same Cnt for their mov-insertion
         # decisions.
@@ -434,35 +382,8 @@ def profile_program(
 def plan_update(
     old: CompiledProgram,
     new_source: str,
-    ra: str | None = None,
-    da: str | None = None,
-    cp: str | None = None,
-    energy: EnergyModel = DEFAULT_ENERGY_MODEL,
-    k: int | None = None,
-    expected_runs: float | None = None,
-    space_threshold: int | None = None,
-    checked: bool | None = None,
     config: UpdateConfig | None = None,
 ) -> UpdateResult:
-    """One-call convenience wrapper around :class:`UpdatePlanner`.
-
-    Prefer ``plan_update(old, source, config=UpdateConfig(...))``; the
-    ``ra``/``da``/``cp`` string keywords are deprecation shims.
-    """
-    if ra is not None or da is not None or cp is not None:
-        warnings.warn(
-            "the ra=/da=/cp= string flags are deprecated; pass "
-            "config=repro.UpdateConfig(ra=..., da=..., cp=...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    cfg = merge_legacy_strategy(config, ra=ra, da=da, cp=cp, checked=checked)
-    planner = UpdatePlanner(
-        old,
-        energy=energy,
-        k=k,
-        expected_runs=expected_runs,
-        space_threshold=space_threshold,
-        config=cfg,
-    )
-    return planner.plan(new_source)
+    """Plan one update of ``old`` to ``new_source`` under an
+    :class:`UpdateConfig` (strategy, knobs, verification)."""
+    return UpdatePlanner(old, config=config).plan(new_source)

@@ -282,10 +282,13 @@ def solve_branch_bound(
     stats.wall_time = time.perf_counter() - start
     if best_values is None:
         return SolveResult(status="infeasible", stats=stats)
+    # Report the exact objective of the assignment, not the LP value
+    # that found it: an adopted incumbent and an LP-found optimum with
+    # the same values must report the same objective, bit for bit.
     return SolveResult(
         status=status,
         values=best_values,
-        objective=best_objective + problem.objective_constant,
+        objective=problem.evaluate(best_values),
         stats=stats,
     )
 

@@ -34,7 +34,7 @@ from .errors import NetConfigError
 from .faults import FaultPlan
 from .lossy import NACK_BYTES
 from .node_state import APPLY_ROUNDS, NodeUpdateState, packetise_blob
-from .profiles import DeviceProfile
+from .profiles import DeviceProfile, check_power_traces
 from .topology import Topology
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -246,12 +246,6 @@ def run_campaign(
     plan = plan if plan is not None else FaultPlan()
     if profile is not None:
         power = profile.power
-    if plan.power_traces and (profile is None or not profile.is_energy_limited):
-        raise NetConfigError(
-            "profile", None if profile is None else profile.name,
-            "the fault plan scripts power traces, which only act under an "
-            "energy-limited device profile (storage_j > 0)",
-        )
     if coding is not None and coding.scheme == "lt":
         if profile is not None and not profile.is_neutral:
             raise NetConfigError(
@@ -339,7 +333,6 @@ def run_campaign(
     metrics.counter("campaign.nacks").inc(report.nacks)
     metrics.counter("campaign.drops").inc(report.drops)
     metrics.counter("campaign.energy_j").inc(report.total_energy_j)
-    metrics.counter("net.fault.corruptions").inc(report.crc_rejections)
     metrics.counter("net.fault.duplicates").inc(report.duplicates)
     if report.converged:
         metrics.counter("campaign.converged").inc()
@@ -396,6 +389,7 @@ class _CampaignEngine:
         stall_limit: int,
         profile: DeviceProfile | None = None,
     ):
+        check_power_traces(plan, profile)
         self.topology = topology
         self.blob = blob
         self.plan = plan
@@ -538,6 +532,7 @@ class _CampaignEngine:
         while self.rounds < self.max_rounds and self.advance_round():
             self.apply_faults()
             self.run_phases()
+        metrics.counter("net.fault.corruptions").inc(self.crc_rejections)
         return self.build_report()
 
     # -- predicates ------------------------------------------------------

@@ -33,7 +33,7 @@ from .errors import NetConfigError
 from .faults import FaultPlan
 from .kernel import DutyCycle, KernelReport, SimKernel, rounds_equivalent
 from .node_state import packetise_blob
-from .profiles import DeviceProfile
+from .profiles import DeviceProfile, check_power_traces
 from .topology import Topology
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -128,6 +128,7 @@ class FleetSim:
             )
         self.topology = topology
         self.plan = plan if plan is not None else FaultPlan()
+        check_power_traces(self.plan, profile)
         self.loss = loss
         self.power = power
         self.round_s = round_s
@@ -143,14 +144,6 @@ class FleetSim:
         self.profile = (
             profile if profile is not None and not profile.is_neutral else None
         )
-        if self.plan.power_traces and (
-            self.profile is None or not self.profile.is_energy_limited
-        ):
-            raise NetConfigError(
-                "profile", None if self.profile is None else self.profile.name,
-                "the fault plan scripts power traces, which only act under "
-                "an energy-limited device profile (storage_j > 0)",
-            )
         if self.profile is not None:
             payload_per_packet = self.profile.effective_payload(
                 payload_per_packet
@@ -667,6 +660,7 @@ class FleetSim:
             self.kernel.run(max_time=max_time)
         if self.coding is not None:
             metrics.counter("net.coding.repairs").inc(self.repairs)
+        metrics.counter("net.fault.corruptions").inc(self.crc_rejections)
         return self.build_report()
 
     def build_report(self) -> KernelReport:

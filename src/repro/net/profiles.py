@@ -40,11 +40,14 @@ registry name via :func:`get_profile` (CLI ``--profile`` flag).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import TYPE_CHECKING, Dict, Tuple
 
 from ..energy.power_model import MICA2 as MICA2_POWER
 from ..energy.power_model import PowerModel
 from .errors import NetConfigError
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from .faults import FaultPlan
 
 __all__ = [
     "BATTERYLESS_HARVEST",
@@ -53,6 +56,7 @@ __all__ = [
     "LORA_SX1276_POWER",
     "MICA2_PROFILE",
     "PROFILES",
+    "check_power_traces",
     "get_profile",
 ]
 
@@ -234,3 +238,15 @@ def get_profile(name: str) -> DeviceProfile:
         raise NetConfigError(
             "profile", name, f"unknown device profile {name!r}; expected one of {known}"
         ) from None
+
+
+def check_power_traces(plan: FaultPlan, profile: DeviceProfile | None) -> None:
+    """Refuse a plan that scripts power traces unless ``profile`` is
+    energy-limited: the traces act only on its capacitor model.  Every
+    engine calls this, so no campaign ignores a trace silently."""
+    if plan.power_traces and (profile is None or not profile.is_energy_limited):
+        raise NetConfigError(
+            "profile", None if profile is None else profile.name,
+            "the fault plan scripts power traces, which only act under an "
+            "energy-limited device profile (storage_j > 0)",
+        )

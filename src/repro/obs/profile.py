@@ -176,8 +176,6 @@ def aggregate_phases(events: list) -> list[PhaseRow]:
 def profile_update(
     old_source: str,
     new_source: str,
-    ra: str = "ucc",
-    da: str = "ucc",
     grid_side: int = 4,
     loss: float = 0.0,
     loss_seed: int = 1,
@@ -190,19 +188,17 @@ def profile_update(
     Resets the process-wide tracer, enables it for the duration of the
     run (restoring the previous enablement after), and reports metric
     *deltas* so back-to-back profiles do not bleed into each other.
-    ``config`` carries the full planning configuration (cp, checked
-    mode, knobs); when given it wins over the loose ``ra``/``da``
-    strings.
+    ``config`` carries the full planning configuration (strategies, cp,
+    checked mode, knobs); ``None`` means ``UpdateConfig()``.
     """
-    cfg = config if config is not None else UpdateConfig(ra=ra, da=da)
-    ra, da = cfg.ra, cfg.da
+    cfg = config if config is not None else UpdateConfig()
     tracer = trace.TRACER
     was_enabled = tracer.enabled
     tracer.reset()
     tracer.enable()
     before = metrics.REGISTRY.values()
     try:
-        with trace.span("profile.total", ra=ra, da=da):
+        with trace.span("profile.total", ra=cfg.ra, da=cfg.da):
             old = compile_source(old_source)
             result = plan_update(old, new_source, config=cfg)
             topology = grid(grid_side, grid_side)
@@ -236,8 +232,8 @@ def profile_update(
 
     return ProfileReport(
         label=label,
-        ra=ra,
-        da=da,
+        ra=cfg.ra,
+        da=cfg.da,
         grid_side=grid_side,
         loss=loss,
         result=result,

@@ -296,7 +296,7 @@ class TestCheckedMode:
     def test_checked_plan_runs_verifiers(self, compiled_case_olds):
         case = CASES["2"]
         result = plan_update(
-            compiled_case_olds["2"], case.new_source, checked=True
+            compiled_case_olds["2"], case.new_source, config=UpdateConfig(checked=True)
         )
         assert result.new.options.checked
 

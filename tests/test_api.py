@@ -14,7 +14,6 @@ from repro.config import (
     TopologySpec,
     UpdateConfig,
     baseline_ra,
-    merge_legacy_strategy,
 )
 from repro.workloads import CASES
 
@@ -40,8 +39,11 @@ class TestConfigValidation:
             UpdateConfig(cp="bogus")
 
     def test_update_config_rejects_bad_k(self):
-        with pytest.raises(ValueError, match="k must be >= 1"):
-            UpdateConfig(k=0)
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            UpdateConfig(k=-1)
+        # §3.2: a chunk is unchanged when larger than K, so K = 0 is
+        # defined (no unchanged run is merged).
+        assert UpdateConfig(k=0).k == 0
 
     def test_update_config_rejects_negative_runs(self):
         with pytest.raises(ValueError, match="expected_runs"):
@@ -87,11 +89,6 @@ class TestConfigSemantics:
         assert job.digest() == FleetJob(old_source="a", new_source="b").digest()
         assert job.digest() != FleetJob(old_source="a", new_source="c").digest()
 
-    def test_merge_legacy_strategy_explicit_flag_wins(self):
-        merged = merge_legacy_strategy(UpdateConfig(ra="ucc", da="ucc"), ra="gcc")
-        assert merged.ra == "gcc"
-        assert merged.da == "ucc"  # untouched fields survive the merge
-
     def test_topology_spec_builds_the_right_shape(self):
         grid = TopologySpec.grid(3, 4)
         assert grid.node_count() == 12
@@ -122,12 +119,12 @@ class TestFacade:
         assert via_api.script_bytes == direct.script_bytes
         assert via_api.diff.script.render() == direct.diff.script.render()
 
-    def test_make_planner_reuses_one_deployed_version(self):
-        old = api.compile_source(CASE.old_source)
-        planner = api.make_planner(old, UpdateConfig(ra="ucc"))
-        first = planner.plan(CASE.new_source)
-        second = planner.plan(CASE.new_source)
-        assert first.diff_inst == second.diff_inst
+    def test_facade_reexports_one_implementation(self):
+        import repro
+        import repro.service
+
+        assert repro.plan_update is api.plan_update
+        assert api.run_batch is repro.service.run_batch
 
     def test_make_session_accepts_topology_spec(self):
         old = api.compile_source(CASE.old_source)

@@ -12,7 +12,9 @@ from repro.net import (
     line,
     run_campaign,
 )
+from repro.net.coding import CodedTransferParams
 from repro.net.errors import DisseminationIncomplete
+from repro.obs import metrics
 from repro.service import execute_job
 from repro.sim import DeviceBoard, Timer
 from repro.sim.executor import run_image, traces_equal
@@ -53,6 +55,26 @@ class TestCampaignDeterminism:
         )
         other = run_campaign(grid(3, 3), BLOB, other_plan, loss=0.15, seed=5)
         assert base.plan_digest != other.plan_digest
+
+    @pytest.mark.parametrize(
+        "protocol,scheme",
+        [("flood", None), ("flood", "lt"), ("trickle", None), ("gossip", None)],
+    )
+    def test_corruption_counter_matches_report(self, protocol, scheme):
+        """Every engine publishes its CRC rejections as
+        ``net.fault.corruptions``."""
+        before = metrics.REGISTRY.values("net.fault.")
+        report = run_campaign(
+            grid(4, 4),
+            BLOB,
+            FaultPlan(corrupt_prob=0.05, seed=3),
+            seed=5,
+            protocol=protocol,
+            coding=CodedTransferParams(scheme=scheme) if scheme else None,
+        )
+        delta = metrics.REGISTRY.delta(before, "net.fault.")
+        assert report.crc_rejections > 0
+        assert delta["net.fault.corruptions"] == report.crc_rejections
 
     def test_report_json_is_canonical(self):
         report = run_campaign(line(4), BLOB, FaultPlan(), seed=2)

@@ -297,9 +297,14 @@ class TestWarmStart:
         # digest, same structure digest: the warm path is eligible.
         hint = {name: 1 for name in prog.variables}
         warm = solve(prog, backend="own", incumbent=hint)
-        assert warm.status == cold.status
+        # The warm start may only change how the answer is found: the
+        # same hinted call without the memo is the reference.  When
+        # the hint is itself optimal both keep it, so its values may be
+        # another optimum than the unhinted solve's.
+        hinted = solve(prog, backend="own", incumbent=hint, cache=False)
+        assert warm.status == hinted.status
+        assert warm.values == hinted.values
         assert warm.objective == cold.objective  # exact
-        assert warm.values == cold.values
 
     def test_warm_start_adoption_counted(self):
         if not fastpath_enabled():

@@ -126,7 +126,7 @@ class TestCheckedPipeline:
     def test_checked_plan_ships_verified_update(self, case_id, compiled_case_olds):
         case = CASES[case_id]
         result = plan_update(
-            compiled_case_olds[case_id], case.new_source, checked=True
+            compiled_case_olds[case_id], case.new_source, config=UpdateConfig(checked=True)
         )
         # a checked plan that returns has passed every analysis pass;
         # the shipped script still round-trips on the sensor side
@@ -135,5 +135,5 @@ class TestCheckedPipeline:
 
     def test_checked_plan_with_ilp_allocator(self, compiled_case_olds):
         case = CASES["4"]
-        result = plan_update(compiled_case_olds["4"], case.new_source, checked=True, config=UpdateConfig(ra="ucc-ilp"))
+        result = plan_update(compiled_case_olds["4"], case.new_source, config=UpdateConfig(ra="ucc-ilp", checked=True))
         assert result.new.options.checked

@@ -38,6 +38,7 @@ from repro.net import (
     packetise_blob,
     run_campaign,
 )
+from repro.net.coding import run_coded_campaign
 from repro.net.errors import NetConfigError
 from repro.net.gossip import run_gossip
 from repro.net.trickle import run_trickle
@@ -274,6 +275,12 @@ class TestPowerTraces:
             run_campaign(grid(3, 3), BLOB, plan, seed=7)
         with pytest.raises(NetConfigError):
             run_campaign(grid(3, 3), BLOB, plan, seed=7, profile=LORAWAN_DR3)
+
+    def test_every_engine_refuses_traces_without_energy_profile(self):
+        plan = FaultPlan(power_traces=(PowerTrace(node=3, brownout_at_j=(0.01,)),))
+        for run in (run_coded_campaign, run_trickle, run_gossip):
+            with pytest.raises(NetConfigError, match="power traces"):
+                run(grid(3, 3), BLOB, plan, seed=7)
 
     def test_pinned_trace_fires_between_page_writes(self):
         plan = FaultPlan(

@@ -323,15 +323,6 @@ class TestSessionVersionedPush:
         with pytest.raises(PlanStateError):
             session.push_campaign({})
 
-    def test_bare_string_payload_is_deprecated_but_identical(self):
-        legacy = self.session()
-        with pytest.warns(DeprecationWarning, match="version-keyed"):
-            a = legacy.push_campaign(V5)
-        typed = self.session()
-        b = typed.push_campaign({1: V5})
-        assert a.report.digest() == b.report.digest()
-        assert legacy.version == typed.version == 1
-
 
 class TestGraphConstruction:
     def test_needs_two_releases(self):
