@@ -7,9 +7,11 @@ Run from the repository root::
 
 ``campaign_digests.json`` pins the report digest of every case in
 :func:`campaign_cases`: the NACK flood and the LT fountain, each
-through every entry point that reaches it, plus the built-in device
-profiles and an empty blob.  ``tests/test_golden_regression.py``
-re-runs the same table and compares digest by digest.
+through every entry point that reaches it; the kernel protocols
+(Trickle and gossip, plain and with XOR burst parity); plus the
+built-in device profiles and an empty blob.
+``tests/test_golden_regression.py`` re-runs the same table and
+compares digest by digest.
 """
 
 import dataclasses
@@ -32,6 +34,8 @@ from repro.net import (
     grid,
     random_geometric,
     run_campaign,
+    run_gossip,
+    run_trickle,
 )
 from repro.net.coding import CodedTransferParams, run_coded_campaign
 from repro.versioning import build_version_graph, plan_cohorts, run_versioned_campaign
@@ -103,6 +107,7 @@ def campaign_cases() -> dict:
     """Pinned campaign runs: key -> zero-argument callable returning a
     report with a ``digest()``."""
     lt = CodedTransferParams(scheme="lt")
+    xor = CodedTransferParams(scheme="xor")
     cases = {}
     for topo_name, make_topology in TOPOLOGIES.items():
         for loss in LOSSES:
@@ -133,6 +138,20 @@ def campaign_cases() -> dict:
                 cases[f"lt/run_coded_campaign/{tail}"] = lt_direct
                 cases[f"lt/run_campaign/{tail}"] = lt_routed
                 cases[f"lt/versioned/{tail}"] = lt_waves
+
+                for name, runner in (("trickle", run_trickle), ("gossip", run_gossip)):
+                    for scheme, coding in (("", None), ("-xor", xor)):
+
+                        def kernel(
+                            t=make_topology, p=make_plan, loss=loss,
+                            runner=runner, coding=coding,
+                        ):
+                            return runner(
+                                t(), CAMPAIGN_BLOB, p(), loss=loss, seed=5,
+                                coding=coding,
+                            )
+
+                        cases[f"{name}{scheme}/run_{name}/{tail}"] = kernel
 
     cases["flood/run_campaign/flood-parity"] = lambda: run_campaign(
         grid(4, 4), b"y" * 400, flood_parity_plan(), loss=0.1, seed=3
