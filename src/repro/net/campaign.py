@@ -31,7 +31,7 @@ from ..energy.power_model import MICA2, PowerModel
 from ..obs import metrics, trace
 from .dissemination import PATCH_CYCLES_PER_BYTE, NodeLedger
 from .errors import NetConfigError
-from .faults import FaultPlan
+from .faults import FaultPlan, LinkGate
 from .lossy import NACK_BYTES
 from .node_state import APPLY_ROUNDS, NodeUpdateState, packetise_blob
 from .profiles import DeviceProfile, check_power_traces
@@ -481,6 +481,7 @@ class _CampaignEngine:
         self.last_progress = 0
         self.round_progress: dict[int, bool] = {}
         self.partition_open: set[int] = set()
+        self.link_gate = LinkGate(plan.partitions, node_count)
 
         # -- device-profile state (all inert without an active profile) --
         # Airtime: cumulative on-air seconds per node against a cap that
@@ -536,11 +537,6 @@ class _CampaignEngine:
         return self.build_report()
 
     # -- predicates ------------------------------------------------------
-
-    def link_up(self, a: int, b: int, round_no: int) -> bool:
-        return not any(
-            w.severs(a, b, round_no) for w in self.plan.partitions
-        )
 
     def can_recover(self, node: int) -> bool:
         """Will a browned-out node ever recharge to its restart level?"""
@@ -754,12 +750,19 @@ class _CampaignEngine:
         rounds = self.rounds
         node_count = self.node_count
         round_progress = self.round_progress
+        # Partition labels of this round: a link is up iff the labels of
+        # its ends are equal (``None``: no window open, every link is up).
+        side = self.link_gate.sides(rounds)
+        tx_bit_j = power.tx_bit_energy_j
+        rx_bit_j = power.rx_bit_energy_j
 
         # -- power phase (harvest income, recharge-driven resumes) -------
         self.power_round()
 
         # -- NACK phase (backoff-gated version/missing advertisement) ----
         nack_airtime = self.nack_bits / power.radio_bps
+        nack_tx_j = self.nack_bits * tx_bit_j
+        nack_rx_j = self.nack_bits * rx_bit_j
         for node in range(1, node_count):
             state = states[node]
             if not state.should_nack(rounds, count):
@@ -770,14 +773,12 @@ class _CampaignEngine:
             self.nacks += 1
             state.note_nack(rounds, count)
             self.note_tx_airtime(node, nack_airtime)
-            nack_tx_j = self.nack_bits * power.tx_bit_energy_j
             ledgers[node].tx_j += nack_tx_j
             if not self.spend(node, nack_tx_j):
                 self.fire_brownout(node, "NACK tx")
                 continue
             for peer in topology.neighbors.get(node, ()):
-                if states[peer].alive and self.link_up(node, peer, rounds):
-                    nack_rx_j = self.nack_bits * power.rx_bit_energy_j
+                if states[peer].alive and (side is None or side[node] == side[peer]):
                     ledgers[peer].rx_j += nack_rx_j
                     if not self.spend(peer, nack_rx_j):
                         self.fire_brownout(peer, "NACK rx")
@@ -793,7 +794,8 @@ class _CampaignEngine:
             neighbours = [
                 peer
                 for peer in topology.neighbors.get(sender, ())
-                if states[peer].alive and self.link_up(sender, peer, rounds)
+                if states[peer].alive
+                and (side is None or side[sender] == side[peer])
             ]
             if not neighbours:
                 continue
@@ -815,7 +817,8 @@ class _CampaignEngine:
                 key = (sender, index)
                 self.tx_counts[key] = self.tx_counts.get(key, 0) + 1
                 self.note_tx_airtime(sender, airtime)
-                tx_j = bits * power.tx_bit_energy_j
+                tx_j = bits * tx_bit_j
+                rx_j = bits * rx_bit_j
                 ledgers[sender].tx_j += tx_j
                 ledgers[sender].packets_sent += 1
                 sender_powered = self.spend(sender, tx_j)
@@ -832,7 +835,6 @@ class _CampaignEngine:
                     ):
                         deliveries = 2
                     for _ in range(deliveries):
-                        rx_j = bits * power.rx_bit_energy_j
                         ledgers[peer].rx_j += rx_j
                         if not self.spend(peer, rx_j):
                             self.fire_brownout(peer, "packet rx")

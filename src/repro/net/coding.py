@@ -332,7 +332,7 @@ class _FountainEngine(_CampaignEngine):
         ledgers = self.ledgers
         plan = self.plan
         rounds = self.rounds
-        link_up = self.link_up
+        side = self.link_gate.sides(rounds)
         rng_link = self.rng_link
         loss = self.loss
         tx_j = self.packet_bits * self.power.tx_bit_energy_j
@@ -355,7 +355,7 @@ class _FountainEngine(_CampaignEngine):
                 for peer in neighbors.get(node, ())
                 if states[peer].committed
                 and states[peer].alive
-                and link_up(node, peer, rounds)
+                and (side is None or side[node] == side[peer])
             ]
             if candidates:
                 chosen = min(candidates)
@@ -369,7 +369,7 @@ class _FountainEngine(_CampaignEngine):
                 for peer in neighbors.get(sender, ())
                 if states[peer].alive
                 and not states[peer].committed
-                and link_up(sender, peer, rounds)
+                and (side is None or side[sender] == side[peer])
             ]
             if not needy:
                 continue

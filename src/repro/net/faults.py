@@ -97,10 +97,11 @@ class PartitionWindow:
                 "nodes", self.nodes,
                 "PartitionWindow.nodes must not be empty",
             )
-        if 0 in self.nodes:
+        if min(self.nodes) < 1:
             raise FaultPlanError(
                 "nodes", self.nodes,
-                "PartitionWindow.nodes must not contain the sink (node 0)",
+                f"PartitionWindow.nodes must be >= 1 (the sink is never "
+                f"partitioned), got {min(self.nodes)}",
             )
 
     def severs(self, a: int, b: int, round_no: int) -> bool:
@@ -108,6 +109,43 @@ class PartitionWindow:
         if not self.start <= round_no < self.end:
             return False
         return (a in self.nodes) != (b in self.nodes)
+
+
+class LinkGate:
+    """The partition rule of a whole plan, O(1) per link.
+
+    :meth:`sides` labels every node for one round: bit ``i`` of a label
+    is set when the node sits in window ``i`` and that window is active
+    in the round.  The ``a``—``b`` link is up iff ``sides[a] ==
+    sides[b]``: no active window has exactly one of the two ends.  One
+    bit per window keeps overlapping windows apart, and island ids
+    beyond the topology label nothing.  ``None`` means no window is
+    active and every link is up.  The labels of the last round asked
+    for are kept, so a round engine pays for them once per round.
+    """
+
+    __slots__ = ("windows", "node_count", "round_no", "labels")
+
+    def __init__(self, windows: tuple[PartitionWindow, ...], node_count: int):
+        self.windows = windows
+        self.node_count = node_count
+        self.round_no: int | None = None
+        self.labels: list[int] | None = None
+
+    def sides(self, round_no: int) -> list[int] | None:
+        if round_no != self.round_no:
+            labels = None
+            for bit, window in enumerate(self.windows):
+                if not window.start <= round_no < window.end:
+                    continue
+                if labels is None:
+                    labels = [0] * self.node_count
+                for node in window.nodes:
+                    if node < self.node_count:
+                        labels[node] |= 1 << bit
+            self.round_no = round_no
+            self.labels = labels
+        return self.labels
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from ..energy.power_model import PowerModel
 from ..obs import metrics
 from .dissemination import PATCH_CYCLES_PER_BYTE
 from .errors import NetConfigError
-from .faults import FaultPlan
+from .faults import FaultPlan, LinkGate
 from .kernel import DutyCycle, KernelReport, SimKernel, rounds_equivalent
 from .node_state import packetise_blob
 from .profiles import DeviceProfile, check_power_traces
@@ -241,6 +241,7 @@ class FleetSim:
                 )
 
         self._partition_open: "set[int]" = set()
+        self.link_gate = LinkGate(self.plan.partitions, node_count)
         self._schedule_faults()
 
     # -- fault plan as kernel events ------------------------------------
@@ -327,14 +328,21 @@ class FleetSim:
                 f"t{self.kernel.now:g}: partition {{{island}}} healed"
             )
 
+    def link_sides(self) -> "list[int] | None":
+        """Partition labels at the current kernel time: the ``a``—``b``
+        link is up iff ``sides is None or sides[a] == sides[b]``.
+
+        The round is ``int(now / round_s)``, not the open set the
+        partition events keep: at float boundaries the two disagree
+        (``round_s=0.7``, ``start=3`` fires at ``t=2.0999999999999996``,
+        still round 2), and the links follow the round.
+        """
+        return self.link_gate.sides(int(self.kernel.now / self.round_s))
+
     def link_up(self, a: int, b: int) -> bool:
         """Is the ``a``—``b`` link usable at the current kernel time?"""
-        if not self.plan.partitions:
-            return True
-        round_no = int(self.kernel.now / self.round_s)
-        return not any(
-            window.severs(a, b, round_no) for window in self.plan.partitions
-        )
+        sides = self.link_sides()
+        return sides is None or sides[a] == sides[b]
 
     # -- device-profile machinery ---------------------------------------
 
@@ -446,12 +454,16 @@ class FleetSim:
         """Kernel TX accounting plus the capacitor debit; returns False
         when the transmission browned the sender out."""
         self.kernel.account_tx(node, bits)
+        if self.stored is None:
+            return True
         return self.spend(node, bits * self.power.tx_bit_energy_j)
 
     def account_rx(self, node: int, bits: int) -> bool:
         """Kernel RX accounting plus the capacitor debit; returns False
         when the reception browned the receiver out."""
         self.kernel.account_rx(node, bits)
+        if self.stored is None:
+            return True
         if not self.spend(node, bits * self.power.rx_bit_energy_j):
             self._brownout(node, "packet rx")
             return False
@@ -494,8 +506,11 @@ class FleetSim:
         # brownout fires only after the peer loop: the packets were
         # already in flight when the supply collapsed.
         sender_powered = self.account_tx(sender, bits)
+        sides = self.link_sides()
         for peer in self.topology.neighbors.get(sender, ()):
-            if not self.nodes[peer].alive or not self.link_up(sender, peer):
+            if not self.nodes[peer].alive or (
+                sides is not None and sides[sender] != sides[peer]
+            ):
                 continue
             if not self.account_rx(peer, bits):
                 continue

@@ -113,10 +113,12 @@ class GossipSim(FleetSim):
             # Regulatory off-time not elapsed: sit this period out (a
             # deferral, never a violation); the period timer retries.
             return
+        sides = self.link_sides()
         candidates = [
             peer
             for peer in self.topology.neighbors.get(node, ())
-            if self.nodes[peer].alive and self.link_up(node, peer)
+            if self.nodes[peer].alive
+            and (sides is None or sides[node] == sides[peer])
         ]
         if not candidates:
             return

@@ -124,6 +124,10 @@ def _disseminate_lossy(
     count = packets.packet_count
     packet_bits = 8 * (packets.payload_per_packet + packets.overhead_per_packet)
     nack_bits = 8 * NACK_BYTES
+    nack_tx_j = nack_bits * power.tx_bit_energy_j
+    nack_rx_j = nack_bits * power.rx_bit_energy_j
+    packet_tx_j = packet_bits * power.tx_bit_energy_j
+    packet_rx_j = packet_bits * power.rx_bit_energy_j
 
     ledgers = {node: NodeLedger() for node in range(topology.node_count)}
     have: dict[int, set[int]] = {
@@ -143,9 +147,9 @@ def _disseminate_lossy(
         for node in range(1, topology.node_count):
             if len(have[node]) < count:
                 nacks += 1
-                ledgers[node].tx_j += nack_bits * power.tx_bit_energy_j
+                ledgers[node].tx_j += nack_tx_j
                 for peer in topology.neighbors.get(node, ()):
-                    ledgers[peer].rx_j += nack_bits * power.rx_bit_energy_j
+                    ledgers[peer].rx_j += nack_rx_j
 
         # Broadcast phase (snapshot: packets acquired this round do not
         # forward until the next round — hop-by-hop progression).
@@ -160,12 +164,12 @@ def _disseminate_lossy(
             sendable = sorted(snapshot[node] & wanted)
             for packet in sendable:
                 broadcasts += 1
-                ledgers[node].tx_j += packet_bits * power.tx_bit_energy_j
+                ledgers[node].tx_j += packet_tx_j
                 ledgers[node].packets_sent += 1
                 for peer in neighbours:
                     if packet in have[peer]:
                         continue
-                    ledgers[peer].rx_j += packet_bits * power.rx_bit_energy_j
+                    ledgers[peer].rx_j += packet_rx_j
                     if rng.random() >= loss:
                         have[peer].add(packet)
                         ledgers[peer].packets_received += 1

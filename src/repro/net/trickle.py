@@ -163,8 +163,11 @@ class TrickleSim(FleetSim):
             return
         self.beacons += 1
         sender_powered = self.account_tx(node, self.beacon_bits)
+        sides = self.link_sides()
         for peer in self.topology.neighbors.get(node, ()):
-            if not self.nodes[peer].alive or not self.link_up(node, peer):
+            if not self.nodes[peer].alive or (
+                sides is not None and sides[node] != sides[peer]
+            ):
                 continue
             if not self.account_rx(peer, self.beacon_bits):
                 continue

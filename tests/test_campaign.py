@@ -378,6 +378,15 @@ class TestCampaignCli:
         assert code == 2
         assert "--crash" in capsys.readouterr().err
 
+    def test_cli_negative_partition_node_exits_two(self, capsys):
+        from repro.cli import main
+
+        code = main(["campaign", "--case", "6", "--partition", "3-7:-1,5"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "bad --partition" in err
+        assert "must be >= 1" in err
+
 
 class TestFaultFuzzAcceptance:
     def test_fifty_case_seeded_sweep_passes(self):

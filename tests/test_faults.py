@@ -3,7 +3,10 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.energy.power_model import MICA2
 from repro.net import (
     FaultPlan,
     NodeCrash,
@@ -14,6 +17,11 @@ from repro.net import (
     packet_crc,
     packetise_blob,
 )
+from repro.net.errors import FaultPlanError
+from repro.net.faults import LinkGate
+from repro.net.fleet_sim import FleetSim
+from repro.net.kernel import ALWAYS_ON
+from repro.net.topology import Topology
 
 
 class TestFaultPlan:
@@ -28,6 +36,10 @@ class TestFaultPlan:
     def test_partition_cannot_contain_sink(self):
         with pytest.raises(ValueError):
             PartitionWindow(start=1, end=4, nodes=(0, 2))
+
+    def test_partition_rejects_negative_node_ids(self):
+        with pytest.raises(FaultPlanError, match="must be >= 1"):
+            PartitionWindow(start=3, end=7, nodes=(-1, 5))
 
     def test_partition_severs_only_across_the_cut(self):
         window = PartitionWindow(start=2, end=5, nodes=(3, 4))
@@ -195,3 +207,103 @@ class TestNodeUpdateState:
         assert state.receive(packets[0], len(packets)) == "ignored"
         done = NodeUpdateState(node=2, version=1, committed=True)
         assert done.receive(packets[0], len(packets)) == "ignored"
+
+
+@st.composite
+def partitioned_fleets(draw):
+    """A random (not necessarily connected) topology and 0-3 partition
+    windows over it.
+
+    Rounds are drawn from a narrow range so windows overlap and open or
+    close in the same round often; island ids run past the topology.
+    """
+    node_count = draw(st.integers(min_value=2, max_value=24))
+    node = st.integers(min_value=0, max_value=node_count - 1)
+    neighbors: dict = {n: [] for n in range(node_count)}
+    for a, b in draw(st.lists(st.tuples(node, node), max_size=3 * node_count)):
+        if a != b and b not in neighbors[a]:
+            neighbors[a].append(b)
+            neighbors[b].append(a)
+    topology = Topology([(0.0, 0.0)] * node_count, neighbors)
+    windows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        start = draw(st.integers(min_value=1, max_value=6))
+        end = draw(st.integers(min_value=start + 1, max_value=start + 4))
+        island = draw(
+            st.lists(
+                st.integers(min_value=1, max_value=node_count + 3),
+                min_size=1,
+                max_size=node_count + 3,
+                unique=True,
+            )
+        )
+        windows.append(PartitionWindow(start, end, tuple(sorted(island))))
+    return topology, tuple(windows)
+
+
+def _edges(topology):
+    return [
+        (a, b)
+        for a in range(topology.node_count)
+        for b in topology.neighbors.get(a, ())
+    ]
+
+
+def _severed(windows, a, b, round_no):
+    return any(window.severs(a, b, round_no) for window in windows)
+
+
+class TestLinkGate:
+    """``LinkGate`` against the one-window definition it replaces."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(partitioned_fleets())
+    def test_gate_matches_severs(self, fleet):
+        topology, windows = fleet
+        gate = LinkGate(windows, topology.node_count)
+        last = max((window.end for window in windows), default=0) + 1
+        rounds = list(range(last + 1))
+        # Ascending, then descending: the kept labels of the previous
+        # round must never leak into another one.
+        for round_no in rounds + rounds[::-1]:
+            sides = gate.sides(round_no)
+            for a, b in _edges(topology):
+                up = sides is None or sides[a] == sides[b]
+                assert up == (not _severed(windows, a, b, round_no)), (
+                    a, b, round_no, windows,
+                )
+
+    def test_no_open_window_means_no_labels(self):
+        gate = LinkGate((PartitionWindow(3, 5, (1, 2)),), 4)
+        assert gate.sides(2) is None
+        assert gate.sides(5) is None
+        assert gate.sides(3) == [0, 1, 1, 0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(partitioned_fleets(), st.sampled_from((1.0, 0.7, 0.1)))
+    @example(  # opening event at t = 2.0999999999999996, still round 2
+        (
+            Topology([(0.0, 0.0)] * 3, {0: [1], 1: [0, 2], 2: [1]}),
+            (PartitionWindow(3, 5, (2,)),),
+        ),
+        0.7,
+    )
+    def test_fleet_link_up_follows_the_kernel_round(self, fleet, round_s):
+        """The kernel protocols take the round as ``int(now / round_s)``,
+        also where a window boundary lands a float below the round."""
+        topology, windows = fleet
+        sim = FleetSim(
+            topology, b"x" * 64, FaultPlan(partitions=windows),
+            loss=0.0, seed=1, power=MICA2, duty_cycle=ALWAYS_ON,
+            payload_per_packet=22, overhead_per_packet=7,
+            old_version=0, new_version=1, round_s=round_s, apply_s=1.0,
+            component="test-link-gate",
+        )
+        for window in windows:
+            for now in (window.start * round_s, window.end * round_s):
+                sim.kernel.now = now
+                round_no = int(now / round_s)
+                for a, b in _edges(topology):
+                    assert sim.link_up(a, b) == (
+                        not _severed(windows, a, b, round_no)
+                    )

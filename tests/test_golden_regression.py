@@ -10,9 +10,11 @@ benign energy-model recalibrations don't churn the goldens.
 ``campaign_digests.json`` pins the report digest of every campaign in
 ``regen.campaign_cases``: the NACK flood and the LT fountain through
 each entry point that reaches them (``run_campaign``,
-``run_coded_campaign``, ``run_versioned_campaign`` waves), with and
-without a crash/reboot/partition/corruption/duplication plan, the
-built-in device profiles, and an empty blob.  Digests are exact.
+``run_coded_campaign``, ``run_versioned_campaign`` waves), Trickle and
+gossip (``run_trickle``, ``run_gossip``, plain and with XOR burst
+parity), with and without a crash/reboot/partition/corruption/
+duplication plan, the built-in device profiles, and an empty blob.
+Digests are exact.
 
 Regenerate after an intentional change with::
 

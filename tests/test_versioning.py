@@ -6,6 +6,8 @@ byte-identical target image, including under crash/corruption fault
 plans, and the session's typed API exposes the whole machinery.
 """
 
+import math
+
 import pytest
 
 from repro.config import CohortPlan, VersionGraphConfig, VersionSpec
@@ -14,8 +16,10 @@ from repro.core.errors import PlanStateError
 from repro.core.session import UpdateSession, VersionedCampaignResult
 from repro.net.coding import CodedTransferParams
 from repro.net.errors import NetConfigError
+from repro.diff.packets import Packetisation
+from repro.net.dissemination import disseminate
 from repro.net.faults import FaultPlan, NodeCrash
-from repro.net.topology import grid
+from repro.net.topology import grid, random_geometric
 from repro.versioning import (
     VersionGraph,
     build_version_graph,
@@ -171,6 +175,46 @@ class TestCohortPlanner:
                 config=graph.config,
             )
             assert plan.predicted_energy_j < full_energy
+
+    @pytest.mark.parametrize("script_bytes", [1, 200, 515, 1659])
+    @pytest.mark.parametrize(
+        "make_topology",
+        [
+            lambda: grid(5, 5),
+            lambda: grid(8, 8),
+            lambda: random_geometric(40, radio_range=0.3, seed=2),
+        ],
+        ids=["grid5x5", "grid8x8", "geo40"],
+    )
+    def test_lossless_prediction_is_the_analytic_flood(
+        self, make_topology, script_bytes
+    ):
+        """Cross-model identity: at loss 0 the planner's wave energy is
+        the paper's hop model (every node broadcasts every packet once,
+        every neighbour receives it) with the fleet's mean degree."""
+        topology = make_topology()
+        config = VersionGraphConfig(loss=0.0)
+        degrees = sum(
+            len(topology.neighbors.get(node, ()))
+            for node in range(topology.node_count)
+        )
+        predicted = predicted_wave_energy_j(
+            script_bytes,
+            node_count=topology.node_count,
+            mean_degree=degrees / topology.node_count,
+            config=config,
+        )
+        flood = disseminate(
+            topology,
+            Packetisation(
+                script_bytes=script_bytes,
+                payload_per_packet=config.payload_per_packet,
+                overhead_per_packet=config.overhead_per_packet,
+            ),
+        )
+        assert math.isclose(
+            predicted, flood.total_tx_j + flood.total_rx_j, rel_tol=1e-12
+        )
 
     def test_plan_edges_match_the_strategy(self, graph):
         plans = plan_cohorts(graph, {1: 3})
