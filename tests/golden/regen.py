@@ -12,16 +12,24 @@ through every entry point that reaches it; the kernel protocols
 built-in device profiles and an empty blob.
 ``tests/test_golden_regression.py`` re-runs the same table and
 compares digest by digest.
+
+``sim_runs.json`` pins every observable of ``run_image`` for each case
+in :func:`sim_cases`: the five Figure 8 programs and the old and
+UCC-planned new image of every ``CASES``/``EXTRA_CASES`` pair, each on
+the cycle-driven and the poll-driven board, plus one AES run cut short
+by its cycle budget.
 """
 
 import dataclasses
+import hashlib
 import json
 from functools import lru_cache
 from pathlib import Path
 
 from repro.core import compile_source, measure_cycles, plan_update
 from repro.energy import DEFAULT_ENERGY_MODEL
-from repro.workloads import CASES
+from repro.workloads import CASES, PROGRAMS
+from repro.workloads.extra import EXTRA_CASES
 from repro.config import UpdateConfig
 from repro.net import (
     BATTERYLESS_HARVEST,
@@ -38,6 +46,7 @@ from repro.net import (
     run_trickle,
 )
 from repro.net.coding import CodedTransferParams, run_coded_campaign
+from repro.sim import DeviceBoard, Timer, run_image
 from repro.versioning import build_version_graph, plan_cohorts, run_versioned_campaign
 
 ENERGY_CASES = ["1", "4", "6", "8", "12"]
@@ -204,6 +213,85 @@ def campaign_cases() -> dict:
     return cases
 
 
+SIM_BOARDS = {
+    "cycle": DeviceBoard,
+    "poll3": lambda: DeviceBoard(timer=Timer(fire_every_polls=3)),
+}
+SIM_MAX_CYCLES = 5_000_000  # run_image's default budget
+SIM_SHORT_BUDGET = 10_000  # AES needs 23,190 cycles: the budget ends the run
+
+
+@lru_cache(maxsize=None)
+def sim_image(name: str):
+    """``program/<P>`` compiles a Figure 8 program; ``case/<id>/old`` and
+    ``case/<id>/new`` are the deployed and the UCC-planned image of an
+    update pair."""
+    kind, _, rest = name.partition("/")
+    if kind == "program":
+        return compile_source(PROGRAMS[rest]).image
+    cid, _, which = rest.partition("/")
+    if cid in CASES:
+        old_source, new_source = CASES[cid].old_source, CASES[cid].new_source
+    else:
+        _desc, old_source, new_source = EXTRA_CASES[cid]
+    old = compile_source(old_source)
+    if which == "old":
+        return old.image
+    return plan_update(old, new_source, config=UpdateConfig(ra="ucc", da="ucc")).new.image
+
+
+def sim_observables(run) -> dict:
+    """Everything a run reports: its end state and every device stream."""
+    return {
+        "cycles": run.cycles,
+        "instructions": run.instructions,
+        "halted": run.halted,
+        "main_returned": run.main_returned,
+        "led": list(run.devices.led.writes),
+        "radio": list(run.devices.radio.sent),
+        "timer_fires": run.devices.timer.fires,
+        "adc_reads": run.devices.adc.reads,
+    }
+
+
+def sim_digest(image: str, board: str, max_cycles: int = SIM_MAX_CYCLES) -> str:
+    """Digest of a plain run and a profiled run of one image on a fresh
+    board: both runs' observables and the profiled run's sorted profile."""
+    runs = [
+        run_image(
+            sim_image(image), devices=SIM_BOARDS[board](),
+            max_cycles=max_cycles, collect_profile=collect,
+        )
+        for collect in (False, True)
+    ]
+    preimage = {
+        "plain": sim_observables(runs[0]),
+        "profiled": sim_observables(runs[1]),
+        "profile": sorted(
+            [fn, ir_index, count] for (fn, ir_index), count in runs[1].profile.items()
+        ),
+    }
+    blob = json.dumps(preimage, sort_keys=True, separators=(",", ":")).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
+def sim_cases() -> dict:
+    """Pinned simulator runs: key -> zero-argument callable returning
+    the run digest."""
+    images = [f"program/{name}" for name in PROGRAMS]
+    for cid in [*CASES, *EXTRA_CASES]:
+        images += [f"case/{cid}/old", f"case/{cid}/new"]
+    cases = {
+        f"{image}/{board}": (lambda i=image, b=board: sim_digest(i, b))
+        for image in images
+        for board in SIM_BOARDS
+    }
+    cases[f"program/AES/cycle/budget{SIM_SHORT_BUDGET}"] = lambda: sim_digest(
+        "program/AES", "cycle", max_cycles=SIM_SHORT_BUDGET
+    )
+    return cases
+
+
 def main() -> None:
     golden = Path(__file__).parent
 
@@ -236,6 +324,7 @@ def main() -> None:
         energy[cid] = {"cnt": ENERGY_CNT, "ratio_ucc_over_gcc": round(ratio, 6)}
 
     campaigns = {key: run().digest() for key, run in campaign_cases().items()}
+    sim_runs = {key: run() for key, run in sim_cases().items()}
 
     (golden / "fig09_scripts.json").write_text(
         json.dumps(scripts, indent=2, sort_keys=True) + "\n"
@@ -246,9 +335,13 @@ def main() -> None:
     (golden / "campaign_digests.json").write_text(
         json.dumps(campaigns, indent=2, sort_keys=True) + "\n"
     )
+    (golden / "sim_runs.json").write_text(
+        json.dumps(sim_runs, indent=2, sort_keys=True) + "\n"
+    )
     print(f"wrote {golden / 'fig09_scripts.json'}")
     print(f"wrote {golden / 'fig12_energy.json'}")
     print(f"wrote {golden / 'campaign_digests.json'} ({len(campaigns)} campaigns)")
+    print(f"wrote {golden / 'sim_runs.json'} ({len(sim_runs)} runs)")
 
 
 if __name__ == "__main__":

@@ -16,6 +16,14 @@ parity), with and without a crash/reboot/partition/corruption/
 duplication plan, the built-in device profiles, and an empty blob.
 Digests are exact.
 
+``sim_runs.json`` pins every observable of ``run_image`` (cycles,
+instructions, how the run ended, LED writes, radio words, timer fires,
+ADC reads and the sorted execution profile) for each case in
+``regen.sim_cases``: the Figure 8 programs and both images of every
+update pair, on the cycle-driven and the poll-driven board.  It is the
+simulator's oracle, so it needs no second implementation to compare
+against.
+
 Regenerate after an intentional change with::
 
     PYTHONPATH=src python tests/golden/regen.py
@@ -30,13 +38,15 @@ from repro.core import measure_cycles, plan_update
 from repro.energy import DEFAULT_ENERGY_MODEL
 from repro.workloads import CASES
 from repro.config import UpdateConfig
-from tests.golden.regen import campaign_cases
+from tests.golden.regen import campaign_cases, sim_cases
 
 GOLDEN = Path(__file__).parent / "golden"
 SCRIPTS = json.loads((GOLDEN / "fig09_scripts.json").read_text())
 ENERGY = json.loads((GOLDEN / "fig12_energy.json").read_text())
 CAMPAIGNS = json.loads((GOLDEN / "campaign_digests.json").read_text())
 CAMPAIGN_CASES = campaign_cases()
+SIM_RUNS = json.loads((GOLDEN / "sim_runs.json").read_text())
+SIM_CASES = sim_cases()
 
 ENERGY_RTOL = 0.02
 
@@ -89,5 +99,17 @@ def test_campaign_goldens_cover_every_case():
 def test_campaign_digest_pinned(key):
     assert CAMPAIGN_CASES[key]().digest() == CAMPAIGNS[key], (
         f"campaign {key}: report digest moved — regenerate "
+        "tests/golden/ only if the change is intentional"
+    )
+
+
+def test_sim_goldens_cover_every_case():
+    assert set(SIM_RUNS) == set(SIM_CASES)
+
+
+@pytest.mark.parametrize("key", sorted(SIM_RUNS))
+def test_sim_run_pinned(key):
+    assert SIM_CASES[key]() == SIM_RUNS[key], (
+        f"simulator run {key}: an observable moved — regenerate "
         "tests/golden/ only if the change is intentional"
     )
