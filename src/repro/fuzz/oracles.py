@@ -14,6 +14,10 @@ four independent ways:
 * **trace**    — the patched image's simulated device trace (LED,
   radio, timer, ADC, halt status) must match a from-scratch compile of
   the new source: update-conscious reuse must never change behaviour;
+  and the from-scratch image's LED and radio traces must match the IR
+  interpreter run on the new source's IR, rebuilt by the front and
+  middle end — a reference that shares no allocation, code generation,
+  assembly or simulator code with the images;
 * **analysis** — every :mod:`repro.analysis` verifier pass must come
   back clean, including the eq. 18 energy invariants (the run uses the
   cycles measured for the trace oracle, so the audit covers the full
@@ -28,11 +32,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from ..config import UpdateConfig
-from ..core.compiler import compile_source
+from ..core.compiler import Compiler, CompilerOptions, compile_source
 from ..core.update import UpdatePlanner
 from ..diff.data_diff import apply_data, DataScript
 from ..diff.edit_script import EditScript
 from ..diff.patcher import PatchError, patched_words
+from ..ir.interp import run_ir
 from ..sim.devices import DeviceBoard, Timer
 from ..sim.executor import run_image, traces_equal
 
@@ -209,6 +214,24 @@ def check_pair(
             "incremental and from-scratch binaries diverge: "
             + divergence.render(),
         )
+    try:
+        module = Compiler(CompilerOptions()).front_and_middle(new_source)
+        reference = run_ir(module, devices=_board(), max_steps=MAX_CYCLES)
+    except Exception as error:
+        fail("trace", f"IR interpreter failed on the new source: {error}")
+    else:
+        if not reference.halted:
+            fail("trace", f"IR interpreter did not halt within {MAX_CYCLES} steps")
+        for channel, machine, ir in (
+            ("led", scratch_run.devices.led.writes, reference.devices.led.writes),
+            ("radio", scratch_run.devices.radio.sent, reference.devices.radio.sent),
+        ):
+            if machine != ir:
+                fail(
+                    "trace",
+                    f"from-scratch binary's {channel} trace differs from the "
+                    f"IR interpreter's ({len(machine)} vs {len(ir)} events)",
+                )
     verdict.old_cycles = old_run.cycles
     verdict.new_cycles = incr_run.cycles
 

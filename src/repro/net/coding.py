@@ -35,7 +35,9 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from ..diff.packets import DEFAULT_OVERHEAD, DEFAULT_PAYLOAD
@@ -97,16 +99,10 @@ class CodedTransferParams:
             )
 
 
-def robust_soliton_degree(k: int, rng: random.Random) -> int:
-    """Draw one LT degree from the robust soliton distribution.
-
-    Standard parameterisation (Luby 2002) with c=0.1, delta=0.5; the
-    distribution is built once per stream and sampled by inverse CDF so
-    the draw consumes exactly one ``rng.random()`` — the property the
-    determinism tests pin.
-    """
-    if k <= 1:
-        return 1
+@lru_cache(maxsize=128)
+def _soliton_table(k: int) -> "Tuple[float, Tuple[float, ...]]":
+    """The robust soliton's total weight and running sums over degrees
+    ``1..k`` (Luby 2002, c=0.1, delta=0.5), built once per ``k``."""
     c, delta = 0.1, 0.5
     r = c * math.log(k / delta) * math.sqrt(k)
     spike = max(1, min(k, int(round(k / r)))) if r > 0 else 1
@@ -119,14 +115,38 @@ def robust_soliton_degree(k: int, rng: random.Random) -> int:
         tau[d] = r / (d * k)
     tau[spike] = r * math.log(r / delta) / k if r > 1 else 0.0
     weights = [rho[d] + max(0.0, tau[d]) for d in range(k + 1)]
-    total = sum(weights)
-    u = rng.random() * total
+    running = []
     acc = 0.0
     for d in range(1, k + 1):
         acc += weights[d]
-        if u <= acc:
-            return d
-    return k
+        running.append(acc)
+    return sum(weights), tuple(running)
+
+
+def robust_soliton_degree(k: int, rng: random.Random) -> int:
+    """Draw one LT degree from the robust soliton distribution.
+
+    The distribution is built once per ``k`` and sampled by inverse CDF,
+    so the draw consumes exactly one ``rng.random()`` — the property
+    the determinism tests pin.
+    """
+    if k <= 1:
+        return 1
+    total, running = _soliton_table(k)
+    index = bisect_left(running, rng.random() * total)  # first u <= running sum
+    return index + 1 if index < k else k
+
+
+def xor_packets(mask: int, padded: "List[bytes]") -> bytes:
+    """The XOR of the source packets whose bits are set in ``mask``."""
+    value = 0
+    index = 0
+    while mask:
+        if mask & 1:
+            value ^= int.from_bytes(padded[index], "little")
+        mask >>= 1
+        index += 1
+    return value.to_bytes(len(padded[0]), "little")
 
 
 class LTStream:
@@ -156,17 +176,7 @@ class LTStream:
         return mask
 
     def payload_at(self, sequence: int, padded: "List[bytes]") -> bytes:
-        mask = self.mask_at(sequence)
-        out = bytearray(len(padded[0]))
-        index = 0
-        while mask:
-            if mask & 1:
-                chunk = padded[index]
-                for at in range(len(out)):
-                    out[at] ^= chunk[at]
-            mask >>= 1
-            index += 1
-        return bytes(out)
+        return xor_packets(self.mask_at(sequence), padded)
 
 
 class GenerationDecoder:
@@ -181,8 +191,9 @@ class GenerationDecoder:
     def __init__(self, k: int):
         self.k = k
         #: pivot bit -> (mask, payload) with ``mask``'s lowest set bit
-        #: at the pivot
-        self.rows: Dict[int, Tuple[int, bytearray]] = {}
+        #: at the pivot; payloads are little-endian ints, XORed whole
+        self.rows: Dict[int, Tuple[int, int]] = {}
+        self.width = 0  # payload bytes
 
     @property
     def rank(self) -> int:
@@ -194,7 +205,8 @@ class GenerationDecoder:
 
     def add(self, mask: int, payload: bytes) -> bool:
         """Fold one coded packet in; True when it was innovative."""
-        work = bytearray(payload)
+        self.width = len(payload)
+        work = int.from_bytes(payload, "little")
         while mask:
             pivot = mask & -mask
             row = self.rows.get(pivot)
@@ -203,8 +215,7 @@ class GenerationDecoder:
                 return True
             rmask, rpayload = row
             mask ^= rmask
-            for at in range(len(work)):
-                work[at] ^= rpayload[at]
+            work ^= rpayload
         return False
 
     def payloads(self) -> "List[bytes]":
@@ -215,10 +226,10 @@ class GenerationDecoder:
                 f"generation not decodable: rank {self.rank} < k {self.k}",
             )
         masks: Dict[int, int] = {}
-        payloads: Dict[int, bytearray] = {}
+        payloads: Dict[int, int] = {}
         for pivot, (mask, payload) in self.rows.items():
             masks[pivot] = mask
-            payloads[pivot] = bytearray(payload)
+            payloads[pivot] = payload
         # Back-substitute from the highest pivot down.  By induction the
         # row being processed is already a unit vector (every higher bit
         # was eliminated from it in an earlier iteration), so XORing it
@@ -228,10 +239,11 @@ class GenerationDecoder:
             for other in masks:
                 if other != pivot and masks[other] & pivot:
                     masks[other] ^= pivot
-                    target = payloads[other]
-                    for at in range(len(target)):
-                        target[at] ^= source[at]
-        return [bytes(payloads[1 << index]) for index in range(self.k)]
+                    payloads[other] ^= source
+        return [
+            payloads[1 << index].to_bytes(self.width, "little")
+            for index in range(self.k)
+        ]
 
 
 def decode_generation(
@@ -384,7 +396,7 @@ class _FountainEngine(_CampaignEngine):
                 sequence = self.next_seq[sender]
                 self.next_seq[sender] += 1
                 mask = stream.mask_at(sequence)
-                payload = stream.payload_at(sequence, self.padded)
+                payload = xor_packets(mask, self.padded)
                 self.broadcasts += 1
                 ledgers[sender].tx_j += tx_j
                 ledgers[sender].packets_sent += 1

@@ -471,6 +471,30 @@ class FleetSim:
 
     # -- data delivery (shared coin order) ------------------------------
 
+    def _send_burst(
+        self, sender: int, batch: "list[int]"
+    ) -> "tuple[int, list[list[int]]]":
+        """Count ``batch`` as sent by ``sender``, plus, under XOR coding,
+        one parity packet after every ``group`` data packets, sized like
+        the widest packet it covers; returns the burst's bits and its
+        parity groups.  Both data senders use it, so parity rides every
+        protocol's bursts."""
+        bits = sum(self.packet_bits[index] for index in batch)
+        parity_groups: "list[list[int]]" = []
+        if self.coding is not None and batch:
+            group = self.coding.group
+            parity_groups = [
+                batch[start : start + group]
+                for start in range(0, len(batch), group)
+            ]
+            bits += sum(
+                max(self.packet_bits[index] for index in members)
+                for members in parity_groups
+            )
+        self.transmissions += len(batch) + len(parity_groups)
+        self.sent[sender] += len(batch) + len(parity_groups)
+        return bits, parity_groups
+
     def broadcast_data(self, sender: int, batch: "list[int]") -> int:
         """Broadcast the packets in ``batch`` from ``sender`` to every
         alive, connected neighbour; returns the batch's bitmask.
@@ -481,27 +505,9 @@ class FleetSim:
         protocol the same way.
         """
         mask = 0
-        bits = 0
         for index in batch:
             mask |= 1 << index
-            bits += self.packet_bits[index]
-        parity_groups: "list[list[int]]" = []
-        if self.coding is not None and batch:
-            # Every `group` data packets of the burst are trailed by one
-            # XOR parity packet sized like the widest packet it covers.
-            group = self.coding.group
-            parity_groups = [
-                batch[start : start + group]
-                for start in range(0, len(batch), group)
-            ]
-            bits += sum(
-                max(self.packet_bits[index] for index in members)
-                for members in parity_groups
-            )
-            self.transmissions += len(parity_groups)
-            self.sent[sender] += len(parity_groups)
-        self.transmissions += len(batch)
-        self.sent[sender] += len(batch)
+        bits, parity_groups = self._send_burst(sender, batch)
         # The sender's capacitor is debited first but a resulting
         # brownout fires only after the peer loop: the packets were
         # already in flight when the supply collapsed.
@@ -522,20 +528,15 @@ class FleetSim:
 
     def unicast_data(self, sender: int, receiver: int, batch: "list[int]") -> None:
         """Point-to-point transfer of ``batch`` (gossip push/pull leg)."""
-        bits = sum(self.packet_bits[index] for index in batch)
-        self.transmissions += len(batch)
-        self.sent[sender] += len(batch)
+        bits, parity_groups = self._send_burst(sender, batch)
         sender_powered = self.account_tx(sender, bits)
         if self.account_rx(receiver, bits):
-            self._deliver(receiver, batch)
+            self._deliver(receiver, batch, parity_groups)
         if not sender_powered:
             self._brownout(sender, "packet tx")
 
     def _deliver(
-        self,
-        peer: int,
-        batch: "list[int]",
-        parity_groups: "list[list[int]] | None" = None,
+        self, peer: int, batch: "list[int]", parity_groups: "list[list[int]]"
     ) -> None:
         state = self.nodes[peer]
         if state.committed:
@@ -561,7 +562,7 @@ class FleetSim:
                     self.crc_rejections += 1
                     continue
                 self._stage_packet(peer, index)
-        for members in parity_groups or ():
+        for members in parity_groups:
             # The parity packet rides the same link, so it draws the
             # same fault coins in the same order; when it lands and
             # exactly one member of its group is still missing, the

@@ -6,8 +6,19 @@ generator emits, and an execution profiler that attributes machine
 instructions back to (function, IR index) — the ``freq(s)`` input of
 the paper's energy objective.
 
-Cycle fidelity: base costs come from the opcode table; taken branches
-cost one extra cycle, like the ATmega128.
+Decode once: each :class:`Simulator` turns its image into a dispatch
+table when it is built.  The table maps every instruction's start
+address to a per-mnemonic handler, the instruction's operands as the
+handler needs them (immediates masked, branch targets absolute, the
+return address of ``call``), its next PC, base cycles, a
+conditional-branch flag and its profile key.  A handler returns the
+taken PC or ``None``; :meth:`Simulator.run` loops over the table with
+``pc``, ``cycles`` and ``executed`` in locals, and
+:meth:`Simulator.step` runs the same loop for one instruction.  The
+table lives as long as the simulator; nothing is cached across runs.
+
+Cycle fidelity: base costs come from the opcode table; taken
+conditional branches cost one extra cycle, like the ATmega128.
 """
 
 from __future__ import annotations
@@ -15,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..isa import devices as memmap
-from ..isa.assembler import BinaryImage, EncodedInstr
-from ..isa.instructions import MachineInstr
+from ..isa.assembler import BinaryImage
+from ..isa.instructions import F_ADDR, F_BR, F_IMM, F_NONE, OPCODES
 from ..obs import metrics, trace
 from .devices import DeviceBoard
 
@@ -116,8 +127,10 @@ class Simulator:
         self.image = image
         self.devices = devices or DeviceBoard()
         self.collect_profile = collect_profile
-        self.regs = bytearray(32)
-        self.sram = bytearray(memmap.DATA_START + memmap.SRAM_SIZE)
+        # Lists, not bytearrays: CPython indexes lists faster, and every
+        # handler stores a value already masked to a byte.
+        self.regs = [0] * 32
+        self.sram = [0] * (memmap.DATA_START + memmap.SRAM_SIZE)
         base = image.data_base or memmap.DATA_START
         self.sram[base : base + len(image.data)] = image.data
         self.flag_z = False
@@ -129,10 +142,7 @@ class Simulator:
         self.halted = False
         self.main_returned = False
         self.profile: dict[tuple[str, int], int] = {}
-        # word address -> EncodedInstr for fetch
-        self._by_address: dict[int, EncodedInstr] = {
-            enc.address: enc for enc in image.code
-        }
+        self._table = _decode(image, len(self.sram))
 
     # -- register/memory helpers ----------------------------------------------
 
@@ -144,10 +154,6 @@ class Simulator:
 
     def pair(self, base: int) -> int:
         return self.regs[base] | (self.regs[base + 1] << 8)
-
-    def set_pair(self, base: int, value: int) -> None:
-        self.regs[base] = value & 0xFF
-        self.regs[base + 1] = (value >> 8) & 0xFF
 
     def load(self, address: int) -> int:
         self._check_addr(address)
@@ -161,248 +167,40 @@ class Simulator:
         if not memmap.DATA_START <= address < len(self.sram):
             raise SimulationError(f"data access outside SRAM: {address:#06x}")
 
-    # -- flag helpers --------------------------------------------------------------
-
-    def _add(self, a: int, b: int, carry_in: int = 0) -> int:
-        total = a + b + carry_in
-        self.flag_c = total > 0xFF
-        result = total & 0xFF
-        self.flag_z = result == 0
-        return result
-
-    def _sub(self, a: int, b: int, borrow_in: int = 0, keep_z: bool = False) -> int:
-        total = a - b - borrow_in
-        self.flag_c = total < 0
-        result = total & 0xFF
-        if keep_z:
-            self.flag_z = self.flag_z and result == 0
-        else:
-            self.flag_z = result == 0
-        return result
-
     # -- execution -----------------------------------------------------------------------
 
     def step(self) -> None:
-        """Execute one instruction."""
+        """Execute one instruction (every instruction costs at least one
+        cycle, so a budget one cycle ahead stops after exactly one)."""
+        self._drive(self.cycles + 1)
+
+    def _drive(self, max_cycles: int) -> None:
+        """Execute until HALT, main-return, or ``cycles >= max_cycles``."""
         if self.halted:
             return
-        enc = self._by_address.get(self.pc)
-        if enc is None:
-            raise SimulationError(f"invalid PC {self.pc:#06x}")
-        ins = enc.instr
-        next_pc = self.pc + enc.size_words
-        cost = ins.cycles
-
-        taken_pc = self._execute(ins, next_pc)
-        if (
-            taken_pc is not None
-            and ins.spec.fmt == "br"
-            and ins.mnemonic != "rjmp"  # rjmp's 2 cycles are in the table
-        ):
-            cost += 1  # taken conditional-branch penalty
-        self.pc = taken_pc if taken_pc is not None else next_pc
-        self.cycles += cost
-        self.executed += 1
-        if self.collect_profile:
-            key = (ins.comment, ins.ir_index)
-            self.profile[key] = self.profile.get(key, 0) + 1
-
-    def _execute(self, ins: MachineInstr, next_pc: int) -> int | None:
-        """Execute; return the next PC for control transfers."""
-        op = ins.mnemonic
-        rd, rr = ins.rd, ins.rr
-        R = self.regs
-
-        if op == "nop":
-            return None
-        if op == "halt":
-            self.halted = True
-            return self.pc
-        if op == "mov":
-            self.set_reg(rd, R[rr])
-            return None
-        if op == "movw":
-            self.set_pair(rd, self.pair(rr))
-            return None
-        if op == "ldi":
-            self.set_reg(rd, ins.imm)
-            return None
-        if op == "clr":
-            self.set_reg(rd, 0)
-            self.flag_z = True
-            return None
-        if op == "add":
-            self.set_reg(rd, self._add(R[rd], R[rr]))
-            return None
-        if op == "adc":
-            self.set_reg(rd, self._add(R[rd], R[rr], int(self.flag_c)))
-            return None
-        if op == "sub":
-            self.set_reg(rd, self._sub(R[rd], R[rr]))
-            return None
-        if op == "sbc":
-            self.set_reg(rd, self._sub(R[rd], R[rr], int(self.flag_c), keep_z=True))
-            return None
-        if op == "subi":
-            self.set_reg(rd, self._sub(R[rd], ins.imm))
-            return None
-        if op == "sbci":
-            self.set_reg(rd, self._sub(R[rd], ins.imm, int(self.flag_c), keep_z=True))
-            return None
-        if op == "and" or op == "andi":
-            value = R[rd] & (R[rr] if op == "and" else ins.imm)
-            self.set_reg(rd, value)
-            self.flag_z = value == 0
-            return None
-        if op == "or" or op == "ori":
-            value = R[rd] | (R[rr] if op == "or" else ins.imm)
-            self.set_reg(rd, value)
-            self.flag_z = value == 0
-            return None
-        if op == "eor" or op == "eori":
-            value = R[rd] ^ (R[rr] if op == "eor" else ins.imm)
-            self.set_reg(rd, value)
-            self.flag_z = value == 0
-            return None
-        if op == "cp":
-            self._sub(R[rd], R[rr])
-            return None
-        if op == "cpc":
-            self._sub(R[rd], R[rr], int(self.flag_c), keep_z=True)
-            return None
-        if op == "cpi":
-            self._sub(R[rd], ins.imm)
-            return None
-        if op == "mul":
-            self.set_reg(rd, (R[rd] * R[rr]) & 0xFF)
-            return None
-        if op == "div":
-            self.set_reg(rd, R[rd] // R[rr] if R[rr] else 0xFF)
-            return None
-        if op == "mod":
-            self.set_reg(rd, R[rd] % R[rr] if R[rr] else R[rd])
-            return None
-        if op == "mul16":
-            self.set_pair(rd, (self.pair(rd) * self.pair(rr)) & 0xFFFF)
-            return None
-        if op == "div16":
-            divisor = self.pair(rr)
-            self.set_pair(rd, self.pair(rd) // divisor if divisor else 0xFFFF)
-            return None
-        if op == "mod16":
-            divisor = self.pair(rr)
-            self.set_pair(rd, self.pair(rd) % divisor if divisor else self.pair(rd))
-            return None
-        if op == "neg":
-            value = (-R[rd]) & 0xFF
-            self.set_reg(rd, value)
-            self.flag_z = value == 0
-            self.flag_c = value != 0
-            return None
-        if op == "com":
-            value = (~R[rd]) & 0xFF
-            self.set_reg(rd, value)
-            self.flag_z = value == 0
-            return None
-        if op == "inc":
-            value = (R[rd] + 1) & 0xFF
-            self.set_reg(rd, value)
-            self.flag_z = value == 0
-            return None
-        if op == "dec":
-            value = (R[rd] - 1) & 0xFF
-            self.set_reg(rd, value)
-            self.flag_z = value == 0
-            return None
-        if op == "lsl":
-            self.flag_c = bool(R[rd] & 0x80)
-            value = (R[rd] << 1) & 0xFF
-            self.set_reg(rd, value)
-            self.flag_z = value == 0
-            return None
-        if op == "lsr":
-            self.flag_c = bool(R[rd] & 1)
-            value = R[rd] >> 1
-            self.set_reg(rd, value)
-            self.flag_z = value == 0
-            return None
-        if op == "rol":
-            carry = int(self.flag_c)
-            self.flag_c = bool(R[rd] & 0x80)
-            value = ((R[rd] << 1) | carry) & 0xFF
-            self.set_reg(rd, value)
-            self.flag_z = value == 0
-            return None
-        if op == "ror":
-            carry = int(self.flag_c)
-            self.flag_c = bool(R[rd] & 1)
-            value = (R[rd] >> 1) | (carry << 7)
-            self.set_reg(rd, value)
-            self.flag_z = value == 0
-            return None
-        if op == "push":
-            self.stack.append(("byte", R[rd]))
-            return None
-        if op == "pop":
-            if not self.stack or self.stack[-1][0] != "byte":
-                raise SimulationError("pop without matching push")
-            _, value = self.stack.pop()
-            self.set_reg(rd, value)
-            return None
-        if op == "in":
-            self.set_reg(rd, self.devices.io_read(rr, self.cycles))
-            return None
-        if op == "out":
-            self.devices.io_write(rr, R[rd])
-            return None
-        if op == "lds":
-            self.set_reg(rd, self.load(ins.addr))
-            return None
-        if op == "sts":
-            self.store(ins.addr, R[rd])
-            return None
-        if op == "ld_z":
-            self.set_reg(rd, self.load(self.pair(30)))
-            return None
-        if op == "ld_zp":
-            address = self.pair(30)
-            self.set_reg(rd, self.load(address))
-            self.set_pair(30, (address + 1) & 0xFFFF)
-            return None
-        if op == "st_z":
-            self.store(self.pair(30), R[rd])
-            return None
-        if op == "st_zp":
-            address = self.pair(30)
-            self.store(address, R[rd])
-            self.set_pair(30, (address + 1) & 0xFFFF)
-            return None
-        if op == "rjmp":
-            return next_pc + ins.addr
-        if op == "breq":
-            return next_pc + ins.addr if self.flag_z else None
-        if op == "brne":
-            return next_pc + ins.addr if not self.flag_z else None
-        if op == "brlo":
-            return next_pc + ins.addr if self.flag_c else None
-        if op == "brsh":
-            return next_pc + ins.addr if not self.flag_c else None
-        if op == "jmp":
-            return ins.addr
-        if op == "call":
-            self.stack.append(("ret", next_pc))
-            return ins.addr
-        if op == "ret":
-            if not self.stack:
-                # main returned: the program is done.
-                self.halted = True
-                self.main_returned = True
-                return self.pc
-            kind, value = self.stack.pop()
-            if kind != "ret":
-                raise SimulationError("ret with unbalanced stack")
-            return value
-        raise SimulationError(f"cannot execute {ins}")  # pragma: no cover
+        table = self._table
+        profile = self.profile if self.collect_profile else None
+        pc, cycles, executed = self.pc, self.cycles, self.executed
+        try:
+            while cycles < max_cycles:
+                try:
+                    handler, a, b, next_pc, cost, conditional, key = table[pc]
+                except KeyError:
+                    raise SimulationError(f"invalid PC {pc:#06x}") from None
+                taken = handler(self, a, b, cycles)
+                executed += 1
+                if profile is not None:
+                    profile[key] = profile.get(key, 0) + 1
+                if taken is None:
+                    pc = next_pc
+                    cycles += cost
+                else:
+                    pc = taken
+                    cycles += cost + conditional  # taken-branch penalty
+                    if self.halted:
+                        break
+        finally:
+            self.pc, self.cycles, self.executed = pc, cycles, executed
 
     def run(self, max_cycles: int = 5_000_000) -> RunResult:
         """Run until HALT, main-return, or the cycle budget.
@@ -411,8 +209,7 @@ class Simulator:
         the simulation loop itself stays uninstrumented.
         """
         with trace.span("sim.run", max_cycles=max_cycles) as span:
-            while not self.halted and self.cycles < max_cycles:
-                self.step()
+            self._drive(max_cycles)
             span.set(cycles=self.cycles, instructions=self.executed)
         metrics.counter("sim.runs").inc()
         metrics.counter("sim.cycles").inc(self.cycles)
@@ -427,6 +224,384 @@ class Simulator:
             devices=self.devices,
             profile=dict(self.profile),
         )
+
+
+# -- handlers ---------------------------------------------------------------------
+#
+# ``handler(sim, a, b, now)`` executes one instruction and returns the
+# taken PC, or ``None`` to fall through.  ``a``/``b`` are the operands
+# :func:`_decode` prepared (usually rd and rr/imm/address); ``now`` is
+# the cycle count before the instruction, which ``in`` hands the timer.
+
+
+def _nop(sim, a, b, now):
+    return None
+
+
+def _halt(sim, a, b, now):
+    sim.halted = True
+    return a  # a = own address: the PC stays on the HALT
+
+
+def _mov(sim, a, b, now):
+    R = sim.regs
+    R[a] = R[b]
+
+
+def _movw(sim, a, b, now):
+    R = sim.regs
+    R[a], R[a + 1] = R[b], R[b + 1]
+
+
+def _ldi(sim, a, b, now):
+    sim.regs[a] = b
+
+
+def _clr(sim, a, b, now):
+    sim.regs[a] = 0
+    sim.flag_z = True
+
+
+def _add(sim, a, b, now):
+    R = sim.regs
+    total = R[a] + R[b]
+    sim.flag_c = total > 0xFF
+    R[a] = value = total & 0xFF
+    sim.flag_z = value == 0
+
+
+def _adc(sim, a, b, now):
+    R = sim.regs
+    total = R[a] + R[b] + sim.flag_c
+    sim.flag_c = total > 0xFF
+    R[a] = value = total & 0xFF
+    sim.flag_z = value == 0
+
+
+def _sub(sim, a, b, now):
+    R = sim.regs
+    total = R[a] - R[b]
+    sim.flag_c = total < 0
+    R[a] = value = total & 0xFF
+    sim.flag_z = value == 0
+
+
+def _sbc(sim, a, b, now):
+    R = sim.regs
+    total = R[a] - R[b] - sim.flag_c
+    sim.flag_c = total < 0
+    R[a] = value = total & 0xFF
+    sim.flag_z = sim.flag_z and value == 0
+
+
+def _subi(sim, a, b, now):
+    R = sim.regs
+    total = R[a] - b
+    sim.flag_c = total < 0
+    R[a] = value = total & 0xFF
+    sim.flag_z = value == 0
+
+
+def _sbci(sim, a, b, now):
+    R = sim.regs
+    total = R[a] - b - sim.flag_c
+    sim.flag_c = total < 0
+    R[a] = value = total & 0xFF
+    sim.flag_z = sim.flag_z and value == 0
+
+
+def _and(sim, a, b, now):
+    R = sim.regs
+    R[a] = value = R[a] & R[b]
+    sim.flag_z = value == 0
+
+
+def _andi(sim, a, b, now):
+    R = sim.regs
+    R[a] = value = R[a] & b
+    sim.flag_z = value == 0
+
+
+def _or(sim, a, b, now):
+    R = sim.regs
+    R[a] = value = R[a] | R[b]
+    sim.flag_z = value == 0
+
+
+def _ori(sim, a, b, now):
+    R = sim.regs
+    R[a] = value = R[a] | b
+    sim.flag_z = value == 0
+
+
+def _eor(sim, a, b, now):
+    R = sim.regs
+    R[a] = value = R[a] ^ R[b]
+    sim.flag_z = value == 0
+
+
+def _eori(sim, a, b, now):
+    R = sim.regs
+    R[a] = value = R[a] ^ b
+    sim.flag_z = value == 0
+
+
+def _cp(sim, a, b, now):
+    R = sim.regs
+    total = R[a] - R[b]
+    sim.flag_c = total < 0
+    sim.flag_z = (total & 0xFF) == 0
+
+
+def _cpc(sim, a, b, now):
+    R = sim.regs
+    total = R[a] - R[b] - sim.flag_c
+    sim.flag_c = total < 0
+    sim.flag_z = sim.flag_z and (total & 0xFF) == 0
+
+
+def _cpi(sim, a, b, now):
+    total = sim.regs[a] - b
+    sim.flag_c = total < 0
+    sim.flag_z = (total & 0xFF) == 0
+
+
+def _mul(sim, a, b, now):
+    R = sim.regs
+    R[a] = (R[a] * R[b]) & 0xFF
+
+
+def _div(sim, a, b, now):
+    R = sim.regs
+    R[a] = R[a] // R[b] if R[b] else 0xFF
+
+
+def _mod(sim, a, b, now):
+    R = sim.regs
+    if R[b]:
+        R[a] = R[a] % R[b]
+
+
+def _mul16(sim, a, b, now):
+    R = sim.regs
+    value = (R[a] | R[a + 1] << 8) * (R[b] | R[b + 1] << 8)
+    R[a], R[a + 1] = value & 0xFF, (value >> 8) & 0xFF
+
+
+def _div16(sim, a, b, now):
+    R = sim.regs
+    divisor = R[b] | R[b + 1] << 8
+    value = (R[a] | R[a + 1] << 8) // divisor if divisor else 0xFFFF
+    R[a], R[a + 1] = value & 0xFF, value >> 8
+
+
+def _mod16(sim, a, b, now):
+    R = sim.regs
+    divisor = R[b] | R[b + 1] << 8
+    if divisor:
+        value = (R[a] | R[a + 1] << 8) % divisor
+        R[a], R[a + 1] = value & 0xFF, value >> 8
+
+
+def _neg(sim, a, b, now):
+    R = sim.regs
+    R[a] = value = -R[a] & 0xFF
+    sim.flag_z = value == 0
+    sim.flag_c = value != 0
+
+
+def _com(sim, a, b, now):
+    R = sim.regs
+    R[a] = value = R[a] ^ 0xFF
+    sim.flag_z = value == 0
+
+
+def _inc(sim, a, b, now):
+    R = sim.regs
+    R[a] = value = (R[a] + 1) & 0xFF
+    sim.flag_z = value == 0
+
+
+def _dec(sim, a, b, now):
+    R = sim.regs
+    R[a] = value = (R[a] - 1) & 0xFF
+    sim.flag_z = value == 0
+
+
+def _lsl(sim, a, b, now):
+    R = sim.regs
+    old = R[a]
+    sim.flag_c = old > 0x7F
+    R[a] = value = (old << 1) & 0xFF
+    sim.flag_z = value == 0
+
+
+def _lsr(sim, a, b, now):
+    R = sim.regs
+    old = R[a]
+    sim.flag_c = bool(old & 1)
+    R[a] = value = old >> 1
+    sim.flag_z = value == 0
+
+
+def _rol(sim, a, b, now):
+    R = sim.regs
+    old = R[a]
+    R[a] = value = ((old << 1) | sim.flag_c) & 0xFF
+    sim.flag_c = old > 0x7F
+    sim.flag_z = value == 0
+
+
+def _ror(sim, a, b, now):
+    R = sim.regs
+    old = R[a]
+    R[a] = value = (old >> 1) | (sim.flag_c << 7)
+    sim.flag_c = bool(old & 1)
+    sim.flag_z = value == 0
+
+
+def _push(sim, a, b, now):
+    sim.stack.append(("byte", sim.regs[a]))
+
+
+def _pop(sim, a, b, now):
+    stack = sim.stack
+    if not stack or stack[-1][0] != "byte":
+        raise SimulationError("pop without matching push")
+    sim.regs[a] = stack.pop()[1]
+
+
+def _in(sim, a, b, now):
+    sim.regs[a] = sim.devices.io_read(b, now) & 0xFF
+
+
+def _out(sim, a, b, now):
+    sim.devices.io_write(b, sim.regs[a])
+
+
+def _lds(sim, a, b, now):
+    sim.regs[a] = sim.sram[b]  # b was range-checked by _decode
+
+
+def _sts(sim, a, b, now):
+    sim.sram[b] = sim.regs[a]
+
+
+def _bad_address(sim, a, b, now):
+    raise SimulationError(f"data access outside SRAM: {b:#06x}")
+
+
+def _ld_z(sim, a, b, now):
+    R = sim.regs
+    R[a] = sim.load(R[30] | R[31] << 8)
+
+
+def _ld_zp(sim, a, b, now):
+    R = sim.regs
+    address = R[30] | R[31] << 8
+    R[a] = sim.load(address)
+    address = (address + 1) & 0xFFFF
+    R[30], R[31] = address & 0xFF, address >> 8
+
+
+def _st_z(sim, a, b, now):
+    R = sim.regs
+    sim.store(R[30] | R[31] << 8, R[a])
+
+
+def _st_zp(sim, a, b, now):
+    R = sim.regs
+    address = R[30] | R[31] << 8
+    sim.store(address, R[a])
+    address = (address + 1) & 0xFFFF
+    R[30], R[31] = address & 0xFF, address >> 8
+
+
+def _jump(sim, a, b, now):
+    return b  # rjmp and jmp: b is the absolute target
+
+
+def _breq(sim, a, b, now):
+    return b if sim.flag_z else None
+
+
+def _brne(sim, a, b, now):
+    return None if sim.flag_z else b
+
+
+def _brlo(sim, a, b, now):
+    return b if sim.flag_c else None
+
+
+def _brsh(sim, a, b, now):
+    return None if sim.flag_c else b
+
+
+def _call(sim, a, b, now):
+    sim.stack.append(("ret", a))  # a = the return address
+    return b
+
+
+def _ret(sim, a, b, now):
+    stack = sim.stack
+    if not stack:
+        # main returned: the program is done.
+        sim.halted = True
+        sim.main_returned = True
+        return a  # a = own address
+    kind, value = stack.pop()
+    if kind != "ret":
+        raise SimulationError("ret with unbalanced stack")
+    return value
+
+
+#: mnemonic -> handler; every mnemonic of the opcode table has one.
+_HANDLERS = {
+    "nop": _nop, "halt": _halt, "ret": _ret,
+    "add": _add, "adc": _adc, "sub": _sub, "sbc": _sbc,
+    "and": _and, "or": _or, "eor": _eor, "mov": _mov, "movw": _movw,
+    "cp": _cp, "cpc": _cpc, "mul": _mul, "div": _div, "mod": _mod,
+    "mul16": _mul16, "div16": _div16, "mod16": _mod16,
+    "neg": _neg, "com": _com, "inc": _inc, "dec": _dec,
+    "lsl": _lsl, "lsr": _lsr, "rol": _rol, "ror": _ror, "clr": _clr,
+    "push": _push, "pop": _pop, "in": _in, "out": _out,
+    "ld_z": _ld_z, "ld_zp": _ld_zp, "st_z": _st_z, "st_zp": _st_zp,
+    "ldi": _ldi, "subi": _subi, "sbci": _sbci, "andi": _andi,
+    "ori": _ori, "eori": _eori, "cpi": _cpi,
+    "lds": _lds, "sts": _sts, "call": _call, "jmp": _jump,
+    "rjmp": _jump, "breq": _breq, "brne": _brne, "brlo": _brlo, "brsh": _brsh,
+}
+
+def _decode(image: BinaryImage, sram_size: int) -> dict[int, tuple]:
+    """The dispatch table of ``image``: start address -> (handler, a, b,
+    next PC, base cycles, conditional-branch flag, profile key)."""
+    table = {}
+    for enc in image.code:
+        ins = enc.instr
+        op = ins.mnemonic
+        spec = OPCODES[op]
+        here = enc.address
+        next_pc = here + len(enc.words)
+        handler = _HANDLERS[op]
+        a, b = ins.rd, ins.rr
+        if spec.fmt == F_IMM:
+            b = ins.imm & 0xFF
+        elif spec.fmt == F_ADDR:
+            b = ins.addr
+            if op == "call":
+                a = next_pc
+            elif op != "jmp" and not memmap.DATA_START <= b < sram_size:
+                handler = _bad_address  # lds/sts outside SRAM fail when run
+        elif spec.fmt == F_BR:
+            b = next_pc + ins.addr
+        elif spec.fmt == F_NONE:
+            a = here
+        table[here] = (
+            handler, a, b, next_pc, spec.cycles,
+            spec.fmt == F_BR and op != "rjmp",  # rjmp's 2 cycles are in the table
+            (ins.comment, ins.ir_index),
+        )
+    return table
 
 
 def run_image(

@@ -6,11 +6,15 @@ masks span GF(2)^k — which packets were lost never matters, only how
 many independent ones arrived.
 """
 
+import math
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.diff.packets import Packetisation
+from repro.obs import metrics
 from repro.net import grid
 from repro.net.coding import (
     CodedTransferParams,
@@ -18,7 +22,9 @@ from repro.net.coding import (
     LTStream,
     decode_generation,
     pad_packets,
+    robust_soliton_degree,
     run_coded_campaign,
+    xor_packets,
 )
 from repro.net.errors import NetConfigError
 from repro.net.faults import FaultPlan, NodeCrash
@@ -48,6 +54,52 @@ def coded_packets(blob, ppp, count, label="t"):
         (stream.mask_at(seq), stream.payload_at(seq, padded))
         for seq in range(count)
     ]
+
+
+def soliton_reference(k, rng):
+    """The robust soliton draw rebuilt from scratch on every call, as a
+    loop over degrees (the reference for the cached table)."""
+    if k <= 1:
+        return 1
+    c, delta = 0.1, 0.5
+    r = c * math.log(k / delta) * math.sqrt(k)
+    spike = max(1, min(k, int(round(k / r)))) if r > 0 else 1
+    rho = [0.0] * (k + 1)
+    rho[1] = 1.0 / k
+    for d in range(2, k + 1):
+        rho[d] = 1.0 / (d * (d - 1))
+    tau = [0.0] * (k + 1)
+    for d in range(1, spike):
+        tau[d] = r / (d * k)
+    tau[spike] = r * math.log(r / delta) / k if r > 1 else 0.0
+    weights = [rho[d] + max(0.0, tau[d]) for d in range(k + 1)]
+    u = rng.random() * sum(weights)
+    acc = 0.0
+    for d in range(1, k + 1):
+        acc += weights[d]
+        if u <= acc:
+            return d
+    return k
+
+
+class TestCodingPrimitives:
+    def test_soliton_draws_match_the_reference(self):
+        for k in range(1, 90):
+            ours, theirs = random.Random(f"sol:{k}"), random.Random(f"sol:{k}")
+            for _ in range(40):
+                assert robust_soliton_degree(k, ours) == soliton_reference(k, theirs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(packets=st.lists(st.binary(min_size=5, max_size=5), min_size=1, max_size=9),
+           mask=st.integers(min_value=0, max_value=511))
+    def test_xor_packets_is_bytewise_xor(self, packets, mask):
+        mask &= (1 << len(packets)) - 1
+        expected = bytearray(5)
+        for index, packet in enumerate(packets):
+            if mask >> index & 1:
+                for at in range(5):
+                    expected[at] ^= packet[at]
+        assert xor_packets(mask, packets) == bytes(expected)
 
 
 class TestFountainProperty:
@@ -195,6 +247,21 @@ class TestXorBurstParity:
             coding=CodedTransferParams(scheme="xor"),
         )
         assert report.converged
+
+    def test_gossip_legs_carry_parity(self):
+        """Gossip's unicast legs trail their bursts with parity too: more
+        transmissions than plain gossip, and losses repaired locally."""
+        topo = grid(4, 4)
+        plain = run_gossip(topo, BLOB, loss=0.3, seed=6)
+        before = metrics.REGISTRY.values("net.coding.")
+        coded = run_gossip(
+            topo, BLOB, loss=0.3, seed=6,
+            coding=CodedTransferParams(scheme="xor"),
+        )
+        delta = metrics.REGISTRY.delta(before, "net.coding.")
+        assert coded.converged
+        assert delta["net.coding.repairs"] > 0
+        assert coded.transmissions > plain.transmissions
 
     def test_lt_scheme_rejected_by_kernel(self):
         with pytest.raises(NetConfigError):

@@ -116,6 +116,30 @@ class TestOracles:
         assert verdict.ok, verdict.summary()
         assert verdict.old_cycles and verdict.new_cycles
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_scratch_image_matches_the_ir_interpreter(self, seed):
+        """Generated pairs pass every oracle, including the comparison
+        of the from-scratch image with ``run_ir`` on the rebuilt IR."""
+        program = generate_program(_rng(200 + seed))
+        mutated, _edits = mutate(program, _rng(300 + seed), 2)
+        verdict = check_pair(program.render(), mutated.render())
+        assert verdict.ok, verdict.summary()
+
+    def test_machine_fault_shared_by_both_images_is_caught(self, monkeypatch):
+        """A simulator fault hits the incremental and the from-scratch
+        run alike, so only the IR reference can see it."""
+        from repro.sim import executor
+
+        def flipped_out(sim, a, b, now):
+            sim.devices.io_write(b, sim.regs[a] ^ 1)
+
+        monkeypatch.setitem(executor._HANDLERS, "out", flipped_out)
+        program = generate_program(_rng(200))  # writes LEDs and radio
+        mutated, _edits = mutate(program, _rng(300), 2)
+        verdict = check_pair(program.render(), mutated.render())
+        assert {f.oracle for f in verdict.failures} == {"trace"}
+        assert "IR interpreter" in verdict.summary()
+
     def test_non_compiling_new_source_is_a_plan_failure(self):
         program = generate_program(_rng(8), SMALL)
         verdict = check_pair(program.render(), "void main() { undeclared = 1; }")

@@ -5,10 +5,11 @@ the simulator's AVR-style flag behaviour — the foundation the compiled
 carry chains (ADD/ADC, SUB/SBC, CP/CPC, shifts through carry) rest on.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.isa import MachineInstr, assemble, label
-from repro.sim import Simulator
+from repro.sim import SimulationError, Simulator
 
 
 def run_instrs(*instrs, setup_regs=None):
@@ -189,3 +190,98 @@ class TestCycleCosts:
         # not taken: ldi(1) + cp(1) + breq(1) + halt(1) = 4
         assert taken.cycles == 4
         assert not_taken.cycles == 4
+
+    def test_rjmp_pays_no_taken_branch_penalty(self):
+        sim = run_instrs(
+            MachineInstr("rjmp", target="main.t"),
+            MachineInstr("nop"),
+            label("main.t"),
+        )
+        # rjmp(2) + halt(1): the table's two cycles already cover it
+        assert sim.cycles == 3
+        assert sim.executed == 2
+
+
+class TestDispatchTable:
+    """Execution semantics the per-image dispatch table must keep."""
+
+    def test_every_mnemonic_has_a_handler(self):
+        from repro.isa.instructions import OPCODES
+        from repro.sim import executor
+
+        assert set(executor._HANDLERS) == set(OPCODES)
+
+    def test_in_sees_the_cycle_count_before_the_instruction(self):
+        from repro.isa.devices import PORT_TIMER
+        from repro.sim import DeviceBoard, Timer
+
+        def timer_bit(nops):
+            program = [label("main")]
+            program += [MachineInstr("nop")] * nops
+            program += [MachineInstr("in", rd=2, rr=PORT_TIMER), MachineInstr("halt")]
+            sim = Simulator(
+                assemble(program), devices=DeviceBoard(timer=Timer(period_cycles=3))
+            )
+            sim.run()
+            return sim.reg(2)
+
+        assert timer_bit(2) == 0  # in runs at cycle 2, before the period ends
+        assert timer_bit(3) == 1  # in runs at cycle 3: the timer has fired
+
+    def test_movw_reads_the_source_pair_before_writing(self):
+        # overlapping pairs: r4:r3 <- r3:r2 must see the old r3
+        sim = run_instrs(MachineInstr("movw", rd=3, rr=2), setup_regs={2: 0x11, 3: 0x22})
+        assert (sim.reg(3), sim.reg(4)) == (0x11, 0x22)
+
+    def test_jump_into_a_two_word_instruction_is_an_invalid_pc(self):
+        image = assemble([
+            label("main"),
+            MachineInstr("ldi", rd=2, imm=1),  # words 0-1
+            MachineInstr("jmp", addr=1),  # the ldi's immediate word
+        ])
+        sim = Simulator(image)
+        with pytest.raises(SimulationError, match="invalid PC 0x0001"):
+            sim.run()
+        assert (sim.pc, sim.executed) == (1, 2)
+
+    def test_ret_onto_a_pushed_byte_is_refused(self):
+        image = assemble([
+            label("main"),
+            MachineInstr("push", rd=2),
+            MachineInstr("ret"),
+        ])
+        with pytest.raises(SimulationError, match="unbalanced"):
+            Simulator(image).run()
+
+    def test_store_outside_sram_fails_only_when_executed(self):
+        image = assemble([
+            label("main"),
+            MachineInstr("rjmp", target="main.end"),
+            MachineInstr("sts", rd=2, addr=0x0010),
+            label("main.end"),
+            MachineInstr("halt"),
+        ])
+        assert Simulator(image).run().halted
+        image = assemble([label("main"), MachineInstr("sts", rd=2, addr=0x0010)])
+        with pytest.raises(SimulationError, match="outside SRAM"):
+            Simulator(image).run()
+
+    def test_step_runs_exactly_one_instruction(self):
+        image = assemble([
+            label("main"),
+            MachineInstr("ldi", rd=2, imm=7),
+            MachineInstr("call", target="f"),
+            MachineInstr("halt"),
+            label("f"),
+            MachineInstr("ret"),
+        ])
+        sim = Simulator(image)
+        trail = []
+        while not sim.halted:
+            sim.step()
+            trail.append((sim.pc, sim.cycles, sim.executed))
+        # ldi(1) at 0, call(4) at 2, ret(4) at 5, halt(1) at 4
+        assert trail == [(2, 1, 1), (5, 5, 2), (4, 9, 3), (4, 10, 4)]
+        assert sim.reg(2) == 7
+        sim.step()  # a halted simulator does nothing
+        assert (sim.pc, sim.cycles, sim.executed) == (4, 10, 4)

@@ -13,6 +13,7 @@ Pins the three service guarantees:
   raised batch.
 """
 
+import statistics
 import time
 
 import pytest
@@ -144,24 +145,34 @@ class TestAcceptanceBatch:
     def test_fastpath_batch_digest_identical_to_reference(self):
         """The vectorized fast path (repro.fastpath) re-runs the 16-job
         acceptance batch with bit-identical campaign and job digests;
-        the speedup is recorded in the assertion message."""
+        the speedup is recorded in the assertion message.
+
+        One run is a poor clock on a shared host: a first run also pays
+        first-use imports, and host speed drifts between runs.  So an
+        untimed warm-up goes first, then fast and reference runs
+        alternate, three each, and their medians are compared."""
         from repro.fastpath import reference_mode
         from repro.ilp.canonical import SOLVE_CACHE
 
         jobs = _acceptance_jobs()
 
-        SOLVE_CACHE.clear()
-        start = time.perf_counter()
-        fast = FleetUpdateService(workers=1, use_processes=False).run(jobs)
-        fast_ms = (time.perf_counter() - start) * 1000.0
+        def timed_run(reference):
+            # reference_mode is process-local, so both runs stay
+            # in-process (a worker pool would ignore the toggle).
+            SOLVE_CACHE.clear()
+            with reference_mode(reference):
+                start = time.perf_counter()
+                result = FleetUpdateService(workers=1, use_processes=False).run(jobs)
+                return result, (time.perf_counter() - start) * 1000.0
 
-        # reference_mode is process-local, so the reference run must
-        # stay in-process too (a worker pool would ignore the toggle).
-        SOLVE_CACHE.clear()
-        with reference_mode(True):
-            start = time.perf_counter()
-            ref = FleetUpdateService(workers=1, use_processes=False).run(jobs)
-            ref_ms = (time.perf_counter() - start) * 1000.0
+        timed_run(False)  # warm-up, not timed
+        fast_times, ref_times = [], []
+        for _ in range(3):
+            fast, elapsed = timed_run(False)
+            fast_times.append(elapsed)
+            ref, elapsed = timed_run(True)
+            ref_times.append(elapsed)
+        fast_ms, ref_ms = statistics.median(fast_times), statistics.median(ref_times)
 
         assert fast.ok and ref.ok
         assert _metrics(fast.outcomes) == _metrics(ref.outcomes)
@@ -179,7 +190,7 @@ class TestAcceptanceBatch:
         # jobs in the batch are where the >= 5x kernel gain lands —
         # benchmarks/baselines/BENCH_ilp.json pins that).
         assert fast_ms < ref_ms * 1.5, (
-            f"fast batch {fast_ms:.0f} ms vs reference {ref_ms:.0f} ms "
+            f"fast batch median {fast_ms:.0f} ms vs reference {ref_ms:.0f} ms "
             f"(speedup {ref_ms / fast_ms:.2f}x)"
         )
 
