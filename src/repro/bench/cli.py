@@ -53,9 +53,11 @@ def run(args: argparse.Namespace) -> int:
             return 1
         path = write_report(report, args.out)
         summary = report["summary"]
-        print(
-            f"bench {area}: {summary['workloads']} workloads, "
-            f"median speedup {summary['median_speedup']:.2f}x "
-            f"(min {summary['min_speedup']:.2f}x) -> {path}"
-        )
+        speedup = ""
+        if "median_speedup" in summary:
+            speedup = (
+                f", median speedup {summary['median_speedup']:.2f}x "
+                f"(min {summary['min_speedup']:.2f}x)"
+            )
+        print(f"bench {area}: {summary['workloads']} workloads{speedup} -> {path}")
     return 0

@@ -2,20 +2,30 @@
 
 Measurement protocol, per workload:
 
-1. ``setup()`` builds the payload once (untimed, mode-independent);
-2. ``reps`` rounds alternate the fast path and the reference path
-   (:mod:`repro.fastpath`) back to back, so machine noise — frequency
-   scaling, a neighbour stealing the core — hits both paths alike;
-3. every single run's digest is checked against every other run's:
-   a fast/reference divergence aborts the bench with
-   :class:`DigestMismatch` rather than producing a report.
+1. ``setup()`` builds the payload once (untimed);
+2. one untimed warm-up run pays first-use imports, allocator growth
+   and cold caches;
+3. ``reps`` timed runs follow, and every run's digest must equal the
+   first one's: a workload whose answer changes between reps aborts
+   the bench with :class:`DigestMismatch` rather than producing a
+   report.
 
-The report is schema-versioned JSON (``repro-bench/1``): per-workload
-median/p90/min wall milliseconds for both paths, the answer digest,
-workload metrics (constraint counts, iterations, script sizes), the
-median speedup, and process peak RSS.  ``tools/check_bench.py``
-compares a fresh report against the committed baseline in
-``benchmarks/baselines/``.
+Only the areas in :data:`~repro.bench.workloads.PAIRED_AREAS` (the
+``ilp`` area) time code that has two implementations, so only they
+run the reference path (:mod:`repro.ilp.fastpath`) too: each timed run
+is followed by a reference run, back to back, so machine noise —
+frequency scaling, a neighbour stealing the core — hits both paths
+alike.  A reference run whose digest or pinned-equal metric
+(``EQUAL_METRICS``) differs from the fast run's raises
+:class:`DigestMismatch`.  Every other area runs its one path only.
+
+The report is schema-versioned JSON (``repro-bench/2``): per-workload
+median/p90/min wall milliseconds (``wall``), the answer digest,
+workload metrics (constraint counts, iterations, script sizes), and
+process peak RSS.  Paired rows add the reference path's wall times
+and the median speedup, and a paired area's summary adds the median
+and minimum speedup.  ``tools/check_bench.py`` compares a fresh
+report against the committed baseline in ``benchmarks/baselines/``.
 """
 
 from __future__ import annotations
@@ -27,10 +37,10 @@ import resource
 import time
 from pathlib import Path
 
-from ..fastpath import reference_mode
-from .workloads import AREAS, EQUAL_METRICS, Workload, workloads_for
+from ..ilp.fastpath import reference_mode
+from .workloads import AREAS, EQUAL_METRICS, PAIRED_AREAS, Workload, workloads_for
 
-SCHEMA = "repro-bench/1"
+SCHEMA = "repro-bench/2"
 
 #: (full, quick) measurement rounds per area.  Quick mode runs the
 #: *same* workloads — digests stay comparable with the baseline — just
@@ -47,7 +57,8 @@ DEFAULT_REPS = {
 
 
 class DigestMismatch(AssertionError):
-    """The fast path and the reference path disagreed on an answer."""
+    """A workload's answer changed between reps, or the fast and the
+    reference path disagreed on it."""
 
 
 def _median(values: list[float]) -> float:
@@ -79,58 +90,64 @@ def _timed(workload: Workload, payload: object) -> "tuple[float, str, dict]":
     return time.perf_counter() - start, digest, metrics
 
 
-def run_workload(workload: Workload, reps: int) -> dict:
-    """Measure one workload; raise :class:`DigestMismatch` if the two
-    paths ever disagree on the digest or a pinned-equal metric."""
+def run_workload(workload: Workload, reps: int, paired: bool = False) -> dict:
+    """Measure one workload; raise :class:`DigestMismatch` if its digest
+    changes between reps or, when ``paired``, if the reference path
+    disagrees with the fast path on the digest or a pinned-equal
+    metric."""
     payload = workload.setup()
-    fast_times: list[float] = []
+    times: list[float] = []
     ref_times: list[float] = []
     digest = None
-    fast_metrics: dict = {}
-    ref_metrics: dict = {}
-    # One untimed warm-up round per path: the first execution pays
+    metrics: dict = {}
+    # One untimed warm-up run per path: the first execution pays
     # allocator growth and cold caches that would skew the first rep.
     workload.job(payload)
-    with reference_mode(True):
-        workload.job(payload)
+    if paired:
+        with reference_mode(True):
+            workload.job(payload)
     for _ in range(reps):
-        elapsed, fast_digest, fast_metrics = _timed(workload, payload)
-        fast_times.append(elapsed)
+        elapsed, rep_digest, metrics = _timed(workload, payload)
+        times.append(elapsed)
+        if digest is not None and rep_digest != digest:
+            raise DigestMismatch(
+                f"{workload.name}: digest changed between reps "
+                f"({digest[:16]}… → {rep_digest[:16]}…)"
+            )
+        digest = rep_digest
+        if not paired:
+            continue
         with reference_mode(True):
             elapsed, ref_digest, ref_metrics = _timed(workload, payload)
         ref_times.append(elapsed)
-        if fast_digest != ref_digest:
+        if ref_digest != digest:
             raise DigestMismatch(
-                f"{workload.name}: fast digest {fast_digest[:16]}… != "
+                f"{workload.name}: fast digest {digest[:16]}… != "
                 f"reference digest {ref_digest[:16]}…"
             )
-        if digest is not None and fast_digest != digest:
-            raise DigestMismatch(
-                f"{workload.name}: digest changed between reps "
-                f"({digest[:16]}… → {fast_digest[:16]}…)"
-            )
-        digest = fast_digest
         for key in EQUAL_METRICS:
-            if key in fast_metrics and fast_metrics[key] != ref_metrics.get(key):
+            if key in metrics and metrics[key] != ref_metrics.get(key):
                 raise DigestMismatch(
                     f"{workload.name}: metric {key!r} diverged "
-                    f"(fast={fast_metrics[key]!r}, reference={ref_metrics.get(key)!r})"
+                    f"(fast={metrics[key]!r}, reference={ref_metrics.get(key)!r})"
                 )
-    fast = _stats_ms(fast_times)
-    reference = _stats_ms(ref_times)
-    speedup = reference["median_ms"] / fast["median_ms"] if fast["median_ms"] else 1.0
-    return {
+    wall = _stats_ms(times)
+    row = {
         "name": workload.name,
         "digest": digest,
         "metrics": {
             key: value
-            for key, value in fast_metrics.items()
+            for key, value in metrics.items()
             if key in EQUAL_METRICS or not key.startswith("time_")
         },
-        "fast": fast,
-        "reference": reference,
-        "speedup_median": round(speedup, 3),
+        "wall": wall,
     }
+    if paired:
+        reference = _stats_ms(ref_times)
+        speedup = reference["median_ms"] / wall["median_ms"] if wall["median_ms"] else 1.0
+        row["reference"] = reference
+        row["speedup_median"] = round(speedup, 3)
+    return row
 
 
 def run_area(area: str, reps: int | None = None, quick: bool = False) -> dict:
@@ -140,8 +157,13 @@ def run_area(area: str, reps: int | None = None, quick: bool = False) -> dict:
     if reps is None:
         full, fast_reps = DEFAULT_REPS[area]
         reps = fast_reps if quick else full
-    rows = [run_workload(workload, reps) for workload in workloads_for(area)]
-    speedups = [row["speedup_median"] for row in rows]
+    paired = area in PAIRED_AREAS
+    rows = [run_workload(workload, reps, paired) for workload in workloads_for(area)]
+    summary = {"workloads": len(rows)}
+    if paired:
+        speedups = [row["speedup_median"] for row in rows]
+        summary["median_speedup"] = round(_median(speedups), 3)
+        summary["min_speedup"] = round(min(speedups), 3)
     return {
         "schema": SCHEMA,
         "area": area,
@@ -153,11 +175,7 @@ def run_area(area: str, reps: int | None = None, quick: bool = False) -> dict:
         },
         "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
         "workloads": rows,
-        "summary": {
-            "workloads": len(rows),
-            "median_speedup": round(_median(speedups), 3),
-            "min_speedup": round(min(speedups), 3),
-        },
+        "summary": summary,
     }
 
 

@@ -16,9 +16,8 @@ paper's experiments:
   (``docs/SIMULATOR.md``): the pinned lossy 1k-node flood-vs-Trickle
   comparison whose committed baseline records the transmission ratio,
   a 5k-node Trickle convergence (the CI smoke workload), and a faulted
-  flood campaign whose committed digest pins the flood engine's
-  answer (the workload keeps its old ``campaign_kernel_parity``
-  name);
+  flood campaign on a 12x12 grid whose committed digest pins the
+  flood engine's answer;
 * ``versioning`` — the version-graph planner (``docs/VERSIONING.md``):
   the pinned lossy 1k-node fleet with cohorts at v3/v5/v6 converging
   to v7, run once with the planner's plans and once with forced full
@@ -35,11 +34,11 @@ paper's experiments:
 
 A workload's ``job`` callable returns ``(digest, metrics)``.  The
 digest must be a pure function of the answer (never of wall time), so
-the harness can run the same job on the fast and the reference path
-(:mod:`repro.fastpath`) and certify the answers bit-identical while it
-measures the speedup.  Only the ILP kernels differ between the two
-paths; every other area runs the same code twice, so its speedup is
-about 1.0x and its digest is checked against the committed baseline.
+the harness can check it is the same on every rep and equal to the
+committed baseline's.  Only the ILP kernels have a second, reference
+implementation (:mod:`repro.ilp.fastpath`), so only the areas in
+``PAIRED_AREAS`` are also run on the reference path: the harness
+certifies those answers bit-identical while it measures the speedup.
 ``metrics`` entries named in ``EQUAL_METRICS`` are asserted equal
 between the two paths as well (iteration counts are guaranteed equal
 by the kernel contract).
@@ -78,6 +77,11 @@ AREAS = (
 #: Metric keys that must be equal between the fast and reference runs
 #: of one workload (on top of the digest, which always must).
 EQUAL_METRICS = ("constraints", "variables", "simplex_iterations", "lp_solves")
+
+#: Areas whose workloads time the switched ILP kernels, so the harness
+#: runs them on both paths; every other area has one implementation
+#: and is timed once per rep.
+PAIRED_AREAS = ("ilp",)
 
 
 @dataclass(frozen=True)
@@ -392,7 +396,7 @@ def _trickle_5k_job(topology) -> "tuple[str, dict]":
     }
 
 
-def _campaign_parity_payload():
+def _faulted_flood_payload():
     from ..net.faults import FaultPlan, NodeCrash, PartitionWindow
     from ..net.topology import grid
 
@@ -406,10 +410,9 @@ def _campaign_parity_payload():
     return grid(12, 12), plan
 
 
-def _campaign_parity_job(payload) -> "tuple[str, dict]":
-    # One faulted flood campaign.  The flood has one round loop, so
-    # the fast and reference reps run the same code; the committed
-    # baseline digest is what pins the answer.
+def _faulted_flood_job(payload) -> "tuple[str, dict]":
+    # One faulted flood campaign; the committed baseline digest pins
+    # the answer.
     from ..net.campaign import run_campaign
 
     topology, plan = payload
@@ -434,9 +437,9 @@ def _dissemination_workloads() -> list[Workload]:
             job=_trickle_5k_job,
         ),
         Workload(
-            name="campaign_kernel_parity",
-            setup=_campaign_parity_payload,
-            job=_campaign_parity_job,
+            name="flood_faulted_grid12",
+            setup=_faulted_flood_payload,
+            job=_faulted_flood_job,
         ),
     ]
 

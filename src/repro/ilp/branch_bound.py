@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..fastpath import fastpath_enabled
+from .fastpath import fastpath_enabled
 from .model import IntegerProgram
 from .simplex import LPResult, SimplexStats, solve_lp
 

@@ -1,21 +1,21 @@
-"""The global fast-path/reference-path switch.
+"""The ILP fast-path/reference-path switch.
 
 The ILP kernels — the simplex pivot loop, integer-program matrix
 lowering, chunk-model constraint generation, and the solve-memo warm
 start — each exist twice: the *reference* implementation (the
 original, loop-per-row code, kept verbatim) and the *fast*
-implementation (vectorized with numpy).  Only ``repro.ilp`` and
-``repro.regalloc.ilp_model`` read the switch; every other layer has
-one implementation.  Both paths must produce bit-identical answers;
+implementation (vectorized with numpy).  They are the only code in
+the repo with two implementations, so the switch lives here, next to
+its readers: ``repro.ilp`` and ``repro.regalloc.ilp_model``.  Both
+paths must produce bit-identical answers;
 ``tests/test_ilp_fastpath.py`` runs them side by side and ``repro
-bench`` records the speedup of one over the other.
+bench`` times one against the other in its ``ilp`` area.
 
-This module owns the process-wide switch.  The fast path is the
-default; the reference path is selected either with the
-``REPRO_REFERENCE_PATH=1`` environment variable (picked up at import
-time — handy for subprocess differential tests) or with the
+The fast path is the default; the reference path is selected either
+with the ``REPRO_REFERENCE_PATH=1`` environment variable (picked up at
+import time — handy for subprocesses and whole test runs) or with the
 :func:`reference_mode` context manager (in-process differential tests
-and the benchmark harness).
+and the benchmark harness's ``ilp`` area).
 
 The switch is deliberately *not* thread-local: the optimized and
 reference paths return identical results, so a racing reader can never
@@ -44,8 +44,9 @@ def fastpath_enabled() -> bool:
 def reference_mode(enabled: bool = True) -> Iterator[None]:
     """Run a block on the retained reference implementations.
 
-    ``reference_mode(False)`` re-enables the fast path inside an outer
-    reference block (used by the harness to interleave measurements).
+    ``reference_mode(False)`` selects the fast path for the block, even
+    inside an outer reference block or a ``REPRO_REFERENCE_PATH=1``
+    process.
     """
     global _reference
     previous = _reference

@@ -15,7 +15,7 @@ Upper bounds are handled by adding explicit rows (fine at the problem
 sizes the register-allocation models produce for a chunk).
 
 Two implementations of the pivot kernel coexist (see
-:mod:`repro.fastpath`):
+:mod:`repro.ilp.fastpath`):
 
 * the **reference** kernel — the original per-row Python loops, kept
   verbatim as the correctness oracle;
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..fastpath import fastpath_enabled
+from .fastpath import fastpath_enabled
 
 _TOL = 1e-9
 

@@ -12,7 +12,7 @@ the simplex.  The effort counters only advance on cache misses, so
 telemetry keeps describing work actually performed; hits and misses
 are counted separately (``ilp.cache.*``).
 
-On the fast path (:mod:`repro.fastpath`) a cache *near miss* — same
+On the fast path (:mod:`repro.ilp.fastpath`) a cache *near miss* — same
 model structure, different warm-start hint — re-uses the memoised
 optimum as the branch-and-bound incumbent when it is feasible and
 strictly better than the caller's own hint (``ilp.cache.warm_starts``
@@ -24,7 +24,7 @@ workloads that the answers match the reference path bit for bit.
 
 from __future__ import annotations
 
-from ..fastpath import fastpath_enabled
+from .fastpath import fastpath_enabled
 from ..obs import metrics, trace
 from .branch_bound import SolveResult, solve_branch_bound
 from .canonical import SOLVE_CACHE, canonical_digests

@@ -47,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..energy.model import DEFAULT_ENERGY_MODEL, EnergyModel
-from ..fastpath import fastpath_enabled
+from ..ilp.fastpath import fastpath_enabled
 from ..ilp.model import Constraint, IntegerProgram, LinTerm
 from ..ir.function import IRFunction
 from ..ir.liveness import LivenessInfo
@@ -133,7 +133,7 @@ def _stored(a: str, s: int) -> str:
 def build_chunk_model(spec: ChunkSpec) -> IntegerProgram:
     """Build the 0/1 program for one chunk.
 
-    Two generators exist (see :mod:`repro.fastpath`): the reference one
+    Two generators exist (see :mod:`repro.ilp.fastpath`): the reference one
     below, kept as the correctness oracle, and a fast one that emits
     the *identical* program — same variable registration order, same
     constraints, same objective — from precomputed liveness/preference

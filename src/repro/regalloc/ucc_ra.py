@@ -278,21 +278,29 @@ def allocate_ucc_greedy(
             if prefs.at(name, idx) == tag
         )
         benefit = energy.e_trans * saved_instrs
-        move_words = 1  # one MOV/MOVW instruction word
-        cost = energy.e_trans_words(move_words) + (
-            freqs.get(chunk.start, 1.0) * expected_runs * energy.e_exe
-        )
+        # A value dead across the boundary (a live-range hole; it is
+        # redefined inside the chunk) changes register for free: there
+        # is nothing to copy, so no move is inserted or priced.
+        carried = name in info.live_out[chunk.start - 1]
+        cost = 0.0
+        if carried:
+            move_words = 1  # one MOV/MOVW instruction word
+            cost = energy.e_trans_words(move_words) + (
+                freqs.get(chunk.start, 1.0) * expected_runs * energy.e_exe
+            )
         if benefit <= cost:
-            report.moves_rejected += 1
+            if carried:
+                report.moves_rejected += 1
             return
 
         close_piece(name, chunk.start - 1)
         release(name)
         claim(name, tag, size, chunk.start)
-        record.moves.append(
-            MoveInsertion(ir_index=chunk.start, vreg=name, src=base, dst=tag, size=size)
-        )
-        report.moves_inserted += 1
+        if carried:
+            record.moves.append(
+                MoveInsertion(ir_index=chunk.start, vreg=name, src=base, dst=tag, size=size)
+            )
+            report.moves_inserted += 1
 
     unchanged_starts = {c.start: c for c in chunks if not c.changed}
 

@@ -13,6 +13,7 @@ import pytest
 
 from repro.bench import (
     AREAS,
+    PAIRED_AREAS,
     SCHEMA,
     DigestMismatch,
     Workload,
@@ -23,7 +24,7 @@ from repro.bench import (
     write_report,
 )
 from repro.bench.harness import _median, _p90
-from repro.fastpath import fastpath_enabled
+from repro.ilp.fastpath import fastpath_enabled
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CHECK_BENCH = REPO_ROOT / "tools" / "check_bench.py"
@@ -40,6 +41,14 @@ class TestStats:
         assert _p90(values) == 9.0
 
 
+def _needs_fast_process():
+    if not fastpath_enabled():
+        pytest.skip(
+            "whole process is in reference mode; both harness legs "
+            "run the same path, so a mode-keyed stub cannot diverge"
+        )
+
+
 class TestRunWorkload:
     def test_schema_of_row(self):
         workload = Workload(
@@ -48,47 +57,56 @@ class TestRunWorkload:
             job=lambda payload: ("d" * 64, {"constraints": payload}),
         )
         row = run_workload(workload, reps=2)
+        assert set(row) == {"name", "digest", "metrics", "wall"}
         assert row["name"] == "stub"
         assert row["digest"] == "d" * 64
         assert row["metrics"] == {"constraints": 3}
-        for side in ("fast", "reference"):
-            for key in ("median_ms", "p90_ms", "min_ms"):
-                assert row[side][key] >= 0.0
+        for key in ("median_ms", "p90_ms", "min_ms"):
+            assert row["wall"][key] >= 0.0
+
+    def test_schema_of_paired_row(self):
+        workload = Workload(
+            name="stub", setup=lambda: None, job=lambda payload: ("d", {})
+        )
+        row = run_workload(workload, reps=2, paired=True)
+        assert set(row) == {
+            "name", "digest", "metrics", "wall", "reference", "speedup_median"
+        }
+        for key in ("median_ms", "p90_ms", "min_ms"):
+            assert row["reference"][key] >= 0.0
         assert row["speedup_median"] >= 0.0
 
-    def test_mode_digest_divergence_fails(self):
-        if not fastpath_enabled():
-            pytest.skip(
-                "whole process is in reference mode; both harness legs "
-                "run the same path, so a mode-keyed stub cannot diverge"
-            )
-        workload = Workload(
+    def test_mode_digest_divergence_fails(self, monkeypatch):
+        # The ilp area certifies its reference path on every rep.
+        _needs_fast_process()
+        stub = Workload(
             name="diverges",
             setup=lambda: None,
             job=lambda payload: (str(fastpath_enabled()), {}),
         )
+        monkeypatch.setattr(
+            "repro.bench.harness.workloads_for", lambda area: [stub]
+        )
         with pytest.raises(DigestMismatch, match="diverges"):
-            run_workload(workload, reps=1)
+            run_area("ilp", reps=1)
 
     def test_rep_digest_instability_fails(self):
-        state = {"calls": 0}
+        for paired in (False, True):
+            state = {"calls": 0}
 
-        def job(payload):
-            state["calls"] += 1
-            # Same digest within each fast/reference pair, different
-            # across reps — a nondeterministic workload.
-            return str((state["calls"] - 1) // 2), {}
+            def job(payload, state=state):
+                state["calls"] += 1
+                # Same digest within each fast/reference pair, but it
+                # moves on by the second rep — a nondeterministic
+                # workload on either harness leg.
+                return str((state["calls"] - 1) // 2), {}
 
-        workload = Workload(name="unstable", setup=lambda: None, job=job)
-        with pytest.raises(DigestMismatch, match="between reps"):
-            run_workload(workload, reps=2)
+            workload = Workload(name="unstable", setup=lambda: None, job=job)
+            with pytest.raises(DigestMismatch, match="between reps"):
+                run_workload(workload, reps=2, paired=paired)
 
     def test_pinned_metric_divergence_fails(self):
-        if not fastpath_enabled():
-            pytest.skip(
-                "whole process is in reference mode; both harness legs "
-                "run the same path, so a mode-keyed stub cannot diverge"
-            )
+        _needs_fast_process()
         workload = Workload(
             name="itermismatch",
             setup=lambda: None,
@@ -98,7 +116,7 @@ class TestRunWorkload:
             ),
         )
         with pytest.raises(DigestMismatch, match="simplex_iterations"):
-            run_workload(workload, reps=1)
+            run_workload(workload, reps=1, paired=True)
 
 
 class TestRunArea:
@@ -116,6 +134,27 @@ class TestRunArea:
         assert report["peak_rss_kb"] > 0
         assert report["summary"]["workloads"] == 1
         assert "median_speedup" in report["summary"]
+        assert "speedup_median" in report["workloads"][0]
+        report = run_area("compile", reps=1)
+        assert report["summary"] == {"workloads": 1}
+        assert "speedup_median" not in report["workloads"][0]
+
+    @pytest.mark.parametrize("area", [a for a in AREAS if a != "ilp"])
+    def test_unpaired_area_runs_one_path(self, monkeypatch, area):
+        _needs_fast_process()
+        seen = []
+
+        def job(payload):
+            seen.append(fastpath_enabled())
+            return "d", {}
+
+        stub = Workload(name="stub", setup=lambda: None, job=job)
+        monkeypatch.setattr(
+            "repro.bench.harness.workloads_for", lambda area: [stub]
+        )
+        run_area(area, reps=3)
+        # One untimed warm-up, then one run per rep, all on the fast path.
+        assert seen == [True] * 4
 
     def test_unknown_area_rejected(self):
         with pytest.raises(ValueError, match="unknown bench area"):
@@ -144,31 +183,34 @@ class TestBenchCli:
         assert report["schema"] == SCHEMA
         names = [row["name"] for row in report["workloads"]]
         assert "fig08_Blink" in names
+        assert all("reference" not in row for row in report["workloads"])
 
 
 def _report(area="ilp", name="w1", digest="abc", speedup=5.0, wall=100.0,
-            metrics=None):
+            metrics=None, schema=SCHEMA):
+    """A one-row report; ``speedup=None`` builds an unpaired row."""
+    row = {
+        "name": name,
+        "digest": digest,
+        "metrics": {"constraints": 10} if metrics is None else metrics,
+        "wall": {"median_ms": wall, "p90_ms": wall, "min_ms": wall},
+    }
+    summary = {"workloads": 1}
+    if speedup is not None:
+        row["reference"] = {
+            "median_ms": wall * speedup,
+            "p90_ms": wall * speedup,
+            "min_ms": wall * speedup,
+        }
+        row["speedup_median"] = speedup
+        summary.update(median_speedup=speedup, min_speedup=speedup)
     return {
-        "schema": SCHEMA,
+        "schema": schema,
         "area": area,
         "reps": 2,
         "quick": False,
-        "workloads": [
-            {
-                "name": name,
-                "digest": digest,
-                "metrics": {"constraints": 10} if metrics is None else metrics,
-                "fast": {"median_ms": wall, "p90_ms": wall, "min_ms": wall},
-                "reference": {
-                    "median_ms": wall * speedup,
-                    "p90_ms": wall * speedup,
-                    "min_ms": wall * speedup,
-                },
-                "speedup_median": speedup,
-            }
-        ],
-        "summary": {"workloads": 1, "median_speedup": speedup,
-                    "min_speedup": speedup},
+        "workloads": [row],
+        "summary": summary,
     }
 
 
@@ -226,13 +268,41 @@ class TestCheckBench:
         proc = _run_check(tmp_path / "base", tmp_path / "cur", "--skip-wall")
         assert proc.returncode == 0, proc.stderr
 
-    def test_near_unity_speedup_noise_ignored(self, tmp_path):
-        # A ~1x workload swinging to 0.5x is measurement noise, not a
-        # regression; only the wall check may flag it.
+    def test_speedup_floor_applies_to_every_ratio(self, tmp_path):
+        # No exemption near 1x: only paired rows record a ratio, and
+        # theirs is a real fast-vs-reference measurement.
         self._write(tmp_path / "base", _report(speedup=1.0))
         self._write(tmp_path / "cur", _report(speedup=0.5))
         proc = _run_check(tmp_path / "base", tmp_path / "cur", "--skip-wall")
+        assert proc.returncode == 1
+        assert "speedup regressed" in proc.stderr
+
+    def test_missing_speedup_fails(self, tmp_path):
+        self._write(tmp_path / "base", _report(speedup=5.0))
+        self._write(tmp_path / "cur", _report(speedup=None))
+        proc = _run_check(tmp_path / "base", tmp_path / "cur", "--skip-wall")
+        assert proc.returncode == 1
+        assert "speedup missing" in proc.stderr
+
+    def test_unpaired_area_checks_answers_and_wall(self, tmp_path):
+        base = _report(area="compile", speedup=None)
+        self._write(tmp_path / "base", base)
+        self._write(tmp_path / "cur", base)
+        proc = _run_check(tmp_path / "base", tmp_path / "cur")
         assert proc.returncode == 0, proc.stderr
+        assert "speedup" not in proc.stdout
+        self._write(tmp_path / "cur", _report(area="compile", speedup=None, wall=150.0))
+        proc = _run_check(tmp_path / "base", tmp_path / "cur")
+        assert proc.returncode == 1
+        assert "wall regressed" in proc.stderr
+
+    def test_schema_1_report_refused(self, tmp_path):
+        self._write(tmp_path / "base", _report())
+        self._write(tmp_path / "cur", _report(schema="repro-bench/1"))
+        proc = _run_check(tmp_path / "base", tmp_path / "cur", "--skip-wall")
+        assert proc.returncode == 1
+        assert "repro-bench/1" in proc.stderr
+        assert "repro-bench/2" in proc.stderr
 
     def test_wall_regression_fails_unless_skipped(self, tmp_path):
         self._write(tmp_path / "base", _report(wall=100.0))
@@ -262,6 +332,10 @@ class TestCheckBench:
         for path in reports:
             report = json.loads(path.read_text())
             assert report["schema"] == SCHEMA, path.name
+            paired = report["area"] in PAIRED_AREAS
+            for row in report["workloads"]:
+                assert ("speedup_median" in row) == paired, (path.name, row["name"])
+            assert ("median_speedup" in report["summary"]) == paired, path.name
 
     def test_committed_ilp_baseline_meets_speedup_target(self):
         # The PR's acceptance bar: the pinned Figure 13-15 jobs show a

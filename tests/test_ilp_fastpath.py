@@ -1,4 +1,4 @@
-"""Differential certification of the fast path (:mod:`repro.fastpath`).
+"""Differential certification of the fast path (:mod:`repro.ilp.fastpath`).
 
 Every vectorized ILP code path keeps its original implementation
 alive behind ``reference_mode(True)``.  These tests run the two side by
@@ -29,11 +29,11 @@ from hypothesis import given, settings, strategies as st
 from repro.bench.workloads import ilp_spec
 from repro.config import UpdateConfig
 from repro.core import compile_source, plan_update
-from repro.fastpath import fastpath_enabled, reference_mode
 from repro.fuzz import generate_program, mutate
 from repro.ilp import IntegerProgram, solve, solve_branch_bound, solve_lp
 from repro.ilp.branch_bound import build_matrices
 from repro.ilp.canonical import SOLVE_CACHE, canonical_digests
+from repro.ilp.fastpath import fastpath_enabled, reference_mode
 from repro.ilp.simplex import DEGENERATE_BLAND_AFTER
 from repro.isa.instructions import (
     EncodingError,
@@ -339,6 +339,24 @@ class TestWarmStart:
         _, structure_a = canonical_digests(prog, backend="own")
         _, structure_b = canonical_digests(renamed, backend="own")
         assert structure_a == structure_b
+
+
+def test_env_flag_selects_the_reference_path():
+    """``REPRO_REFERENCE_PATH`` picks the path for a whole process."""
+    snippet = "from repro.ilp.fastpath import fastpath_enabled; print(fastpath_enabled())"
+    seen = {}
+    for flag in ("1", "0"):
+        proc = subprocess.run(
+            [sys.executable, "-c", snippet],
+            capture_output=True,
+            text=True,
+            env={"REPRO_REFERENCE_PATH": flag, "PYTHONPATH": REPO_SRC,
+                 "PATH": "/usr/bin:/bin"},
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        seen[flag] = proc.stdout.strip()
+    assert seen == {"1": "False", "0": "True"}
 
 
 _HASHSEED_SNIPPET = """

@@ -38,8 +38,9 @@ from repro.net import (
     packetise_blob,
     run_campaign,
 )
-from repro.net.coding import run_coded_campaign
+from repro.net.coding import CodedTransferParams, run_coded_campaign
 from repro.net.errors import NetConfigError
+from repro.net.faults import NodeCrash, PartitionWindow
 from repro.net.gossip import run_gossip
 from repro.net.trickle import run_trickle
 from repro.workloads import CASES
@@ -116,24 +117,41 @@ class TestDeviceProfile:
 # ---------------------------------------------------------------------------
 
 
+#: Every protocol x coding combination the campaign entry point runs.
+NEUTRALITY_COMBOS = {
+    "flood": ("flood", None),
+    "flood-lt": ("flood", CodedTransferParams(scheme="lt")),
+    "trickle": ("trickle", None),
+    "trickle-xor": ("trickle", CodedTransferParams(scheme="xor")),
+    "gossip": ("gossip", None),
+    "gossip-xor": ("gossip", CodedTransferParams(scheme="xor")),
+}
+
+#: Crash + reboot, partition, corruption and duplication on a 4x4 grid.
+NEUTRALITY_PLAN = FaultPlan(
+    crashes=(NodeCrash(5, 2, reboot_round=6),),
+    partitions=(PartitionWindow(3, 8, (10, 11, 14, 15)),),
+    corrupt_prob=0.02,
+    duplicate_prob=0.02,
+    seed=11,
+)
+
+
 class TestMica2Neutrality:
-    def test_flood_campaign_byte_identical(self):
-        topo = grid(4, 4)
-        plain = run_campaign(topo, BLOB, loss=0.1, seed=7)
-        profiled = run_campaign(topo, BLOB, loss=0.1, seed=7, profile=MICA2_PROFILE)
+    @pytest.mark.parametrize("faulted", [False, True], ids=["clean", "faulted"])
+    @pytest.mark.parametrize("combo", list(NEUTRALITY_COMBOS))
+    def test_neutral_profile_byte_identical(self, combo, faulted):
+        protocol, coding = NEUTRALITY_COMBOS[combo]
+        plan = NEUTRALITY_PLAN if faulted else None
+        kwargs = dict(loss=0.1, seed=7, protocol=protocol, coding=coding)
+        plain = run_campaign(grid(4, 4), BLOB, plan, **kwargs)
+        profiled = run_campaign(
+            grid(4, 4), BLOB, plan, profile=MICA2_PROFILE, **kwargs
+        )
+        assert plain.converged
+        assert any("crashed" in line for line in plain.fault_log) == faulted
         assert profiled.to_json() == plain.to_json()
         assert profiled.profile_stats is None
-        assert "profile" not in profiled.to_json()
-
-    def test_trickle_and_gossip_byte_identical(self):
-        topo = grid(4, 4)
-        for runner in (run_trickle, run_gossip):
-            plain = runner(topo, BLOB, loss=0.05, seed=5, max_time=400.0)
-            profiled = runner(
-                topo, BLOB, loss=0.05, seed=5, max_time=400.0,
-                profile=MICA2_PROFILE,
-            )
-            assert profiled.to_json() == plain.to_json()
 
 
 # ---------------------------------------------------------------------------

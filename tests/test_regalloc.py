@@ -279,6 +279,45 @@ class TestUCCGreedy:
         assert without.moves_inserted() == 0
         assert with_mov.diff_inst < without.diff_inst
 
+    # A shrunk fuzz pair (seed 2026): one statement inserted at the top
+    # of fn0.  In the new IR, i0 is dead from IR 8 through IR 11 and is
+    # redefined at IR 13, inside the unchanged chunk that starts at
+    # IR 12, so returning it to its old register there needs no move.
+    DEAD_SWITCH_OLD = """
+u16 g0 = 46388;
+u8 g1 = 151;
+u8 arr0[3];
+
+u16 fn0(u16 p0, u8 p1) {
+    u16 t0 = 58;
+    u16 t1 = 195;
+    u16 i0 = 0;
+    t0 = ((g1 * i0) | t1);
+    arr0[1] = ((t0 >= g1) ^ g1);
+    for (i0 = 0; i0 < 6; i0++) {
+    }
+}
+
+void main() {
+    halt();
+}
+"""
+    DEAD_SWITCH_NEW = DEAD_SWITCH_OLD.replace(
+        "u8 p1) {\n", "u8 p1) {\n    led_set((g0 | g1));\n"
+    )
+
+    def test_switch_across_live_range_hole_inserts_no_move(self):
+        from repro.analysis import verify_update
+        from repro.core import plan_update
+
+        assert self.DEAD_SWITCH_NEW != self.DEAD_SWITCH_OLD
+        old = compile_source(self.DEAD_SWITCH_OLD)
+        result = plan_update(old, self.DEAD_SWITCH_NEW, config=UpdateConfig(ra="ucc"))
+        assert verify_update(result).ok
+        moved = [m.vreg for m in result.new.records["fn0"].moves]
+        assert "fn0.i0" not in moved
+        assert result.moves_inserted() == len(moved)
+
     def test_huge_cnt_disables_move_insertion(self):
         """Paper §5.5: with a very large execution count the energy
         model rejects mov insertion (UCC falls back to GCC quality)."""

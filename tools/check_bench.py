@@ -8,15 +8,17 @@ Three classes of check, in decreasing severity:
   match the baseline exactly.  They are pure functions of the answer,
   so a mismatch means the code changed behaviour, not speed: always a
   hard failure, on any machine.
-* **speedup ratio** — each workload's fast/reference median speedup
-  must not fall more than ``--tolerance`` (default 20%) below the
-  baseline's.  Ratios divide out the machine, so this runs in CI.
-  Only enforced where the baseline shows a real speedup
-  (``>= SPEEDUP_CHECK_MIN``); near 1.0x the ratio is pure noise.
-* **wall time** — each workload's fast-path median must not exceed the
+* **speedup ratio** — every baseline workload that records a
+  fast/reference median speedup (the ``ilp`` area, the only one timed
+  on both paths) must keep it within ``--tolerance`` (default 20%)
+  of the baseline's.  Ratios divide out the machine, so this runs in
+  CI.
+* **wall time** — each workload's median wall time must not exceed the
   baseline's by more than ``--tolerance``.  Only meaningful on the
   machine that produced the baseline; ``--skip-wall`` disables it
   (CI does).
+
+Reads ``repro-bench/2`` reports only.
 
 Usage::
 
@@ -40,13 +42,7 @@ AREAS = (
     "versioning",
     "profiles",
 )
-SCHEMA = "repro-bench/1"
-
-#: The speedup-ratio floor only applies to workloads the fast path
-#: actually accelerates.  Near 1.0x the ratio is all measurement noise
-#: (a 4 ms workload swings 2x on a loaded box) and a "regression" in it
-#: carries no information — the wall-time check covers those.
-SPEEDUP_CHECK_MIN = 1.5
+SCHEMA = "repro-bench/2"
 
 
 def load_report(directory: Path, area: str) -> "dict | None":
@@ -56,8 +52,9 @@ def load_report(directory: Path, area: str) -> "dict | None":
     report = json.loads(path.read_text())
     if report.get("schema") != SCHEMA:
         raise SystemExit(
-            f"{path}: unsupported schema {report.get('schema')!r} "
-            f"(expected {SCHEMA})"
+            f"{path}: unsupported schema {report.get('schema')!r}; "
+            f"check_bench reads {SCHEMA!r} only — re-run `repro bench` "
+            "to write a current report"
         )
     return report
 
@@ -89,20 +86,24 @@ def compare_area(
                     f"{area}/{name}: pinned metric {key} changed "
                     f"({base_value!r} → {cur_value!r})"
                 )
-        floor = base["speedup_median"] * (1.0 - tolerance)
-        if base["speedup_median"] >= SPEEDUP_CHECK_MIN and cur["speedup_median"] < floor:
-            failures.append(
-                f"{area}/{name}: speedup regressed "
-                f"{base['speedup_median']:.2f}x → {cur['speedup_median']:.2f}x "
-                f"(floor {floor:.2f}x at tolerance {tolerance:.0%})"
-            )
-        if not skip_wall:
-            ceiling = base["fast"]["median_ms"] * (1.0 + tolerance)
-            if cur["fast"]["median_ms"] > ceiling:
+        if "speedup_median" in base:
+            floor = base["speedup_median"] * (1.0 - tolerance)
+            current_speedup = cur.get("speedup_median")
+            if current_speedup is None:
+                failures.append(f"{area}/{name}: speedup missing from current run")
+            elif current_speedup < floor:
                 failures.append(
-                    f"{area}/{name}: fast wall regressed "
-                    f"{base['fast']['median_ms']:.1f}ms → "
-                    f"{cur['fast']['median_ms']:.1f}ms "
+                    f"{area}/{name}: speedup regressed "
+                    f"{base['speedup_median']:.2f}x → {current_speedup:.2f}x "
+                    f"(floor {floor:.2f}x at tolerance {tolerance:.0%})"
+                )
+        if not skip_wall:
+            ceiling = base["wall"]["median_ms"] * (1.0 + tolerance)
+            if cur["wall"]["median_ms"] > ceiling:
+                failures.append(
+                    f"{area}/{name}: wall regressed "
+                    f"{base['wall']['median_ms']:.1f}ms → "
+                    f"{cur['wall']['median_ms']:.1f}ms "
                     f"(ceiling {ceiling:.1f}ms at tolerance {tolerance:.0%})"
                 )
     return failures
@@ -156,11 +157,14 @@ def main(argv: "list[str] | None" = None) -> int:
         area_failures = compare_area(baseline, current, args.tolerance, args.skip_wall)
         failures.extend(area_failures)
         status = "FAIL" if area_failures else "ok"
-        print(
-            f"check_bench {area}: {status} "
-            f"(baseline median speedup {baseline['summary']['median_speedup']:.2f}x, "
-            f"current {current['summary']['median_speedup']:.2f}x)"
-        )
+        speedups = ""
+        if "median_speedup" in baseline["summary"]:
+            current_speedup = current["summary"].get("median_speedup", float("nan"))
+            speedups = (
+                f" (baseline median speedup {baseline['summary']['median_speedup']:.2f}x, "
+                f"current {current_speedup:.2f}x)"
+            )
+        print(f"check_bench {area}: {status}{speedups}")
     if not checked and not failures:
         failures.append(f"no baselines found in {baseline_dir}")
     for line in failures:
