@@ -24,6 +24,13 @@ update pair, on the cycle-driven and the poll-driven board.  It is the
 simulator's oracle, so it needs no second implementation to compare
 against.
 
+``frontend.json`` pins the front end and liveness for each case in
+``regen.frontend_cases``: per accepted source (the Figure 8 programs,
+both sources of every update pair, 40 generated programs) one digest
+over its tokens, its AST and the live sets and intervals of every
+function before and after optimisation; per rejected input the error's
+class, message, line and column.
+
 Regenerate after an intentional change with::
 
     PYTHONPATH=src python tests/golden/regen.py
@@ -38,7 +45,7 @@ from repro.core import measure_cycles, plan_update
 from repro.energy import DEFAULT_ENERGY_MODEL
 from repro.workloads import CASES
 from repro.config import UpdateConfig
-from tests.golden.regen import campaign_cases, sim_cases
+from tests.golden.regen import campaign_cases, frontend_cases, sim_cases
 
 GOLDEN = Path(__file__).parent / "golden"
 SCRIPTS = json.loads((GOLDEN / "fig09_scripts.json").read_text())
@@ -47,6 +54,8 @@ CAMPAIGNS = json.loads((GOLDEN / "campaign_digests.json").read_text())
 CAMPAIGN_CASES = campaign_cases()
 SIM_RUNS = json.loads((GOLDEN / "sim_runs.json").read_text())
 SIM_CASES = sim_cases()
+FRONTEND = json.loads((GOLDEN / "frontend.json").read_text())
+FRONTEND_CASES = frontend_cases()
 
 ENERGY_RTOL = 0.02
 
@@ -112,4 +121,17 @@ def test_sim_run_pinned(key):
     assert SIM_CASES[key]() == SIM_RUNS[key], (
         f"simulator run {key}: an observable moved — regenerate "
         "tests/golden/ only if the change is intentional"
+    )
+
+
+def test_frontend_goldens_cover_every_case():
+    assert set(FRONTEND) == set(FRONTEND_CASES)
+
+
+@pytest.mark.parametrize("key", sorted(FRONTEND))
+def test_frontend_pinned(key):
+    assert FRONTEND_CASES[key]() == FRONTEND[key], (
+        f"front end {key}: a token, AST node, live set, interval or "
+        "diagnostic moved — regenerate tests/golden/ only if the change "
+        "is intentional"
     )
