@@ -41,63 +41,54 @@ class CFG:
     def entry(self) -> BasicBlock:
         return self.blocks[0]
 
-    def successors_of_instr(self, idx: int) -> list[int]:
-        """Instruction indices that may execute after ``idx``."""
-        instrs = self.function.instrs
-        ins = instrs[idx]
-        block = self.blocks[self.block_of[idx]]
-        if idx + 1 < block.end and not ins.is_terminator:
-            return [idx + 1]
-        result = []
-        for succ in block.successors:
-            result.append(self.blocks[succ].start)
-        return result
+
+_JUMP, _CBR, _RET, _HALT, _LABEL = IROp.JUMP, IROp.CBR, IROp.RET, IROp.HALT, IROp.LABEL
 
 
 def build_cfg(fn: IRFunction) -> CFG:
-    """Split ``fn`` into basic blocks and connect the edges."""
+    """Split ``fn`` into basic blocks and connect the edges.
+
+    One pass over the instructions finds the block leaders (index 0,
+    every label, every instruction after a terminator) and the label
+    positions.  Opcodes are compared by identity, which keeps enum
+    hashing out of the per-instruction loop.
+    """
     instrs = fn.instrs
-    labels = fn.labels()
-
-    # Block leaders: index 0, every label, every instruction following a
-    # terminator.
-    leaders = {0} if instrs else set()
+    leaders: list[int] = []
+    label_index: dict[str, int] = {}
+    after_terminator = True  # index 0 leads
     for idx, ins in enumerate(instrs):
-        if ins.op is IROp.LABEL:
-            leaders.add(idx)
-        if ins.is_terminator and idx + 1 < len(instrs):
-            leaders.add(idx + 1)
+        op = ins.op
+        if op is _LABEL:
+            label_index[ins.args[0].name] = idx
+            leaders.append(idx)
+        elif after_terminator:
+            leaders.append(idx)
+        after_terminator = op is _JUMP or op is _CBR or op is _RET or op is _HALT
 
-    ordered = sorted(leaders)
     cfg = CFG(function=fn)
-    for block_index, start in enumerate(ordered):
-        end = ordered[block_index + 1] if block_index + 1 < len(ordered) else len(instrs)
-        block = BasicBlock(index=block_index, start=start, end=end)
-        cfg.blocks.append(block)
-        for idx in range(start, end):
-            cfg.block_of[idx] = block_index
+    blocks = cfg.blocks
+    block_of = cfg.block_of
+    for block_index, (start, end) in enumerate(
+        zip(leaders, leaders[1:] + [len(instrs)])
+    ):
+        blocks.append(BasicBlock(index=block_index, start=start, end=end))
+        block_of.update(dict.fromkeys(range(start, end), block_index))
 
-    label_block = {
-        name: cfg.block_of[idx] for name, idx in labels.items()
-    }
-
-    for block in cfg.blocks:
-        if block.start == block.end:
-            continue
+    for block in blocks:
         last = instrs[block.end - 1]
-        succs: list[int] = []
-        if last.op is IROp.JUMP:
-            succs = [label_block[last.args[0].name]]
-        elif last.op is IROp.CBR:
-            succs = [label_block[a.name] for a in last.args[1:]]
-        elif last.op in (IROp.RET, IROp.HALT):
+        op = last.op
+        if op is _JUMP:
+            succs = [block_of[label_index[last.args[0].name]]]
+        elif op is _CBR:
+            succs = [block_of[label_index[a.name]] for a in last.args[1:]]
+        elif op is _RET or op is _HALT or block.index + 1 == len(blocks):
             succs = []
         else:
-            if block.index + 1 < len(cfg.blocks):
-                succs = [block.index + 1]
+            succs = [block.index + 1]
         block.successors = succs
         for succ in succs:
-            cfg.blocks[succ].predecessors.append(block.index)
+            blocks[succ].predecessors.append(block.index)
     return cfg
 
 

@@ -9,7 +9,7 @@ compiles with avr-gcc (see DESIGN.md §2).  The public surface:
 
 from .ast_nodes import Program
 from .errors import CompileError, LexError, ParseError, SemanticError, SourceLocation
-from .lexer import Lexer, Token, TokenKind, tokenize
+from .lexer import Token, TokenKind, tokenize
 from .parser import Parser, parse
 from .sema import (
     BUILTINS,
@@ -29,7 +29,6 @@ __all__ = [
     "CheckedProgram",
     "CompileError",
     "FunctionSignature",
-    "Lexer",
     "LexError",
     "ParseError",
     "Parser",

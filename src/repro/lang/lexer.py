@@ -5,14 +5,27 @@ avr-gcc.  The token set covers everything the shipped workloads need:
 unsigned 8/16-bit scalars, fixed-size arrays, functions, the usual
 C operators, and decimal/hex/char literals.
 
-The lexer is a straightforward hand-written scanner.  It produces a flat
-list of :class:`Token` and raises :class:`~repro.lang.errors.LexError`
-on any character it does not understand.
+:func:`tokenize` matches one compiled master regex at the cursor.  Each
+match is the trivia before a lexeme (whitespace, ``//`` and ``/* */``
+comments) followed by the lexeme itself: a word, a punctuator (longest
+first), a decimal or hex literal, a character literal, end of input, or
+one of the error forms below.  Line and column come from the newlines
+counted between lexeme starts.  The result is a flat list of
+:class:`Token` ending in one EOF token.
+
+The lexical grammar is ASCII, like C's basic source character set:
+digits are ``[0-9]`` and words ``[A-Za-z_][A-Za-z0-9_]*``.  Any other
+character outside a comment raises
+:class:`~repro.lang.errors.LexError` ("unexpected character") at its
+line and column, as do an unterminated comment or character literal,
+an unknown escape, ``0x`` without hex digits, and a letter straight
+after a decimal literal.
 """
 
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 
 from .errors import LexError, SourceLocation
@@ -44,7 +57,7 @@ KEYWORDS = frozenset(
     }
 )
 
-# Multi-character punctuators first so maximal munch works by scanning
+# Multi-character punctuators first so maximal munch works by trying
 # this tuple in order.
 PUNCTUATORS = (
     "<<=",
@@ -120,152 +133,86 @@ _ESCAPES = {
     "'": 39,
 }
 
-
-class Lexer:
-    """Converts ucc-C source text into a token stream."""
-
-    def __init__(self, source: str, filename: str = "<source>"):
-        self.source = source
-        self.filename = filename
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-
-    # -- low-level cursor helpers -------------------------------------
-
-    def _loc(self) -> SourceLocation:
-        return SourceLocation(self.line, self.column, self.filename)
-
-    def _peek(self, offset: int = 0) -> str:
-        idx = self.pos + offset
-        if idx < len(self.source):
-            return self.source[idx]
-        return ""
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.pos >= len(self.source):
-                return
-            if self.source[self.pos] == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-            self.pos += 1
-
-    def _skip_trivia(self) -> None:
-        """Skip whitespace and // and /* */ comments."""
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start = self._loc()
-                self._advance(2)
-                while self.pos < len(self.source):
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        break
-                    self._advance()
-                else:
-                    raise LexError("unterminated block comment", start)
-            else:
-                return
-
-    # -- token scanners ------------------------------------------------
-
-    def _scan_number(self) -> Token:
-        loc = self._loc()
-        start = self.pos
-        if self._peek() == "0" and self._peek(1) in ("x", "X"):
-            self._advance(2)
-            if not self._peek().strip() or not _is_hex(self._peek()):
-                raise LexError("malformed hex literal", loc)
-            while _is_hex(self._peek()):
-                self._advance()
-            text = self.source[start : self.pos]
-            return Token(TokenKind.INT, int(text, 16), loc)
-        while self._peek().isdigit():
-            self._advance()
-        if self._peek().isalpha() or self._peek() == "_":
-            raise LexError(
-                f"invalid character {self._peek()!r} in number", self._loc()
-            )
-        text = self.source[start : self.pos]
-        return Token(TokenKind.INT, int(text, 10), loc)
-
-    def _scan_char(self) -> Token:
-        loc = self._loc()
-        self._advance()  # opening quote
-        ch = self._peek()
-        if ch == "":
-            raise LexError("unterminated character literal", loc)
-        if ch == "\\":
-            self._advance()
-            esc = self._peek()
-            if esc not in _ESCAPES:
-                raise LexError(f"unknown escape '\\{esc}'", loc)
-            value = _ESCAPES[esc]
-            self._advance()
-        else:
-            value = ord(ch)
-            self._advance()
-        if self._peek() != "'":
-            raise LexError("unterminated character literal", loc)
-        self._advance()
-        return Token(TokenKind.INT, value, loc)
-
-    def _scan_word(self) -> Token:
-        loc = self._loc()
-        start = self.pos
-        while self._peek().isalnum() or self._peek() == "_":
-            self._advance()
-        text = self.source[start : self.pos]
-        kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-        return Token(kind, text, loc)
-
-    def _scan_punct(self) -> Token:
-        loc = self._loc()
-        rest = self.source[self.pos :]
-        for punct in PUNCTUATORS:
-            if rest.startswith(punct):
-                self._advance(len(punct))
-                return Token(TokenKind.PUNCT, punct, loc)
-        raise LexError(f"unexpected character {self._peek()!r}", loc)
-
-    # -- public API ------------------------------------------------------
-
-    def next_token(self) -> Token:
-        """Return the next token, or an EOF token at end of input."""
-        self._skip_trivia()
-        if self.pos >= len(self.source):
-            return Token(TokenKind.EOF, "", self._loc())
-        ch = self._peek()
-        if ch.isdigit():
-            return self._scan_number()
-        if ch == "'":
-            return self._scan_char()
-        if ch.isalpha() or ch == "_":
-            return self._scan_word()
-        return self._scan_punct()
-
-    def tokenize(self) -> list[Token]:
-        """Scan the whole input and return all tokens including the EOF."""
-        tokens = []
-        while True:
-            tok = self.next_token()
-            tokens.append(tok)
-            if tok.kind is TokenKind.EOF:
-                return tokens
-
-
-def _is_hex(ch: str) -> bool:
-    return bool(ch) and ch in "0123456789abcdefABCDEF"
+# Trivia, then exactly one lexeme.  Every position matches some
+# alternative (``bad`` takes any character, ``eof`` the end), so the
+# engine never backtracks into the trivia and the matches tile the text.
+_MASTER = re.compile(
+    r"""
+    (?:[ \t\r\n]+ | //[^\n]* | /\*.*?\*/)*
+    (?:
+        (?P<word>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<hex>0[xX][0-9a-fA-F]+)
+      | (?P<badhex>0[xX])
+      | (?P<dec>[0-9]+)(?P<badnum>[A-Za-z_])?
+      | (?P<char>'(?:\\[ntr0\\']|[\x00-\x5b\x5d-\x7f])')
+      | (?P<badchar>')
+      | (?P<open>/\*)
+      | (?P<punct>"""
+    + "|".join(re.escape(punct) for punct in PUNCTUATORS)
+    + r""")
+      | (?P<eof>\Z)
+      | (?P<bad>.)
+    )
+    """,
+    re.DOTALL | re.VERBOSE,
+)
 
 
 def tokenize(source: str, filename: str = "<source>") -> list[Token]:
-    """Convenience wrapper: tokenize ``source`` into a list of tokens."""
-    return Lexer(source, filename).tokenize()
+    """Scan ``source`` and return all its tokens, ending in one EOF token."""
+    tokens = []
+    append = tokens.append
+    line = 1
+    line_start = 0  # index of the first character of ``line``
+    prev = 0  # start of the previous lexeme
+    for match in _MASTER.finditer(source):
+        kind = match.lastgroup
+        start = match.start(kind)
+        newlines = source.count("\n", prev, start)
+        if newlines:
+            line += newlines
+            line_start = source.rindex("\n", prev, start) + 1
+        prev = start
+        loc = SourceLocation(line, start - line_start + 1, filename)
+        if kind == "word":
+            text = match.group(kind)
+            tok_kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
+            append(Token(tok_kind, text, loc))
+        elif kind == "punct":
+            append(Token(TokenKind.PUNCT, match.group(kind), loc))
+        elif kind == "dec":
+            append(Token(TokenKind.INT, int(match.group(kind)), loc))
+        elif kind == "hex":
+            append(Token(TokenKind.INT, int(match.group(kind), 16), loc))
+        elif kind == "char":
+            body = match.group(kind)[1:-1]
+            value = _ESCAPES[body[1]] if len(body) == 2 else ord(body)
+            append(Token(TokenKind.INT, value, loc))
+        elif kind == "eof":
+            append(Token(TokenKind.EOF, "", loc))
+            return tokens
+        else:
+            raise _error(kind, source, start, loc)
+    raise AssertionError("the master pattern always ends in an eof match")
+
+
+def _error(kind: str, source: str, start: int, loc: SourceLocation) -> LexError:
+    """The diagnostic for an error-form lexeme starting at ``start``."""
+    if kind == "badnum":
+        ch = source[start]
+        return LexError(f"invalid character {ch!r} in number", loc)
+    if kind == "badhex":
+        return LexError("malformed hex literal", loc)
+    if kind == "open":
+        return LexError("unterminated block comment", loc)
+    if kind == "badchar":
+        body = source[start + 1 : start + 2]
+        if body == "\\":
+            esc = source[start + 2 : start + 3]
+            if esc not in _ESCAPES:
+                return LexError(f"unknown escape '\\{esc}'", loc)
+        elif body > "\x7f":
+            after = SourceLocation(loc.line, loc.column + 1, loc.filename)
+            return LexError(f"unexpected character {body!r}", after)
+        return LexError("unterminated character literal", loc)
+    return LexError(f"unexpected character {source[start]!r}", loc)

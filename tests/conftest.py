@@ -1,11 +1,19 @@
-"""Shared fixtures: compiled workload programs, cached per session."""
+"""Shared fixtures: compiled workload programs, cached per session.
+
+Also registers the ``nightly`` hypothesis profile: property tests that
+set no ``max_examples`` of their own run 1,000 examples under it
+(``pytest --hypothesis-profile=nightly``) instead of the default 100.
+"""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.core import compile_source
 from repro.workloads import CASES, PROGRAMS
+
+settings.register_profile("nightly", max_examples=1000, deadline=None)
 
 
 @pytest.fixture(scope="session")

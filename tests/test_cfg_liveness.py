@@ -1,8 +1,14 @@
 """CFG construction and liveness analysis tests."""
 
-from repro.ir import analyze, build_cfg, build_ir, loop_depths, static_frequencies
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from repro.fuzz import generate_program
+from repro.ir import IROp, analyze, build_cfg, build_ir, loop_depths, static_frequencies
 from repro.ir.liveness import interference_pairs
 from repro.lang import frontend
+from repro.opt.passes import optimize_module
 
 
 def lower_fn(source, name="f"):
@@ -194,3 +200,106 @@ class TestLivenessEdgeCases:
         assert ("f.a", "f.b") in pairs
         # pairs are canonicalised (sorted), so the mirror is implied
         assert all(left < right for left, right in pairs)
+
+
+# -- property oracle: liveness by per-name reachability ---------------------
+
+
+def instruction_successors(fn) -> list:
+    """Instructions that may run after each instruction, read off the IR
+    itself (no CFG): a branch goes to its labels, RET/HALT nowhere,
+    anything else to the next instruction."""
+    labels = {
+        ins.args[0].name: idx
+        for idx, ins in enumerate(fn.instrs)
+        if ins.op is IROp.LABEL
+    }
+    succs = []
+    for idx, ins in enumerate(fn.instrs):
+        if ins.op is IROp.JUMP:
+            succs.append([labels[ins.args[0].name]])
+        elif ins.op is IROp.CBR:
+            succs.append([labels[arg.name] for arg in ins.args[1:]])
+        elif ins.op in (IROp.RET, IROp.HALT) or idx + 1 == len(fn.instrs):
+            succs.append([])
+        else:
+            succs.append([idx + 1])
+    return succs
+
+
+def reference_liveness(fn):
+    """``(live_in, live_out)`` per instruction, one name at a time.
+
+    A name is live into ``i`` iff some path from ``i`` reaches a use of
+    it before any def; it is live out of ``i`` iff it is live into some
+    successor.  Walking backwards from each use, stopping at defs,
+    finds exactly the instructions it is live into.
+    """
+    instrs = fn.instrs
+    succs = instruction_successors(fn)
+    preds = [[] for _ in instrs]
+    for idx, targets in enumerate(succs):
+        for target in targets:
+            preds[target].append(idx)
+    uses = [{r.name for r in ins.uses()} for ins in instrs]
+    defs = [{r.name for r in ins.defs()} for ins in instrs]
+    live_in = [set() for _ in instrs]
+    for name in set().union(*uses):
+        reached = {idx for idx, used in enumerate(uses) if name in used}
+        stack = list(reached)
+        while stack:
+            for pred in preds[stack.pop()]:
+                if pred not in reached and name not in defs[pred]:
+                    reached.add(pred)
+                    stack.append(pred)
+        for idx in reached:
+            live_in[idx].add(name)
+    live_out = [set().union(*(live_in[t] for t in targets)) for targets in succs]
+    return live_in, live_out
+
+
+def assert_liveness_matches_reference(fn) -> None:
+    info = analyze(fn)
+    live_in, live_out = reference_liveness(fn)
+    assert info.live_in == live_in
+    assert info.live_out == live_out
+
+    # Intervals: [first, last] over the indices where the name is
+    # defined, used, live-in or live-out; parameters start at 0.
+    seen: dict = {reg.name: [0] for reg in fn.param_vregs}
+    for idx, ins in enumerate(fn.instrs):
+        names = {r.name for r in ins.vregs()} | live_in[idx] | live_out[idx]
+        for name in names:
+            seen.setdefault(name, []).append(idx)
+    assert set(info.intervals) == set(seen)
+    for name, indices in seen.items():
+        interval = info.intervals[name]
+        assert (interval.start, interval.end) == (min(indices), max(indices)), name
+        assert interval.vreg.name == name
+        # crosses_call: live across a CALL, i.e. into and out of it,
+        # and not the call's own result.
+        crosses = any(
+            ins.op is IROp.CALL
+            and name in live_in[idx]
+            and name in live_out[idx]
+            and name not in {r.name for r in ins.defs()}
+            for idx, ins in enumerate(fn.instrs)
+        )
+        assert interval.crosses_call == crosses, name
+    starts = [(iv.start, name) for name, iv in info.intervals.items()]
+    assert starts == sorted(starts)
+
+
+@settings(deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_liveness_matches_per_name_reachability(seed):
+    """analyze() agrees with per-name backward reachability over the
+    instruction successors, on the unoptimised and the optimised IR of
+    a generated program."""
+    program = generate_program(random.Random(seed)).render()
+    module = build_ir(frontend(program))
+    for fn in module.functions.values():
+        assert_liveness_matches_reference(fn)
+    optimize_module(module)
+    for fn in module.functions.values():
+        assert_liveness_matches_reference(fn)

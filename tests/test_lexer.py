@@ -1,8 +1,9 @@
 """Lexer unit tests."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.lang import LexError, TokenKind, tokenize
+from repro.lang import CompileError, LexError, TokenKind, frontend, tokenize
 
 
 def kinds(source):
@@ -115,3 +116,76 @@ class TestErrors:
         with pytest.raises(LexError) as excinfo:
             tokenize("ok\n   @")
         assert excinfo.value.location.line == 2
+
+
+class TestAsciiGrammar:
+    """Outside comments the lexical grammar is ASCII: digits are [0-9],
+    words [A-Za-z_][A-Za-z0-9_]*, and anything else is an unexpected
+    character at its own line and column."""
+
+    @pytest.mark.parametrize(
+        "source, char, line, column",
+        [
+            ("u8 x = \u00b2;", "\u00b2", 1, 8),  # superscript two: isdigit()
+            ("u8 x = \u0663;", "\u0663", 1, 8),  # Arabic-Indic three: isdigit()
+            ("u8 caf\u00e9;", "\u00e9", 1, 7),  # a letter outside ASCII
+            ("u8 x;\n  \u00e9x = 1;", "\u00e9", 2, 3),
+            ("u8 x = 12\u00b2;", "\u00b2", 1, 10),
+            ("u8 x = '\u00e9';", "\u00e9", 1, 9),  # inside a char literal
+            ("a\u00a0b", "\u00a0", 1, 2),  # no-break space is not trivia
+        ],
+    )
+    def test_non_ascii_is_an_unexpected_character(self, source, char, line, column):
+        with pytest.raises(LexError) as excinfo:
+            tokenize(source)
+        err = excinfo.value
+        assert err.message == f"unexpected character {char!r}"
+        assert (err.location.line, err.location.column) == (line, column)
+
+    def test_non_ascii_inside_comments_is_fine(self):
+        assert values("a // \u00b2 caf\u00e9\nb /* \u0663 */ c") == ["a", "b", "c"]
+
+    def test_ascii_digits_and_letters_still_lex(self):
+        assert values("x9 _a 0x1F 42") == ["x9", "_a", 0x1F, 42]
+
+
+class TestErrorLocations:
+    @pytest.mark.parametrize(
+        "source, message, line, column",
+        [
+            ("a\n /* x", "unterminated block comment", 2, 2),
+            ("u8 x = 12ab;", "invalid character 'a' in number", 1, 10),
+            ("x = 0xg;", "malformed hex literal", 1, 5),
+            ("x = 'ab';", "unterminated character literal", 1, 5),
+            ("x = '\\q';", "unknown escape '\\q'", 1, 5),
+            ("\n\n  $", "unexpected character '$'", 3, 3),
+        ],
+    )
+    def test_message_and_location(self, source, message, line, column):
+        with pytest.raises(LexError) as excinfo:
+            tokenize(source)
+        err = excinfo.value
+        assert err.message == message
+        assert (err.location.line, err.location.column) == (line, column)
+
+    def test_hex_letters_end_the_literal(self):
+        # Only a decimal literal rejects a letter straight after it.
+        assert values("0x1g") == [1, "g"]
+
+    def test_locations_after_multiline_trivia(self):
+        # A comment and a character literal may hold a newline.
+        toks = tokenize("a /* one\ntwo */ b\n\t'\n' c")
+        assert [(t.location.line, t.location.column) for t in toks] == [
+            (1, 1), (2, 8), (3, 2), (4, 3), (4, 4),
+        ]
+
+
+@settings(deadline=None)
+@given(text=st.text())
+def test_frontend_on_any_text_returns_or_raises_compile_error(text):
+    """No input crashes the front end: it either accepts the text or
+    raises a CompileError."""
+    try:
+        frontend(text)
+    except CompileError:
+        pass
