@@ -26,6 +26,15 @@ pair, and 40 ``generate_program`` programs) over its token stream, its
 AST ``repr`` and every function's liveness on the unoptimised and the
 optimised IR; plus the class, message, line and column of every
 rejected input in :data:`FRONTEND_REJECTS`.
+
+``answers.json`` pins the ``digest`` and ``metrics`` of each case in
+:func:`answer_cases`: the Figure 8 compiles, the Figure 13-15 ILP
+solves, six Figure 9 update plans, the Figure 10 16-job fleet batch,
+and the dissemination, versioning and device-profile studies that
+EXPERIMENTS.md, docs/SIMULATOR.md and docs/VERSIONING.md quote.
+``tests/test_golden_regression.py`` checks the light rows;
+``benchmarks/`` checks the ILP rows (on both ILP paths) and the
+:data:`HEAVY_ANSWERS`.
 """
 
 import dataclasses
@@ -35,9 +44,12 @@ import random
 from functools import lru_cache
 from pathlib import Path
 
+from repro.config import CohortPlan, CompileConfig, FleetJob, VersionGraphConfig
 from repro.core import compile_source, measure_cycles, plan_update
+from repro.diff.packets import DEFAULT_OVERHEAD, DEFAULT_PAYLOAD, Packetisation
 from repro.energy import DEFAULT_ENERGY_MODEL
 from repro.fuzz import generate_program
+from repro.ilp.branch_bound import solve_branch_bound
 from repro.ir import analyze, build_ir
 from repro.lang import CompileError, check, parse, tokenize
 from repro.opt.passes import optimize_module
@@ -59,8 +71,14 @@ from repro.net import (
     run_trickle,
 )
 from repro.net.coding import CodedTransferParams, run_coded_campaign
+from repro.net.kernel import rounds_equivalent
+from repro.net.lossy import disseminate_lossy
+from repro.regalloc import build_chunk_model
+from repro.service import FleetUpdateService
 from repro.sim import DeviceBoard, Timer, run_image
 from repro.versioning import build_version_graph, plan_cohorts, run_versioned_campaign
+from repro.versioning.planner import predicted_wave_energy_j
+from repro.workloads.synthetic import ilp_spec
 
 ENERGY_CASES = ["1", "4", "6", "8", "12"]
 ENERGY_CNT = 1000.0
@@ -408,6 +426,315 @@ def frontend_cases() -> dict:
     return cases
 
 
+def _sha(payload) -> str:
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def compile_answer(source: str) -> tuple:
+    """A Figure 8 compile: the image's code, data and entry point."""
+    image = compile_source(source).image
+    digest = _sha({
+        "code": hashlib.sha256(image.to_bytes()).hexdigest(),
+        "data": hashlib.sha256(image.data).hexdigest(),
+        "entry": image.entry,
+    })
+    return digest, {
+        "instructions": image.instruction_count(),
+        "size_bytes": image.size_bytes,
+    }
+
+
+#: Statement counts of the pinned Figure 13-15 ILP sweep.
+ILP_SIZES = (8, 12, 16, 20, 24, 32)
+
+
+def ilp_row(size: int) -> str:
+    return f"fig13_15_n{size:02d}"
+
+
+def ilp_answer(spec) -> tuple:
+    """A Figure 13-15 job: the chunk model of ``spec`` solved by branch
+    and bound.  Every metric is one the fast and the reference ILP
+    path must agree on."""
+    program = build_chunk_model(spec)
+    result = solve_branch_bound(program)
+    digest = _sha({
+        "status": result.status,
+        "values": sorted(result.values.items()),
+        "objective": repr(result.objective),
+    })
+    return digest, {
+        "variables": program.num_variables,
+        "constraints": program.num_constraints,
+        "simplex_iterations": result.stats.simplex_iterations,
+        "lp_solves": result.stats.lp_solves,
+    }
+
+
+#: Figure 9 update cases with a pinned plan: data-only, code-only and
+#: mixed edits (fig09_scripts.json pins the sizes of all 13).
+DIFF_CASE_IDS = ("1", "3", "6", "9", "12", "13")
+
+
+def diff_answer(cid: str) -> tuple:
+    """A Figure 9 UCC plan: the edit script and the data script."""
+    case = CASES[cid]
+    result = plan_update(
+        compile_source(case.old_source), case.new_source,
+        config=UpdateConfig(ra="ucc", da="ucc"),
+    )
+    blob = result.diff.script.to_bytes()
+    digest = _sha({
+        "script": hashlib.sha256(blob).hexdigest(),
+        "data": hashlib.sha256(result.data_script.to_bytes()).hexdigest(),
+    })
+    return digest, {"script_bytes": len(blob), "diff_inst": result.diff.diff_inst}
+
+
+def batch_answer() -> tuple:
+    """The Figure 10 acceptance batch: 16 jobs over cases 1/3/6/9 and
+    four allocator pairs, run cold and then replayed from a warm job
+    cache on one service."""
+    jobs = [
+        FleetJob(
+            old_source=CASES[cid].old_source,
+            new_source=CASES[cid].new_source,
+            compile=CompileConfig(),
+            update=UpdateConfig(ra=ra, da=da),
+            topology=None,
+            job_id=f"case{cid}/{ra}/{da}",
+        )
+        for cid in ("1", "3", "6", "9")
+        for ra, da in (("ucc", "ucc"), ("ucc-ilp", "ucc"), ("gcc", "gcc"), ("linear", "ucc"))
+    ]
+    service = FleetUpdateService(workers=1)
+    cold = service.run(jobs)
+    warm = service.run(jobs)
+    digest = _sha({
+        "cold": [outcome.key_metrics() for outcome in cold.outcomes],
+        "warm": [outcome.key_metrics() for outcome in warm.outcomes],
+    })
+    return digest, {
+        "jobs": len(jobs),
+        "ok": int(cold.ok and warm.ok),
+        "job_cache_hits": warm.job_cache_hits,
+    }
+
+
+#: The 600-byte script blob of the dissemination and coded-transfer
+#: studies: 28 packets at the default 22-byte payload.
+DISSEMINATION_BLOB = bytes(range(256)) * 2 + bytes(88)
+
+#: The 2048-byte blob of the device-profile studies: 32 flash pages at
+#: the battery-less profile's 64-byte page, heavy enough that its
+#: 0.05 J capacitor browns out mid-apply.
+PROFILES_BLOB = bytes(range(256)) * 8
+
+
+def _lossy1k():
+    """The 1k-node fleet of the flood-vs-Trickle, cohort and coded
+    studies (15 % loss throughout)."""
+    return random_geometric(1000, radio_range=0.1, seed=3)
+
+
+def _lossy_flood_counts(topology) -> "tuple[dict, int]":
+    packets = Packetisation(len(DISSEMINATION_BLOB), DEFAULT_PAYLOAD, DEFAULT_OVERHEAD)
+    flood = disseminate_lossy(topology, packets, loss=0.15, seed=3)
+    counts = {
+        "broadcasts": flood.broadcasts,
+        "nacks": flood.nacks,
+        "rounds": flood.rounds,
+        "complete": flood.complete,
+    }
+    return counts, flood.broadcasts
+
+
+def flood_vs_trickle_answer() -> tuple:
+    """The lossy NACK-repair flood against Trickle on the 1k fleet."""
+    topology = _lossy1k()
+    flood, flood_broadcasts = _lossy_flood_counts(topology)
+    trickle = run_trickle(topology, DISSEMINATION_BLOB, loss=0.15, seed=3, max_time=600.0)
+    digest = _sha({"flood": flood, "trickle": trickle.digest()})
+    return digest, {
+        "flood_broadcasts": flood_broadcasts,
+        "trickle_transmissions": trickle.transmissions,
+        "trickle_beacons": trickle.beacons,
+        "tx_ratio": round(flood_broadcasts / trickle.transmissions, 2),
+    }
+
+
+def trickle_5k_answer() -> tuple:
+    """Trickle to convergence on a 72x70 grid at 5 % loss."""
+    report = run_trickle(grid(72, 70), DISSEMINATION_BLOB, loss=0.05, seed=5, max_time=600.0)
+    return report.digest(), {
+        "converged": int(report.converged),
+        "transmissions": report.transmissions,
+        "beacons": report.beacons,
+        "events": report.events,
+        "rounds_equivalent": rounds_equivalent(report.time_s, 1.0),
+    }
+
+
+def faulted_flood_answer() -> tuple:
+    """A flood campaign on a 12x12 grid under crashes with reboots, a
+    partition, corruption and duplication."""
+    plan = FaultPlan(
+        crashes=(NodeCrash(7, 2, reboot_round=5), NodeCrash(23, 4, reboot_round=9)),
+        partitions=(PartitionWindow(3, 7, (40, 41, 42, 52, 53, 54)),),
+        corrupt_prob=0.01,
+        duplicate_prob=0.02,
+        seed=11,
+    )
+    report = run_campaign(grid(12, 12), DISSEMINATION_BLOB, plan, loss=0.1, seed=7)
+    return report.digest(), {
+        "converged": int(report.converged),
+        "rounds": report.rounds,
+        "quarantined": len(report.quarantined),
+    }
+
+
+def aes_releases() -> dict:
+    """AES-128 (case 10) released as v3/v5 plus two derived releases v6
+    and v7: full images are expensive, the edits a handful of bytes."""
+    case = CASES["10"]
+    v5 = case.new_source
+    v6 = v5.replace("u16 blocks_done = 0;", "u16 blocks_done = 1;")
+    v7 = v5.replace("u16 blocks_done = 0;", "u16 blocks_done = 2;").replace(
+        "blocks_done = blocks_done + 1;", "blocks_done = blocks_done + 2;"
+    )
+    return {3: case.old_source, 5: v5, 6: v6, 7: v7}
+
+
+def cohorts_answer() -> tuple:
+    """The 1k fleet with cohorts at v3/v5/v6 converging to v7, once on
+    the cohort planner's plans and once on forced full images."""
+    topology = _lossy1k()
+    graph = build_version_graph(aes_releases(), config=VersionGraphConfig(loss=0.15))
+    fleet = {0: 7}
+    for node in range(1, 1000):
+        fleet[node] = (3, 5, 6)[node % 3]
+    plans = plan_cohorts(graph, fleet)
+    full_plans = []
+    for plan in plans:
+        full_bytes = graph.full_edge(plan.from_version, plan.to_version).script_bytes
+        full_plans.append(CohortPlan(
+            from_version=plan.from_version,
+            to_version=plan.to_version,
+            nodes=plan.nodes,
+            strategy="full",
+            path=(plan.from_version, plan.to_version),
+            script_bytes=full_bytes,
+            predicted_energy_j=predicted_wave_energy_j(
+                full_bytes, node_count=1000, mean_degree=4.0, config=graph.config
+            ),
+        ))
+    planned = run_versioned_campaign(graph, plans, topology, loss=0.15, seed=3)
+    full = run_versioned_campaign(graph, tuple(full_plans), topology, loss=0.15, seed=3)
+    digest = _sha({"planned": planned.digest(), "full": full.digest()})
+    return digest, {
+        "planned_energy_j": round(planned.total_energy_j, 4),
+        "full_energy_j": round(full.total_energy_j, 4),
+        "energy_ratio": round(full.total_energy_j / planned.total_energy_j, 2),
+        "converged": int(planned.converged and full.converged),
+        "replay_identical": int(planned.replay_identical and full.replay_identical),
+    }
+
+
+def coded_vs_nack_answer() -> tuple:
+    """The LT fountain against per-packet NACK repair on the 1k fleet."""
+    topology = _lossy1k()
+    nack, _broadcasts = _lossy_flood_counts(topology)
+    coded = run_coded_campaign(
+        topology, DISSEMINATION_BLOB, params=CodedTransferParams(burst=16),
+        loss=0.15, seed=3,
+    )
+    digest = _sha({"nack": nack, "coded": coded.digest()})
+    nack_tx = nack["broadcasts"] + nack["nacks"]
+    return digest, {
+        "nack_tx": nack_tx,
+        "coded_tx": coded.broadcasts,
+        "tx_ratio": round(nack_tx / coded.broadcasts, 2),
+        "coded_converged": int(coded.converged),
+    }
+
+
+def mica2_parity_answer() -> tuple:
+    """A Mica2-profiled flood byte-identical to an unprofiled one."""
+    profiled = run_campaign(grid(6, 6), PROFILES_BLOB, loss=0.1, seed=7, profile=MICA2_PROFILE)
+    plain = run_campaign(grid(6, 6), PROFILES_BLOB, loss=0.1, seed=7)
+    parity = int(profiled.to_json() == plain.to_json())
+    return _sha({"report": profiled.digest(), "parity": parity}), {
+        "parity": parity,
+        "converged": int(profiled.converged),
+        "rounds": profiled.rounds,
+    }
+
+
+def lorawan_budget_answer() -> tuple:
+    """A LoRaWAN DR3 fleet held to its 1 % duty-cycle airtime budget."""
+    report = run_campaign(
+        grid(6, 6), PROFILES_BLOB, loss=0.1, seed=7, max_rounds=3000, profile=LORAWAN_DR3
+    )
+    stats = report.profile_stats or {}
+    return report.digest(), {
+        "converged": int(report.converged),
+        "rounds": report.rounds,
+        "airtime_deferrals": stats.get("airtime_deferrals"),
+        "airtime_violations": stats.get("airtime_violations"),
+    }
+
+
+def batteryless_answer() -> tuple:
+    """A harvesting fleet that browns out mid-apply and resumes."""
+    report = run_campaign(
+        grid(6, 6), PROFILES_BLOB, loss=0.1, seed=7, max_rounds=3000,
+        profile=BATTERYLESS_HARVEST,
+    )
+    stats = report.profile_stats or {}
+    return report.digest(), {
+        "converged": int(report.converged),
+        "rounds": report.rounds,
+        "brownouts": stats.get("brownouts"),
+        "resumed_applies": stats.get("resumed_applies"),
+        "first_node_death_s": stats.get("first_node_death_s"),
+    }
+
+
+#: Answers that take a second or more: ``benchmarks/`` checks them.
+HEAVY_ANSWERS = (
+    "grid5k_trickle",
+    "lorawan_dr3_budget",
+    "lossy1k_coded_vs_nack",
+    "lossy1k_cohorts",
+    "lossy1k_flood_vs_trickle",
+)
+
+
+def answer_cases() -> dict:
+    """Pinned paper-workload answers: name -> zero-argument callable
+    returning ``(digest, metrics)``."""
+    cases = {
+        f"fig08_{name}": (lambda s=src: compile_answer(s)) for name, src in PROGRAMS.items()
+    }
+    for size in ILP_SIZES:
+        cases[ilp_row(size)] = lambda n=size: ilp_answer(ilp_spec(n))
+    for cid in DIFF_CASE_IDS:
+        cases[f"fig09_case{cid}"] = lambda c=cid: diff_answer(c)
+    cases.update({
+        "fig10_batch16": batch_answer,
+        "lossy1k_flood_vs_trickle": flood_vs_trickle_answer,
+        "grid5k_trickle": trickle_5k_answer,
+        "flood_faulted_grid12": faulted_flood_answer,
+        "lossy1k_cohorts": cohorts_answer,
+        "lossy1k_coded_vs_nack": coded_vs_nack_answer,
+        "mica2_profile_parity": mica2_parity_answer,
+        "lorawan_dr3_budget": lorawan_budget_answer,
+        "batteryless_brownout_resume": batteryless_answer,
+    })
+    return cases
+
+
 def main() -> None:
     golden = Path(__file__).parent
 
@@ -442,6 +769,10 @@ def main() -> None:
     campaigns = {key: run().digest() for key, run in campaign_cases().items()}
     sim_runs = {key: run() for key, run in sim_cases().items()}
     frontend = {key: run() for key, run in frontend_cases().items()}
+    answers = {}
+    for name, run in answer_cases().items():
+        digest, metrics = run()
+        answers[name] = {"digest": digest, "metrics": metrics}
 
     (golden / "fig09_scripts.json").write_text(
         json.dumps(scripts, indent=2, sort_keys=True) + "\n"
@@ -458,11 +789,15 @@ def main() -> None:
     (golden / "frontend.json").write_text(
         json.dumps(frontend, indent=2, sort_keys=True) + "\n"
     )
+    (golden / "answers.json").write_text(
+        json.dumps(answers, indent=2, sort_keys=True) + "\n"
+    )
     print(f"wrote {golden / 'fig09_scripts.json'}")
     print(f"wrote {golden / 'fig12_energy.json'}")
     print(f"wrote {golden / 'campaign_digests.json'} ({len(campaigns)} campaigns)")
     print(f"wrote {golden / 'sim_runs.json'} ({len(sim_runs)} runs)")
     print(f"wrote {golden / 'frontend.json'} ({len(frontend)} cases)")
+    print(f"wrote {golden / 'answers.json'} ({len(answers)} answers)")
 
 
 if __name__ == "__main__":

@@ -31,6 +31,11 @@ over its tokens, its AST and the live sets and intervals of every
 function before and after optimisation; per rejected input the error's
 class, message, line and column.
 
+``answers.json`` pins the answer digest and metrics of each paper
+workload in ``regen.answer_cases``.  The light rows run here, twice
+each, so an answer that changes from one call to the next fails too;
+``benchmarks/`` checks the ILP sweep and ``regen.HEAVY_ANSWERS``.
+
 Regenerate after an intentional change with::
 
     PYTHONPATH=src python tests/golden/regen.py
@@ -45,7 +50,15 @@ from repro.core import measure_cycles, plan_update
 from repro.energy import DEFAULT_ENERGY_MODEL
 from repro.workloads import CASES
 from repro.config import UpdateConfig
-from tests.golden.regen import campaign_cases, frontend_cases, sim_cases
+from tests.golden.regen import (
+    HEAVY_ANSWERS,
+    ILP_SIZES,
+    answer_cases,
+    campaign_cases,
+    frontend_cases,
+    ilp_row,
+    sim_cases,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 SCRIPTS = json.loads((GOLDEN / "fig09_scripts.json").read_text())
@@ -56,6 +69,9 @@ SIM_RUNS = json.loads((GOLDEN / "sim_runs.json").read_text())
 SIM_CASES = sim_cases()
 FRONTEND = json.loads((GOLDEN / "frontend.json").read_text())
 FRONTEND_CASES = frontend_cases()
+ANSWERS = json.loads((GOLDEN / "answers.json").read_text())
+ANSWER_CASES = answer_cases()
+BENCHMARK_ANSWERS = {*HEAVY_ANSWERS, *(ilp_row(size) for size in ILP_SIZES)}
 
 ENERGY_RTOL = 0.02
 
@@ -135,3 +151,18 @@ def test_frontend_pinned(key):
         "diagnostic moved — regenerate tests/golden/ only if the change "
         "is intentional"
     )
+
+
+def test_answer_goldens_cover_every_case():
+    assert set(ANSWERS) == set(ANSWER_CASES)
+    assert BENCHMARK_ANSWERS <= set(ANSWERS)
+
+
+@pytest.mark.parametrize("name", sorted(set(ANSWERS) - BENCHMARK_ANSWERS))
+def test_answer_pinned(name):
+    for _ in range(2):
+        digest, metrics = ANSWER_CASES[name]()
+        assert {"digest": digest, "metrics": metrics} == ANSWERS[name], (
+            f"answer {name}: its digest or a pinned metric moved — "
+            "regenerate tests/golden/ only if the change is intentional"
+        )
