@@ -1,9 +1,9 @@
 """Shared helpers for the figure-regeneration benchmarks.
 
 Every ``test_figNN_*`` module regenerates the data behind one paper
-figure/table and prints it (run with ``pytest benchmarks/
---benchmark-only -s`` to see the tables; they are also written to
-``benchmarks/out/``).  The ``benchmark`` fixture times the
+figure/table and prints it (run with ``python -m pytest benchmarks/
+--benchmark-only -s`` from the repository root to see the tables; they
+are also written to ``benchmarks/out/``).  The ``benchmark`` fixture times the
 representative unit of work of that experiment.
 """
 
@@ -49,28 +49,3 @@ def emit_table(name: str, header: list[str], rows: list[list]) -> str:
     with open(os.path.join(OUT_DIR, f"{name}.txt"), "w") as handle:
         handle.write(text + "\n")
     return text
-
-
-def synthetic_chunk_source(n_stmts: int, n_vars: int = 3) -> str:
-    """A straight-line function of ``n_stmts`` statements over
-    ``n_vars`` u8 locals — the workload for the ILP-complexity sweeps
-    (Figures 13-15)."""
-    decls = "\n    ".join(f"u8 v{i} = {i + 1};" for i in range(n_vars))
-    ops = ["+", "^", "|", "&", "-"]
-    lines = []
-    for s in range(n_stmts):
-        dst = s % n_vars
-        lhs = (s + 1) % n_vars
-        rhs = (s + 2) % n_vars
-        op = ops[s % len(ops)]
-        lines.append(f"v{dst} = v{lhs} {op} v{rhs};")
-    body = "\n    ".join(lines)
-    uses = " ^ ".join(f"v{i}" for i in range(n_vars))
-    return f"""
-void f() {{
-    {decls}
-    {body}
-    led_set({uses});
-}}
-void main() {{ f(); halt(); }}
-"""

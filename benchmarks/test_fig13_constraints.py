@@ -3,38 +3,19 @@ count — the paper observes near-linear growth."""
 
 import numpy as np
 
-from repro.core import Compiler, CompilerOptions, compile_source
-from repro.energy import DEFAULT_ENERGY_MODEL
-from repro.ir import analyze, static_frequencies
-from repro.regalloc import allocate_ucc_greedy, build_chunk_model
-from repro.regalloc.chunks import changed_indices
-from repro.regalloc.ilp_ra import build_spec_for_chunk
+from repro.regalloc import build_chunk_model
+from repro.workloads.synthetic import ilp_spec
 
-from conftest import emit_table, synthetic_chunk_source
+from conftest import emit_table
 
 SIZES = [4, 8, 12, 16, 24, 32, 48, 64]
-
-
-def spec_for_size(n_stmts, candidates=3):
-    source = synthetic_chunk_source(n_stmts)
-    old = compile_source(source)
-    module = Compiler(CompilerOptions()).front_and_middle(source)
-    fn = module.functions["f"]
-    record, report = allocate_ucc_greedy(fn, old.module.functions["f"], old.records["f"])
-    info = analyze(fn)
-    freqs = static_frequencies(fn)
-    changed = changed_indices(fn, report.match)
-    return build_spec_for_chunk(
-        fn, info, record, report, 0, len(fn.instrs), changed, freqs,
-        DEFAULT_ENERGY_MODEL, 1000.0, candidates,
-    )
 
 
 def test_fig13_constraints_vs_instructions(benchmark):
     rows = []
     points = []
     for n in SIZES:
-        spec = spec_for_size(n)
+        spec = ilp_spec(n)
         model = build_chunk_model(spec)
         instrs = spec.hi - spec.lo
         rows.append([n, instrs, model.num_variables, model.num_constraints])
@@ -56,5 +37,5 @@ def test_fig13_constraints_vs_instructions(benchmark):
     assert r_squared > 0.98, f"constraint growth not linear (R^2={r_squared:.3f})"
     assert slope > 0
 
-    spec = spec_for_size(16)
+    spec = ilp_spec(16)
     benchmark(build_chunk_model, spec)

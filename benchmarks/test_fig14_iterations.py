@@ -10,8 +10,9 @@ from repro.ilp import solve
 from repro.regalloc import build_chunk_model
 from repro.regalloc.ilp_model import greedy_incumbent
 
+from repro.workloads.synthetic import ilp_spec
+
 from conftest import emit_table
-from test_fig13_constraints import spec_for_size
 
 SIZES = [4, 8, 12, 16, 24]
 
@@ -59,7 +60,7 @@ def test_fig14_iterations(benchmark):
     rows = []
     totals = {"preferred": 0, "none": 0, "misleading": 0}
     for n in SIZES:
-        spec = spec_for_size(n)
+        spec = ilp_spec(n)
         row = [n, (spec.hi - spec.lo) * len(spec.variables())]
         for mode in ("preferred", "none", "misleading"):
             model, result = solve_with_tags(spec, mode)
@@ -77,5 +78,5 @@ def test_fig14_iterations(benchmark):
     assert totals["preferred"] <= totals["none"]
     assert totals["misleading"] > totals["preferred"]
 
-    spec = spec_for_size(12)
+    spec = ilp_spec(12)
     benchmark(lambda: solve_with_tags(spec, "preferred"))

@@ -7,8 +7,9 @@ import numpy as np
 from repro.ilp import solve
 from repro.regalloc import build_chunk_model
 
+from repro.workloads.synthetic import ilp_spec
+
 from conftest import emit_table
-from test_fig13_constraints import spec_for_size
 
 SIZES = [4, 8, 12, 16, 24]
 
@@ -17,7 +18,7 @@ def test_fig15_time_per_iteration(benchmark):
     rows = []
     points = []
     for n in SIZES:
-        spec = spec_for_size(n)
+        spec = ilp_spec(n)
         model = build_chunk_model(spec)
         result = solve(model, backend="own")
         assert result.status == "optimal"
@@ -46,6 +47,6 @@ def test_fig15_time_per_iteration(benchmark):
     large = np.mean([p[1] for p in points[-2:]])
     assert large > small
 
-    spec = spec_for_size(8)
+    spec = ilp_spec(8)
     model = build_chunk_model(spec)
     benchmark(solve, model, backend="own")

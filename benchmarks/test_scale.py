@@ -14,8 +14,9 @@ from repro.core import compile_source, plan_update
 from repro.workloads import PROGRAMS
 from repro.workloads.extra import EXTRA_PROGRAMS
 from repro.config import UpdateConfig
+from repro.workloads.synthetic import synthetic_chunk_source
 
-from conftest import emit_table, synthetic_chunk_source
+from conftest import emit_table
 
 
 def test_scale_workloads(benchmark):

@@ -856,15 +856,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint_cli.add_arguments(p_lint)
     p_lint.set_defaults(func=lint_cli.run)
-
-    from repro.bench import cli as bench_cli
-
-    p_bench = sub.add_parser(
-        "bench", help="run the pinned benchmark workloads and write "
-                      "BENCH_<area>.json reports (see docs/BENCHMARKS.md)"
-    )
-    bench_cli.add_arguments(p_bench)
-    p_bench.set_defaults(func=bench_cli.run)
     return parser
 
 

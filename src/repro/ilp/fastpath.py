@@ -8,14 +8,15 @@ implementation (vectorized with numpy).  They are the only code in
 the repo with two implementations, so the switch lives here, next to
 its readers: ``repro.ilp`` and ``repro.regalloc.ilp_model``.  Both
 paths must produce bit-identical answers;
-``tests/test_ilp_fastpath.py`` runs them side by side and ``repro
-bench`` times one against the other in its ``ilp`` area.
+``tests/test_ilp_fastpath.py`` runs them side by side and
+``benchmarks/test_ilp_fastpath_speedup.py`` times one against the
+other on the Figure 13-15 sweep.
 
 The fast path is the default; the reference path is selected either
 with the ``REPRO_REFERENCE_PATH=1`` environment variable (picked up at
 import time — handy for subprocesses and whole test runs) or with the
 :func:`reference_mode` context manager (in-process differential tests
-and the benchmark harness's ``ilp`` area).
+and the speedup benchmark).
 
 The switch is deliberately *not* thread-local: the optimized and
 reference paths return identical results, so a racing reader can never

@@ -27,8 +27,8 @@ Two schemes, matched to the two dissemination machineries:
 
 Determinism: coefficient masks are pure functions of the stream seed
 and the packet's sequence number; two runs with the same inputs
-produce byte-identical reports (pinned by tests and the ``versioning``
-bench area).
+produce byte-identical reports (pinned by tests and by the
+``lossy1k_coded_vs_nack`` answer in ``tests/golden/answers.json``).
 """
 
 from __future__ import annotations

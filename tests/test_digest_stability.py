@@ -57,6 +57,26 @@ prog.fix("x2", 1)
 print(canonical_digest(prog, backend="bb", incumbent={"x0": 1, "x2": 1}))
 """
 
+# The preimages of three pinned answers in tests/golden/answers.json:
+# the Figure 13-15 ILP solve at 8 statements and the first two Figure 9
+# plans.
+_ANSWER_PREIMAGES = """
+from repro.config import UpdateConfig
+from repro.core import compile_source, plan_update
+from repro.ilp import solve_branch_bound
+from repro.regalloc import build_chunk_model
+from repro.workloads import CASES
+from repro.workloads.synthetic import ilp_spec
+
+result = solve_branch_bound(build_chunk_model(ilp_spec(8)))
+print(result.status, sorted(result.values.items()), repr(result.objective))
+for cid in ("1", "3"):
+    case = CASES[cid]
+    plan = plan_update(compile_source(case.old_source), case.new_source,
+                       config=UpdateConfig(ra="ucc", da="ucc"))
+    print(plan.diff.script.to_bytes().hex(), plan.data_script.to_bytes().hex())
+"""
+
 
 def _run_under_hashseed(snippet: str, seed: str) -> str:
     proc = subprocess.run(
@@ -101,8 +121,8 @@ class TestStrictEncoder:
 
 @pytest.mark.parametrize(
     "snippet",
-    [_CONFIG_DIGESTS, _CAMPAIGN_DIGEST, _SOLVER_MEMO_DIGEST],
-    ids=["config", "campaign", "solver-memo"],
+    [_CONFIG_DIGESTS, _CAMPAIGN_DIGEST, _SOLVER_MEMO_DIGEST, _ANSWER_PREIMAGES],
+    ids=["config", "campaign", "solver-memo", "answers"],
 )
 def test_digests_stable_across_hashseed(snippet):
     outputs = {

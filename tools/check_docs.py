@@ -43,7 +43,6 @@ DOC_FILES = (
     "EXPERIMENTS.md",
     "ROADMAP.md",
     "CHANGES.md",
-    "docs/BENCHMARKS.md",
     "docs/SIMULATOR.md",
     "docs/VERSIONING.md",
 )
