@@ -27,11 +27,12 @@ from ..ir.instructions import COMPARISONS, IRInstr, IROp, Imm, MemRef, VReg
 from ..isa import devices
 from ..isa import registers as regs
 from ..isa.instructions import MachineInstr, label as mk_label
+from ..lang.errors import CompileError
 from ..regalloc.base import AllocationRecord
 from .scratch import ScratchPool
 
 
-class SelectionError(Exception):
+class SelectionError(CompileError):
     """Raised when the selector cannot lower an instruction."""
 
 

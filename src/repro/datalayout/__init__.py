@@ -5,6 +5,7 @@ from .layout import (
     DataLayout,
     Hole,
     LayoutObject,
+    SRAMOverflowError,
     collect_layout_objects,
     spill_uid,
 )
@@ -14,6 +15,7 @@ __all__ = [
     "DataLayout",
     "Hole",
     "LayoutObject",
+    "SRAMOverflowError",
     "UCCDAReport",
     "allocate_gcc_da",
     "allocate_ucc_da",

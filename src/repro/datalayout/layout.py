@@ -19,6 +19,11 @@ from dataclasses import dataclass, field
 from ..ir.function import IRModule
 from ..ir.instructions import MemRef
 from ..isa import devices
+from ..lang.errors import CompileError
+
+
+class SRAMOverflowError(CompileError):
+    """Raised when the data segment does not fit in SRAM."""
 
 
 @dataclass
@@ -84,7 +89,14 @@ class DataLayout:
         )
 
     def check(self) -> None:
-        """Assert that no two objects overlap (defensive invariant)."""
+        """Assert that no two objects overlap (defensive invariant) and
+        raise :class:`SRAMOverflowError` when the segment ends past SRAM."""
+        sram_end = devices.DATA_START + devices.SRAM_SIZE
+        if self.segment_end > sram_end:
+            raise SRAMOverflowError(
+                f"data segment ends at {self.segment_end:#06x}, past the "
+                f"end of the {devices.SRAM_SIZE}-byte SRAM at {sram_end:#06x}"
+            )
         spans = sorted(
             (addr, addr + self.objects[uid].size, uid)
             for uid, addr in self.addresses.items()

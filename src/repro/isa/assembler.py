@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..lang.errors import CompileError
 from .instructions import (
     EncodingError,
     F_ADDR,
@@ -103,7 +104,7 @@ class BinaryImage:
         return "\n".join(lines)
 
 
-class AssemblyError(Exception):
+class AssemblyError(CompileError):
     """Raised for undefined labels or out-of-range encodings."""
 
 

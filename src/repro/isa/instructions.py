@@ -30,6 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..lang.errors import CompileError
+
 F_RR = "rr"
 F_IMM = "imm"
 F_ADDR = "addr"
@@ -218,7 +220,7 @@ _OFFSET_MIN = -(1 << (_OFFSET_BITS - 1))
 _OFFSET_MAX = (1 << (_OFFSET_BITS - 1)) - 1
 
 
-class EncodingError(Exception):
+class EncodingError(CompileError):
     """Raised when an instruction cannot be encoded (bad field range)."""
 
 

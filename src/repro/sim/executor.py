@@ -132,6 +132,11 @@ class Simulator:
         self.regs = [0] * 32
         self.sram = [0] * (memmap.DATA_START + memmap.SRAM_SIZE)
         base = image.data_base or memmap.DATA_START
+        if base + len(image.data) > len(self.sram):
+            raise SimulationError(
+                f"data segment [{base:#06x}, {base + len(image.data):#06x}) "
+                f"does not fit in SRAM, which ends at {len(self.sram):#06x}"
+            )
         self.sram[base : base + len(image.data)] = image.data
         self.flag_z = False
         self.flag_c = False

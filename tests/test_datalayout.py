@@ -1,15 +1,22 @@
 """Data-layout tests: GCC-DA baseline and UCC-DA threshold algorithm."""
 
+import dataclasses
 
+import pytest
+
+from repro.core import compile_source
 from repro.datalayout import (
     DataLayout,
     LayoutObject,
+    SRAMOverflowError,
     allocate_gcc_da,
     allocate_ucc_da,
     collect_layout_objects,
     name_hash,
     spill_uid,
 )
+from repro.isa.devices import SRAM_SIZE
+from repro.sim import SimulationError, run_image
 
 
 def obj(uid, size=1, function=None, usage=1, depth=1):
@@ -192,3 +199,39 @@ class TestCollectObjects:
         objects = collect_layout_objects(simple_program.module)
         counter = next(o for o in objects if o.uid == "counter")
         assert counter.usage >= 2  # loaded and stored in main
+
+
+class TestSRAMBound:
+    """The data segment must end inside SRAM (``DATA_START + SRAM_SIZE``)."""
+
+    FITS = "u8 a[4096]; void main() { a[4095] = 7; led_set(a[4095]); halt(); }"
+
+    def test_two_arrays_past_sram_rejected(self):
+        source = (
+            "u8 a[4000]; u8 b[4000]; "
+            "void main() { b[3999] = 7; led_set(b[3999]); halt(); }"
+        )
+        with pytest.raises(SRAMOverflowError, match="past the end"):
+            compile_source(source)
+
+    def test_segment_ending_at_sram_end_compiles_and_runs(self):
+        image = compile_source(self.FITS).image
+        assert len(image.data) == SRAM_SIZE
+        assert run_image(image).devices.led.writes == [7]
+
+    def test_one_byte_more_rejected(self):
+        with pytest.raises(SRAMOverflowError):
+            compile_source(self.FITS.replace("void main()", "u8 b; void main()"))
+
+    def test_both_layout_algorithms_check_the_bound(self):
+        with pytest.raises(SRAMOverflowError):
+            allocate_gcc_da([obj("a", SRAM_SIZE), obj("b")])
+        old = allocate_gcc_da([obj("a", SRAM_SIZE)])
+        with pytest.raises(SRAMOverflowError):
+            allocate_ucc_da([obj("a", SRAM_SIZE), obj("b")], old)
+
+    def test_simulator_refuses_an_oversize_image(self):
+        image = compile_source(self.FITS).image
+        oversize = dataclasses.replace(image, data=image.data + b"\x00")
+        with pytest.raises(SimulationError, match="does not fit in SRAM"):
+            run_image(oversize)

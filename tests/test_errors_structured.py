@@ -6,10 +6,15 @@ Every bare ``raise ValueError/RuntimeError/AssertionError`` in
 three things: the precise type is raised, it still subclasses the
 builtin it replaced (so pre-migration handlers keep working), and its
 structured attributes carry the offending values.
+
+The compiler's own failures are one hierarchy too: every back-end
+error is a :class:`~repro.lang.CompileError`, so a caller can tell a
+program the pipeline cannot compile from a crash.
 """
 
 import pytest
 
+from repro.codegen import SelectionError
 from repro.config import UpdateConfig
 from repro.core import compile_source, plan_update
 from repro.core.errors import (
@@ -18,6 +23,9 @@ from repro.core.errors import (
     PlanStateError,
 )
 from repro.core.session import SessionResult, UpdateSession
+from repro.datalayout import SRAMOverflowError
+from repro.isa import AssemblyError, EncodingError
+from repro.lang import CompileError
 from repro.net.campaign import run_campaign
 from repro.net.errors import FaultPlanError, NetConfigError, TopologyError
 from repro.net.faults import FaultPlan, NodeCrash, PartitionWindow
@@ -178,3 +186,26 @@ class TestCoreErrors:
         error = PatchDivergenceError("session", "diverged")
         assert isinstance(error, AssertionError)
         assert error.stage == "session"
+
+
+class TestBackEndErrorsAreCompileErrors:
+    @pytest.mark.parametrize(
+        "cls", [AssemblyError, EncodingError, SelectionError, SRAMOverflowError]
+    )
+    def test_subclasses_compile_error(self, cls):
+        assert issubclass(cls, CompileError)
+
+    def test_data_segment_past_sram(self):
+        with pytest.raises(CompileError, match="past the end"):
+            compile_source(
+                "u8 a[4000]; u8 b[4000]; "
+                "void main() { b[3999] = 7; led_set(b[3999]); halt(); }"
+            )
+
+    def test_branch_out_of_range(self):
+        # No branch relaxation yet: 60 else-if arms push the first arm's
+        # rjmp past its 10-bit offset.
+        arms = " else ".join(f"if (x == {i}) {{ y = {i}; }}" for i in range(60))
+        source = f"u8 x; u8 y; void main() {{ {arms} led_set(y); halt(); }}"
+        with pytest.raises(CompileError, match="branch offset 648 out of range"):
+            compile_source(source)
