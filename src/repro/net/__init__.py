@@ -45,14 +45,16 @@ Event kernel and kernel protocols
     delivery coins, crash-consistent commit) on top, and
     :func:`~repro.net.trickle.run_trickle` /
     :func:`~repro.net.gossip.run_gossip` are the suppression-based
-    dissemination protocols built on it.  The flood campaign itself
-    runs on the kernel too (round ticks and fault-plan entries become
-    events), byte-identical to the retained synchronous loop.  See
+    dissemination protocols built on it.  The flood campaign and the
+    LT fountain (:mod:`~repro.net.coding`) do not use the kernel: they
+    advance in rounds, and ``_CampaignEngine.run()`` in
+    :mod:`~repro.net.campaign` is their one round driver.  See
     docs/SIMULATOR.md for the determinism contract and parameters.
 
 Dissemination publishes ``net.*`` metrics and ``net.disseminate[_lossy]``
-/ ``net.kernel.run`` / ``net.trickle.run`` / ``net.gossip.run`` spans
-into :mod:`repro.obs` — see docs/OBSERVABILITY.md.
+/ ``campaign.run`` / ``net.coding.run`` / ``net.kernel.run`` /
+``net.trickle.run`` / ``net.gossip.run`` spans into :mod:`repro.obs` —
+see docs/OBSERVABILITY.md.
 """
 
 from .dissemination import (

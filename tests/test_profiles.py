@@ -18,6 +18,7 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from repro.core.errors import PlanStateError
 from repro.core.session import UpdateSession
@@ -487,36 +488,75 @@ class TestCrashEveryBoundary:
 # ---------------------------------------------------------------------------
 
 
+FRAG_BLOB = bytes((i * 37 + 11) % 256 for i in range(555))
+
+blobs = st.binary(max_size=600)  # the empty blob included
+mtus = st.integers(min_value=1, max_value=700)  # past the blob's length too
+orders = st.randoms(use_true_random=False)
+fragment_picks = st.integers(min_value=0)  # reduced modulo the count
+
+
+def _order(mtu):
+    return random.Random(f"repro-test-frag:{mtu}")
+
+
 class TestFragmentationRoundTrip:
-    @pytest.mark.parametrize("mtu", [8, 16, 51, 222])
-    def test_packetise_reassemble_round_trip(self, mtu):
-        blob = bytes((i * 37 + 11) % 256 for i in range(555))
+    """Fragmenting any blob at any MTU reassembles to the same blob, in
+    any delivery order, and the per-fragment CRC rejects a corrupted
+    fragment without blocking the genuine one."""
+
+    @given(
+        blob=blobs, mtu=mtus, order=orders,
+        corrupt=st.none() | st.tuples(fragment_picks, fragment_picks),
+    )
+    @example(blob=FRAG_BLOB, mtu=8, order=_order(8), corrupt=None)
+    @example(blob=FRAG_BLOB, mtu=16, order=_order(16), corrupt=None)
+    @example(blob=FRAG_BLOB, mtu=51, order=_order(51), corrupt=None)
+    @example(blob=FRAG_BLOB, mtu=222, order=_order(222), corrupt=None)
+    def test_packetise_reassemble_round_trip(self, blob, mtu, order, corrupt):
         packets = packetise_blob(blob, mtu)
         assert len(packets) == -(-len(blob) // mtu)
-        assert all(len(p.payload) <= mtu for p in packets)
+        assert all(0 < len(p.payload) <= mtu for p in packets)
+        deliveries = list(packets)
+        order.shuffle(deliveries)
+        corrupted = corrupt is not None and bool(packets)
+        if corrupted:
+            index, flip_at = corrupt
+            bad = packets[index % len(packets)].corrupted(flip_at=flip_at)
+            deliveries.insert(order.randrange(len(deliveries) + 1), bad)
         state = NodeUpdateState(node=1, version=0)
-        # Deliver out of order: reassembly must not depend on arrival.
-        order = list(range(len(packets)))
-        random.Random(f"repro-test-frag:{mtu}").shuffle(order)
-        for index in order:
-            assert state.receive(packets[index], len(packets)) == "accepted"
+        outcomes = [state.receive(p, len(packets)) for p in deliveries]
+        assert outcomes.count("corrupt") == int(corrupted)
+        assert outcomes.count("accepted") == len(packets)
         assert state.holds_all(len(packets))
         assert state.assembled_blob() == blob
 
-    @pytest.mark.parametrize("mtu", [8, 16, 51, 222])
-    def test_corrupted_fragment_rejected_by_crc(self, mtu):
-        blob = bytes((i * 37 + 11) % 256 for i in range(555))
+    @given(blob=blobs, mtu=mtus, order=orders, index=fragment_picks, flip_at=fragment_picks)
+    @example(blob=FRAG_BLOB, mtu=8, order=_order(8), index=1, flip_at=3)
+    @example(blob=FRAG_BLOB, mtu=16, order=_order(16), index=1, flip_at=3)
+    @example(blob=FRAG_BLOB, mtu=51, order=_order(51), index=1, flip_at=3)
+    @example(blob=FRAG_BLOB, mtu=222, order=_order(222), index=1, flip_at=3)
+    def test_corrupted_fragment_rejected_by_crc(self, blob, mtu, order, index, flip_at):
         packets = packetise_blob(blob, mtu)
         state = NodeUpdateState(node=1, version=0)
-        bad = packets[1].corrupted(flip_at=3)
-        assert state.receive(bad, len(packets)) == "corrupt"
-        assert state.crc_rejections == 1
-        assert 1 not in state.bank
-        # The genuine fragment still goes through afterwards.
-        assert state.receive(packets[1], len(packets)) == "accepted"
-        for packet in packets:
+        if packets:
+            index %= len(packets)
+            bad = packets[index].corrupted(flip_at=flip_at)
+            assert state.receive(bad, len(packets)) == "corrupt"
+            assert state.crc_rejections == 1
+            assert index not in state.bank
+            # The genuine fragment still goes through afterwards.
+            assert state.receive(packets[index], len(packets)) == "accepted"
+        rest = list(packets)
+        order.shuffle(rest)
+        for packet in rest:
             state.receive(packet, len(packets))
+        assert state.holds_all(len(packets))
         assert state.assembled_blob() == blob
+
+    def test_zero_mtu_rejected(self):
+        with pytest.raises(NetConfigError):
+            packetise_blob(FRAG_BLOB, 0)
 
     def test_empty_tail_fragment_corruption_detected(self):
         packet = ScriptPacket.make(0, b"")
