@@ -93,6 +93,12 @@ TOPOLOGIES = {
 }
 
 
+def _sha(payload) -> str:
+    """SHA-256 of the canonical JSON of ``payload``."""
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
 def heavy_plan() -> FaultPlan:
     """A crash with reboot, a permanent crash, a partition window,
     corruption and duplication, all in one plan."""
@@ -302,8 +308,7 @@ def sim_digest(image: str, board: str, max_cycles: int = SIM_MAX_CYCLES) -> str:
             [fn, ir_index, count] for (fn, ir_index), count in runs[1].profile.items()
         ),
     }
-    blob = json.dumps(preimage, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
+    return _sha(preimage)
 
 
 def sim_cases() -> dict:
@@ -396,8 +401,7 @@ def frontend_digest(source: str) -> str:
         "liveness": plain,
         "liveness_optimized": liveness_observables(module),
     }
-    blob = json.dumps(preimage, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
+    return _sha(preimage)
 
 
 def frontend_reject(source: str) -> dict:
@@ -424,11 +428,6 @@ def frontend_cases() -> dict:
     for key, src in FRONTEND_REJECTS.items():
         cases[f"reject/{key}"] = lambda s=src: frontend_reject(s)
     return cases
-
-
-def _sha(payload) -> str:
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def compile_answer(source: str) -> tuple:
@@ -538,29 +537,29 @@ def _lossy1k():
     return random_geometric(1000, radio_range=0.1, seed=3)
 
 
-def _lossy_flood_counts(topology) -> "tuple[dict, int]":
+def _lossy_flood_counts(topology) -> dict:
+    """The lossy NACK-repair flood of the dissemination blob."""
     packets = Packetisation(len(DISSEMINATION_BLOB), DEFAULT_PAYLOAD, DEFAULT_OVERHEAD)
     flood = disseminate_lossy(topology, packets, loss=0.15, seed=3)
-    counts = {
+    return {
         "broadcasts": flood.broadcasts,
         "nacks": flood.nacks,
         "rounds": flood.rounds,
         "complete": flood.complete,
     }
-    return counts, flood.broadcasts
 
 
 def flood_vs_trickle_answer() -> tuple:
     """The lossy NACK-repair flood against Trickle on the 1k fleet."""
     topology = _lossy1k()
-    flood, flood_broadcasts = _lossy_flood_counts(topology)
+    flood = _lossy_flood_counts(topology)
     trickle = run_trickle(topology, DISSEMINATION_BLOB, loss=0.15, seed=3, max_time=600.0)
     digest = _sha({"flood": flood, "trickle": trickle.digest()})
     return digest, {
-        "flood_broadcasts": flood_broadcasts,
+        "flood_broadcasts": flood["broadcasts"],
         "trickle_transmissions": trickle.transmissions,
         "trickle_beacons": trickle.beacons,
-        "tx_ratio": round(flood_broadcasts / trickle.transmissions, 2),
+        "tx_ratio": round(flood["broadcasts"] / trickle.transmissions, 2),
     }
 
 
@@ -644,7 +643,7 @@ def cohorts_answer() -> tuple:
 def coded_vs_nack_answer() -> tuple:
     """The LT fountain against per-packet NACK repair on the 1k fleet."""
     topology = _lossy1k()
-    nack, _broadcasts = _lossy_flood_counts(topology)
+    nack = _lossy_flood_counts(topology)
     coded = run_coded_campaign(
         topology, DISSEMINATION_BLOB, params=CodedTransferParams(burst=16),
         loss=0.15, seed=3,

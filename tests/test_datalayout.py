@@ -16,6 +16,7 @@ from repro.datalayout import (
     spill_uid,
 )
 from repro.isa.devices import SRAM_SIZE
+from repro.lang import CompileError
 from repro.sim import SimulationError, run_image
 
 
@@ -211,8 +212,9 @@ class TestSRAMBound:
             "u8 a[4000]; u8 b[4000]; "
             "void main() { b[3999] = 7; led_set(b[3999]); halt(); }"
         )
-        with pytest.raises(SRAMOverflowError, match="past the end"):
+        with pytest.raises(CompileError, match="past the end") as info:
             compile_source(source)
+        assert isinstance(info.value, SRAMOverflowError)
 
     def test_segment_ending_at_sram_end_compiles_and_runs(self):
         image = compile_source(self.FITS).image

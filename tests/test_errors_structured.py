@@ -195,13 +195,6 @@ class TestBackEndErrorsAreCompileErrors:
     def test_subclasses_compile_error(self, cls):
         assert issubclass(cls, CompileError)
 
-    def test_data_segment_past_sram(self):
-        with pytest.raises(CompileError, match="past the end"):
-            compile_source(
-                "u8 a[4000]; u8 b[4000]; "
-                "void main() { b[3999] = 7; led_set(b[3999]); halt(); }"
-            )
-
     def test_branch_out_of_range(self):
         # No branch relaxation yet: 60 else-if arms push the first arm's
         # rjmp past its 10-bit offset.
