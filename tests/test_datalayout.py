@@ -216,12 +216,10 @@ class TestSRAMBound:
             compile_source(source)
         assert isinstance(info.value, SRAMOverflowError)
 
-    def test_segment_ending_at_sram_end_compiles_and_runs(self):
+    def test_segment_may_end_exactly_at_sram_end(self):
         image = compile_source(self.FITS).image
         assert len(image.data) == SRAM_SIZE
         assert run_image(image).devices.led.writes == [7]
-
-    def test_one_byte_more_rejected(self):
         with pytest.raises(SRAMOverflowError):
             compile_source(self.FITS.replace("void main()", "u8 b; void main()"))
 
