@@ -85,7 +85,9 @@ ENERGY_CNT = 1000.0
 
 CAMPAIGN_BLOB = bytes(range(251)) * 2
 PROFILE_BLOB = bytes(range(256)) * 4  # 16 battery-less flash pages
-HEAVY_BLOB = bytes(range(256)) * 8  # 32 pages: brownouts guaranteed
+# 32 pages at the battery-less profile's 64-byte page: its 0.05 J capacitor
+# browns out mid-apply.  The device-profile answers push it too.
+HEAVY_BLOB = bytes(range(256)) * 8
 LOSSES = (0.0, 0.15, 0.3)
 TOPOLOGIES = {
     "grid5x5": lambda: grid(5, 5),
@@ -525,10 +527,6 @@ def batch_answer() -> tuple:
 #: studies: 28 packets at the default 22-byte payload.
 DISSEMINATION_BLOB = bytes(range(256)) * 2 + bytes(88)
 
-#: The 2048-byte blob of the device-profile studies: 32 flash pages at
-#: the battery-less profile's 64-byte page, heavy enough that its
-#: 0.05 J capacitor browns out mid-apply.
-PROFILES_BLOB = bytes(range(256)) * 8
 
 
 def _lossy1k():
@@ -660,8 +658,8 @@ def coded_vs_nack_answer() -> tuple:
 
 def mica2_parity_answer() -> tuple:
     """A Mica2-profiled flood byte-identical to an unprofiled one."""
-    profiled = run_campaign(grid(6, 6), PROFILES_BLOB, loss=0.1, seed=7, profile=MICA2_PROFILE)
-    plain = run_campaign(grid(6, 6), PROFILES_BLOB, loss=0.1, seed=7)
+    profiled = run_campaign(grid(6, 6), HEAVY_BLOB, loss=0.1, seed=7, profile=MICA2_PROFILE)
+    plain = run_campaign(grid(6, 6), HEAVY_BLOB, loss=0.1, seed=7)
     parity = int(profiled.to_json() == plain.to_json())
     return _sha({"report": profiled.digest(), "parity": parity}), {
         "parity": parity,
@@ -673,7 +671,7 @@ def mica2_parity_answer() -> tuple:
 def lorawan_budget_answer() -> tuple:
     """A LoRaWAN DR3 fleet held to its 1 % duty-cycle airtime budget."""
     report = run_campaign(
-        grid(6, 6), PROFILES_BLOB, loss=0.1, seed=7, max_rounds=3000, profile=LORAWAN_DR3
+        grid(6, 6), HEAVY_BLOB, loss=0.1, seed=7, max_rounds=3000, profile=LORAWAN_DR3
     )
     stats = report.profile_stats or {}
     return report.digest(), {
@@ -687,7 +685,7 @@ def lorawan_budget_answer() -> tuple:
 def batteryless_answer() -> tuple:
     """A harvesting fleet that browns out mid-apply and resumes."""
     report = run_campaign(
-        grid(6, 6), PROFILES_BLOB, loss=0.1, seed=7, max_rounds=3000,
+        grid(6, 6), HEAVY_BLOB, loss=0.1, seed=7, max_rounds=3000,
         profile=BATTERYLESS_HARVEST,
     )
     stats = report.profile_stats or {}
