@@ -503,7 +503,37 @@ def _order(mtu):
 class TestFragmentationRoundTrip:
     """Fragmenting any blob at any MTU reassembles to the same blob, in
     any delivery order, and the per-fragment CRC rejects a corrupted
-    fragment without blocking the genuine one."""
+    fragment without blocking the genuine one.  The parametrized tests pin
+    one 555-byte blob at four MTUs; the properties draw random blobs,
+    MTUs, delivery orders and corrupted fragments."""
+
+    @pytest.mark.parametrize("mtu", [8, 16, 51, 222])
+    def test_packetise_reassemble_round_trip(self, mtu):
+        packets = packetise_blob(FRAG_BLOB, mtu)
+        assert len(packets) == -(-len(FRAG_BLOB) // mtu)
+        assert all(len(p.payload) <= mtu for p in packets)
+        state = NodeUpdateState(node=1, version=0)
+        # Deliver out of order: reassembly must not depend on arrival.
+        order = list(range(len(packets)))
+        _order(mtu).shuffle(order)
+        for index in order:
+            assert state.receive(packets[index], len(packets)) == "accepted"
+        assert state.holds_all(len(packets))
+        assert state.assembled_blob() == FRAG_BLOB
+
+    @pytest.mark.parametrize("mtu", [8, 16, 51, 222])
+    def test_corrupted_fragment_rejected_by_crc(self, mtu):
+        packets = packetise_blob(FRAG_BLOB, mtu)
+        state = NodeUpdateState(node=1, version=0)
+        bad = packets[1].corrupted(flip_at=3)
+        assert state.receive(bad, len(packets)) == "corrupt"
+        assert state.crc_rejections == 1
+        assert 1 not in state.bank
+        # The genuine fragment still goes through afterwards.
+        assert state.receive(packets[1], len(packets)) == "accepted"
+        for packet in packets:
+            state.receive(packet, len(packets))
+        assert state.assembled_blob() == FRAG_BLOB
 
     @given(
         blob=blobs, mtu=mtus, order=orders,
@@ -513,7 +543,7 @@ class TestFragmentationRoundTrip:
     @example(blob=FRAG_BLOB, mtu=16, order=_order(16), corrupt=None)
     @example(blob=FRAG_BLOB, mtu=51, order=_order(51), corrupt=None)
     @example(blob=FRAG_BLOB, mtu=222, order=_order(222), corrupt=None)
-    def test_packetise_reassemble_round_trip(self, blob, mtu, order, corrupt):
+    def test_round_trip_property(self, blob, mtu, order, corrupt):
         packets = packetise_blob(blob, mtu)
         assert len(packets) == -(-len(blob) // mtu)
         assert all(0 < len(p.payload) <= mtu for p in packets)
@@ -536,7 +566,7 @@ class TestFragmentationRoundTrip:
     @example(blob=FRAG_BLOB, mtu=16, order=_order(16), index=1, flip_at=3)
     @example(blob=FRAG_BLOB, mtu=51, order=_order(51), index=1, flip_at=3)
     @example(blob=FRAG_BLOB, mtu=222, order=_order(222), index=1, flip_at=3)
-    def test_corrupted_fragment_rejected_by_crc(self, blob, mtu, order, index, flip_at):
+    def test_crc_rejection_property(self, blob, mtu, order, index, flip_at):
         packets = packetise_blob(blob, mtu)
         state = NodeUpdateState(node=1, version=0)
         if packets:
