@@ -1,9 +1,9 @@
 """Shared helpers for the figure-regeneration benchmarks.
 
 Every ``test_figNN_*`` module regenerates the data behind one paper
-figure/table and prints it (run with ``python -m pytest benchmarks/
---benchmark-only -s`` from the repository root to see the tables; they
-are also written to ``benchmarks/out/``).  The ``benchmark`` fixture times the
+figure/table and prints it (run with ``pytest benchmarks/
+--benchmark-only -s`` to see the tables; they are also written to
+``benchmarks/out/``).  The ``benchmark`` fixture times the
 representative unit of work of that experiment.
 """
 

@@ -5,8 +5,7 @@ Trickle run and the LoRaWAN duty-cycle budget.
 Each is checked against ``tests/golden/answers.json`` (digest and every
 pinned metric), and the headline ratios that EXPERIMENTS.md,
 docs/SIMULATOR.md and docs/VERSIONING.md quote are asserted on the
-measured values.  ``tests.golden`` is imported from the repository
-root, so run this as ``python -m pytest benchmarks`` from there.
+measured values.
 """
 
 import json

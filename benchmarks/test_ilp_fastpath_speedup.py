@@ -10,9 +10,9 @@ answers must not change.
 For each of the six pinned sweep sizes this test builds the spec once,
 runs one untimed warm-up per path, then two reps of a fast run followed
 at once by a reference run, so machine noise hits both paths alike.
-Every run's digest must equal the pinned answer in
-``tests/golden/answers.json``, the reference leg must report the same
-:data:`EQUAL_METRICS` as the fast leg, and each row's ratio of median
+Every run, on either path, must give the pinned answer in
+``tests/golden/answers.json``: its digest and its variable, constraint,
+simplex-iteration and LP-solve counts.  Each row's ratio of median
 times must stay within 20 % of the speedup committed below.  Ratios
 divide out the machine, so the gate holds on any host; wall time itself
 is perfbench's to measure.
@@ -35,10 +35,6 @@ ANSWERS = json.loads(
     (Path(__file__).resolve().parent.parent / "tests" / "golden" / "answers.json").read_text()
 )
 
-#: Metrics the fast and the reference path must agree on, on top of the
-#: digest (the kernel contract makes iteration counts identical).
-EQUAL_METRICS = ("constraints", "variables", "simplex_iterations", "lp_solves")
-
 #: Median reference/fast speedup per row, measured over five reps when
 #: the fast kernels landed.
 COMMITTED_SPEEDUP = {
@@ -58,14 +54,16 @@ def test_committed_speedups_meet_the_5x_target():
     assert statistics.median(COMMITTED_SPEEDUP.values()) >= 5.0
 
 
-def _leg(spec, name: str, reference: bool) -> "tuple[float, dict]":
+def _leg(spec, name: str, reference: bool) -> float:
     with reference_mode(reference):
         start = time.perf_counter()
         digest, metrics = ilp_answer(spec)
         elapsed = time.perf_counter() - start
     path = "reference" if reference else "fast"
-    assert digest == ANSWERS[name]["digest"], f"{name}: {path} path answer moved"
-    return elapsed, metrics
+    assert {"digest": digest, "metrics": metrics} == ANSWERS[name], (
+        f"{name}: {path} path answer moved (digest {digest}, metrics {metrics})"
+    )
+    return elapsed
 
 
 def test_ilp_fast_path_speedup():
@@ -79,15 +77,8 @@ def test_ilp_fast_path_speedup():
         _leg(spec, name, reference=True)
         fast_times, ref_times = [], []
         for _ in range(REPS):
-            fast_s, fast_metrics = _leg(spec, name, reference=False)
-            ref_s, ref_metrics = _leg(spec, name, reference=True)
-            for key in EQUAL_METRICS:
-                assert ref_metrics[key] == fast_metrics[key], (
-                    f"{name}: {key} diverged (fast={fast_metrics[key]!r}, "
-                    f"reference={ref_metrics[key]!r})"
-                )
-            fast_times.append(fast_s)
-            ref_times.append(ref_s)
+            fast_times.append(_leg(spec, name, reference=False))
+            ref_times.append(_leg(spec, name, reference=True))
         fast_ms = statistics.median(fast_times) * 1e3
         ref_ms = statistics.median(ref_times) * 1e3
         speedup = ref_ms / fast_ms

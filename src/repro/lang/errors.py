@@ -1,8 +1,10 @@
-"""Diagnostics for the ucc-C front end.
+"""Diagnostics of the ucc-C compile pipeline.
 
-Every front-end failure is reported as a :class:`CompileError` carrying a
-source location, so callers (tests, the update planner, examples) can show
-precise messages and tests can assert on the offending line/column.
+Every compile failure is reported as a :class:`CompileError`.  Front-end
+failures carry a source location, so callers (tests, the update planner,
+examples) can show precise messages and tests can assert on the
+offending line/column; back-end failures (data layout, instruction
+selection, encoding, assembly) carry none.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ class SourceLocation:
 
 
 class CompileError(Exception):
-    """Base class for all front-end diagnostics."""
+    """Base class of every compile-pipeline error; ``location`` is
+    ``None`` for back-end errors."""
 
     def __init__(self, message: str, location: SourceLocation | None = None):
         self.message = message

@@ -17,20 +17,26 @@ from ..regalloc.chunks import changed_indices
 from ..regalloc.ilp_ra import build_spec_for_chunk
 
 
-def synthetic_chunk_source(n_stmts: int, n_vars: int = 3) -> str:
+#: u8 locals of the synthetic function, and candidate registers per
+#: variable in its ILP spec.
+N_VARS = 3
+CANDIDATES = 3
+
+
+def synthetic_chunk_source(n_stmts: int) -> str:
     """A straight-line function of ``n_stmts`` statements over
-    ``n_vars`` u8 locals."""
-    decls = "\n    ".join(f"u8 v{i} = {i + 1};" for i in range(n_vars))
+    :data:`N_VARS` u8 locals."""
+    decls = "\n    ".join(f"u8 v{i} = {i + 1};" for i in range(N_VARS))
     ops = ["+", "^", "|", "&", "-"]
     lines = []
     for s in range(n_stmts):
-        dst = s % n_vars
-        lhs = (s + 1) % n_vars
-        rhs = (s + 2) % n_vars
+        dst = s % N_VARS
+        lhs = (s + 1) % N_VARS
+        rhs = (s + 2) % N_VARS
         op = ops[s % len(ops)]
         lines.append(f"v{dst} = v{lhs} {op} v{rhs};")
     body = "\n    ".join(lines)
-    uses = " ^ ".join(f"v{i}" for i in range(n_vars))
+    uses = " ^ ".join(f"v{i}" for i in range(N_VARS))
     return f"""
 void f() {{
     {decls}
@@ -41,7 +47,7 @@ void main() {{ f(); halt(); }}
 """
 
 
-def ilp_spec(n_stmts: int, candidates: int = 3):
+def ilp_spec(n_stmts: int):
     """The chunk-allocation ILP spec of the whole synthetic function of
     ``n_stmts`` statements, recompiled against its own first compile."""
     source = synthetic_chunk_source(n_stmts)
@@ -54,5 +60,5 @@ def ilp_spec(n_stmts: int, candidates: int = 3):
     changed = changed_indices(fn, report.match)
     return build_spec_for_chunk(
         fn, analyze(fn), record, report, 0, len(fn.instrs), changed,
-        static_frequencies(fn), DEFAULT_ENERGY_MODEL, 1000.0, candidates,
+        static_frequencies(fn), DEFAULT_ENERGY_MODEL, 1000.0, CANDIDATES,
     )

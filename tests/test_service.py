@@ -193,7 +193,8 @@ class TestAcceptanceBatch:
         # very least not slow the batch down materially.  The ucc-ilp
         # jobs solve on HiGHS, so only their model building is switched
         # and the batch gain is small; benchmarks/test_ilp_fastpath_speedup.py
-        # gates the >= 5x gain of the kernels themselves.
+        # gates each kernel row at >= 0.8x of its committed speedup (the
+        # committed median is >= 5x).
         assert fast_ms < ref_ms * 1.5, (
             f"fast batch median {fast_ms:.0f} ms vs reference {ref_ms:.0f} ms "
             f"(speedup {ref_ms / fast_ms:.2f}x)"
