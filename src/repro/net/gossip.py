@@ -18,6 +18,7 @@ are counted in ``report.beacons``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Optional
@@ -53,6 +54,12 @@ class GossipParams:
     summary_bytes: int = 8
 
     def __post_init__(self) -> None:
+        for name in ("period_s", "jitter_s"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise NetConfigError(
+                    name, value, f"{name} must be finite, got {value}"
+                )
         if self.period_s <= 0.0:
             raise NetConfigError(
                 "period_s", self.period_s,
@@ -89,15 +96,15 @@ class GossipSim(FleetSim):
 
     def start(self) -> None:
         for node in range(self.topology.node_count):
-            delay = self.rng.random() * self.params.period_s
-            self.nodes[node].timer = self.kernel.schedule(
-                delay, node, partial(self._fire, node)
-            )
+            self._start_timer(node)
 
     def on_reboot(self, node: int) -> None:
+        self._start_timer(node)
+
+    def _start_timer(self, node: int) -> None:
         delay = self.rng.random() * self.params.period_s
-        self.nodes[node].timer = self.kernel.schedule(
-            delay, node, partial(self._fire, node)
+        self.nodes[node].timer = self.kernel._schedule_handler(
+            delay, node, self._fire
         )
 
     def _fire(self, node: int) -> None:
@@ -106,20 +113,12 @@ class GossipSim(FleetSim):
         if not state.alive:
             return
         delay = self.params.period_s + self.rng.random() * self.params.jitter_s
-        state.timer = self.kernel.schedule(
-            delay, node, partial(self._fire, node)
-        )
+        state.timer = self.kernel._schedule_handler(delay, node, self._fire)
         if not self.tx_gate(node):
             # Regulatory off-time not elapsed: sit this period out (a
             # deferral, never a violation); the period timer retries.
             return
-        sides = self.link_sides()
-        candidates = [
-            peer
-            for peer in self.topology.neighbors.get(node, ())
-            if self.nodes[peer].alive
-            and (sides is None or sides[node] == sides[peer])
-        ]
+        candidates = self._hearers(node)
         if not candidates:
             return
         peer = candidates[self.rng.randrange(len(candidates))]

@@ -34,10 +34,10 @@ sleep at the standby draw (:func:`SimKernel.ledgers`).
 from __future__ import annotations
 
 import hashlib
-import heapq
 import json
 import math
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Callable, Optional
 
 from ..energy.power_model import MICA2, PowerModel
@@ -153,24 +153,41 @@ class SimKernel:
         self, delay: float, node: int, callback: Callable[[], None]
     ) -> EventHandle:
         """Run ``callback`` ``delay`` seconds from now (``delay >= 0``)."""
-        if delay < 0:
+        if not delay >= 0:  # NaN fails the test too
             raise NetConfigError(
                 "delay", delay, f"cannot schedule {delay}s into the past"
             )
-        return self.schedule_at(self.now + delay, node, callback)
+        handle = EventHandle()
+        self._seq = seq = self._seq + 1
+        heappush(self._heap, (self.now + delay, seq, node, handle, callback, False))
+        return handle
+
+    def _schedule_handler(
+        self, delay: float, node: int, handler: Callable[[int], None]
+    ) -> EventHandle:
+        """:meth:`schedule` for a per-node handler: the event calls
+        ``handler(node)``, so the caller allocates no closure."""
+        if not delay >= 0:
+            raise NetConfigError(
+                "delay", delay, f"cannot schedule {delay}s into the past"
+            )
+        handle = EventHandle()
+        self._seq = seq = self._seq + 1
+        heappush(self._heap, (self.now + delay, seq, node, handle, handler, True))
+        return handle
 
     def schedule_at(
         self, time_s: float, node: int, callback: Callable[[], None]
     ) -> EventHandle:
         """Run ``callback`` at absolute time ``time_s`` (``>= now``)."""
-        if time_s < self.now:
+        if not time_s >= self.now:
             raise NetConfigError(
                 "time_s", time_s,
                 f"cannot schedule at {time_s}s, already at {self.now}s",
             )
         handle = EventHandle()
-        self._seq += 1
-        heapq.heappush(self._heap, (time_s, self._seq, node, handle, callback))
+        self._seq = seq = self._seq + 1
+        heappush(self._heap, (time_s, seq, node, handle, callback, False))
         return handle
 
     def stop(self) -> None:
@@ -188,21 +205,30 @@ class SimKernel:
         queue drains, :meth:`stop` is called, or ``max_time`` would be
         exceeded (the clock then rests *at* ``max_time``).  Returns the
         final simulation time."""
+        if max_time is not None and math.isnan(max_time):
+            raise NetConfigError(
+                "max_time", max_time, "max_time must be a number, got nan"
+            )
+        limit = math.inf if max_time is None else max_time
         dispatched = 0
         with trace.span(
             "net.kernel.run", nodes=self.node_count, queued=len(self._heap)
         ):
             heap = self._heap
+            pop = heappop
             while heap and not self._stopped:
-                time_s, _seq, _node, handle, callback = heapq.heappop(heap)
+                time_s, _seq, node, handle, callback, per_node = pop(heap)
                 if handle.cancelled:
                     continue
-                if max_time is not None and time_s > max_time:
-                    self.now = max_time
+                if time_s > limit:
+                    self.now = limit
                     break
                 self.now = time_s
                 dispatched += 1
-                callback()
+                if per_node:
+                    callback(node)
+                else:
+                    callback()
         self.events_dispatched += dispatched
         metrics.counter("net.kernel.events").inc(dispatched)
         return self.now
@@ -248,6 +274,13 @@ class SimKernel:
     def account_rx(self, node: int, bits: int) -> None:
         """Accrue the airtime of receiving ``bits`` at ``node``."""
         self.rx_s[node] += bits / self.power.radio_bps
+
+    def _account_rx_all(self, nodes: "list[int]", bits: int) -> None:
+        """:meth:`account_rx` for every hearer of one broadcast."""
+        airtime = bits / self.power.radio_bps
+        rx_s = self.rx_s
+        for node in nodes:
+            rx_s[node] += airtime
 
     def ledgers(self) -> "dict[int, NodeLedger]":
         """Per-node energy at the current clock under the duty cycle.

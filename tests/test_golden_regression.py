@@ -13,7 +13,8 @@ each entry point that reaches them (``run_campaign``,
 ``run_coded_campaign``, ``run_versioned_campaign`` waves), Trickle and
 gossip (``run_trickle``, ``run_gossip``, plain and with XOR burst
 parity), with and without a crash/reboot/partition/corruption/
-duplication plan, the built-in device profiles, and an empty blob.
+duplication plan, the built-in device profiles (the flood, Trickle and
+gossip), and an empty blob.
 Digests are exact.
 
 ``sim_runs.json`` pins every observable of ``run_image`` (cycles,

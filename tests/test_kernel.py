@@ -63,6 +63,15 @@ class TestEventOrdering:
         kernel.run()
         with pytest.raises(NetConfigError):
             kernel.schedule_at(0.5, 0, lambda: None)
+        # NaN compares false with everything: it would sit anywhere in
+        # the heap and break its order.
+        with pytest.raises(NetConfigError):
+            kernel.schedule(float("nan"), 0, lambda: None)
+        with pytest.raises(NetConfigError):
+            kernel.schedule_at(float("nan"), 0, lambda: None)
+        with pytest.raises(NetConfigError):
+            kernel.run(max_time=float("nan"))
+        assert kernel.pending() == 0
 
     def test_node_count_validated(self):
         with pytest.raises(NetConfigError):

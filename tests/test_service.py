@@ -13,7 +13,6 @@ Pins the three service guarantees:
   raised batch.
 """
 
-import statistics
 import time
 
 import pytest
@@ -146,13 +145,8 @@ class TestAcceptanceBatch:
         """The vectorized ILP fast path (repro.ilp.fastpath) re-runs a
         20-job batch — the 16 acceptance jobs plus four ucc-ilp jobs,
         whose chunk models are built on the switched generator — with
-        bit-identical campaign and job digests; the speedup is
-        recorded in the assertion message.
-
-        One run is a poor clock on a shared host: a first run also pays
-        first-use imports, and host speed drifts between runs.  So an
-        untimed warm-up goes first, then fast and reference runs
-        alternate, three each, and their medians are compared."""
+        bit-identical campaign and job digests.  Its wall-time gate is
+        ``benchmarks/test_ilp_fastpath_speedup.py``'s."""
         from repro.ilp.canonical import SOLVE_CACHE
         from repro.ilp.fastpath import reference_mode
 
@@ -160,24 +154,14 @@ class TestAcceptanceBatch:
         jobs += [_case_job(case_id, ra="ucc-ilp") for case_id in RA_CASE_IDS[:4]]
         assert len(jobs) == 20
 
-        def timed_run(reference):
+        def batch(reference):
             # reference_mode is process-local, so both runs stay
             # in-process (a worker pool would ignore the toggle).
             SOLVE_CACHE.clear()
             with reference_mode(reference):
-                start = time.perf_counter()
-                result = FleetUpdateService(workers=1, use_processes=False).run(jobs)
-                return result, (time.perf_counter() - start) * 1000.0
+                return FleetUpdateService(workers=1, use_processes=False).run(jobs)
 
-        timed_run(False)  # warm-up, not timed
-        fast_times, ref_times = [], []
-        for _ in range(3):
-            fast, elapsed = timed_run(False)
-            fast_times.append(elapsed)
-            ref, elapsed = timed_run(True)
-            ref_times.append(elapsed)
-        fast_ms, ref_ms = statistics.median(fast_times), statistics.median(ref_times)
-
+        fast, ref = batch(False), batch(True)
         assert fast.ok and ref.ok
         assert _metrics(fast.outcomes) == _metrics(ref.outcomes)
         digests = [
@@ -189,16 +173,6 @@ class TestAcceptanceBatch:
             for outcome in ref.outcomes
         ]
         assert all(script for script, _campaign in digests)
-        # Record the measured batch speedup; the fast path must at the
-        # very least not slow the batch down materially.  The ucc-ilp
-        # jobs solve on HiGHS, so only their model building is switched
-        # and the batch gain is small; benchmarks/test_ilp_fastpath_speedup.py
-        # gates each kernel row at >= 0.8x of its committed speedup (the
-        # committed median is >= 5x).
-        assert fast_ms < ref_ms * 1.5, (
-            f"fast batch median {fast_ms:.0f} ms vs reference {ref_ms:.0f} ms "
-            f"(speedup {ref_ms / fast_ms:.2f}x)"
-        )
 
 
 # ---------------------------------------------------------------------------

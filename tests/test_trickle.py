@@ -67,6 +67,22 @@ class TestTrickleConvergence:
             TrickleParams(burst=0)
         with pytest.raises(NetConfigError):
             run_trickle(grid(3, 3), BLOB, loss=1.0)
+        # Non-finite timing: NaN passes every ``<=`` test, so each field
+        # is checked for finiteness first.
+        nan, inf = float("nan"), float("inf")
+        for field in ("imin_s", "imax_s", "response_wait_s"):
+            for value in (nan, inf):
+                with pytest.raises(NetConfigError):
+                    TrickleParams(**{field: value})
+        for field in ("period_s", "jitter_s"):
+            for value in (nan, inf):
+                with pytest.raises(NetConfigError):
+                    GossipParams(**{field: value})
+        for value in (nan, inf):
+            with pytest.raises(NetConfigError):
+                run_trickle(grid(3, 3), BLOB, round_s=value)
+        with pytest.raises(NetConfigError):
+            run_trickle(grid(3, 3), BLOB, max_time=nan)
 
 
 class TestTrickleEconomics:
