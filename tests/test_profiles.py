@@ -39,10 +39,13 @@ from repro.net import (
     packetise_blob,
     run_campaign,
 )
+from repro.energy.power_model import MICA2
 from repro.net.coding import CodedTransferParams, run_coded_campaign
 from repro.net.errors import NetConfigError
 from repro.net.faults import NodeCrash, PartitionWindow
+from repro.net.fleet_sim import FleetSim
 from repro.net.gossip import run_gossip
+from repro.net.kernel import ALWAYS_ON
 from repro.net.trickle import run_trickle
 from repro.workloads import CASES
 
@@ -256,6 +259,35 @@ class TestBatterylessHarvest:
             stats = report.profile_stats
             assert stats["brownouts"] > 0
             assert any("browned out" in line for line in report.fault_log)
+
+    def test_broadcast_debits_each_hearer_just_before_it_handles(self):
+        """The kernel accrues a broadcast's RX airtime for all hearers at
+        once, but each capacitor debit waits until the hearer before it
+        has handled the packet: a debit can brown its hearer out and
+        schedule a resume, so the two must not be reordered."""
+        order = []
+
+        class Recording(FleetSim):
+            def _debit_rx(self, node, bits):
+                order.append(("debit", node))
+                return super()._debit_rx(node, bits)
+
+            def on_overhear_data(self, node, mask):
+                order.append(("handle", node))
+
+        topology = grid(3, 3)
+        sim = Recording(
+            topology, BLOB, None, loss=0.0, seed=1, power=MICA2,
+            duty_cycle=ALWAYS_ON, payload_per_packet=22, overhead_per_packet=7,
+            old_version=0, new_version=1, round_s=1.0, apply_s=1.0,
+            component="test-rx-order", profile=BATTERYLESS_HARVEST,
+        )
+        sim.broadcast_data(4, [0, 1])  # from the centre: four hearers
+        assert order == [
+            (step, node)
+            for node in topology.neighbors[4]
+            for step in ("debit", "handle")
+        ]
 
     def test_committed_bank_survives_every_brownout(self):
         # Golden-image invariant: at campaign end every node runs either
