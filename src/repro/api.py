@@ -59,6 +59,7 @@ from .net.faults import (
     PowerTrace,
     generate_power_traces,
 )
+from .net.fleet_base import FleetReport
 from .net.gossip import GossipParams, run_gossip
 from .net.profiles import (
     BATTERYLESS_HARVEST,
@@ -138,6 +139,7 @@ __all__ = [
     "DutyCycle",
     "FaultPlan",
     "FleetJob",
+    "FleetReport",
     "FleetResult",
     "FleetUpdateService",
     "GossipParams",

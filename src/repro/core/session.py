@@ -20,8 +20,8 @@ from typing import TYPE_CHECKING, Mapping
 from ..config import UpdateConfig
 from ..diff.patcher import patched_words
 from ..energy.power_model import MICA2, PowerModel
-from ..net.campaign import CampaignReport, run_campaign
-from ..net.kernel import KernelReport
+from ..net.campaign import run_campaign
+from ..net.fleet_base import FleetReport
 from ..net.dissemination import DisseminationResult, disseminate
 from ..net.errors import DisseminationIncomplete
 from ..net.faults import FaultPlan
@@ -72,7 +72,7 @@ class CampaignResult:
     """
 
     update: UpdateResult
-    report: CampaignReport | KernelReport
+    report: FleetReport
     nodes_patched: int
 
     @property

@@ -46,8 +46,9 @@ from ..config import UpdateConfig
 from ..core.compiler import compile_source
 from ..core.update import UpdatePlanner
 from ..diff.patcher import patched_words
-from ..net.campaign import CampaignReport, run_campaign
+from ..net.campaign import run_campaign
 from ..net.faults import FaultPlan, generate_fault_plan, generate_power_traces
+from ..net.fleet_base import FleetReport
 from ..net.profiles import DeviceProfile, get_profile
 from ..net.topology import Topology, grid, line, random_geometric
 from ..obs import metrics, trace
@@ -194,8 +195,8 @@ def _build_pair(rng: random.Random, config: UpdateConfig) -> _Pair:
 
 
 def _check_report(
-    report: CampaignReport,
-    replay: CampaignReport,
+    report: FleetReport,
+    replay: FleetReport,
     plan: FaultPlan,
     profile: DeviceProfile | None = None,
 ) -> list:

@@ -48,8 +48,14 @@ Event kernel and kernel protocols
     dissemination protocols built on it.  The flood campaign and the
     LT fountain (:mod:`~repro.net.coding`) do not use the kernel: they
     advance in rounds, and ``_CampaignEngine.run()`` in
-    :mod:`~repro.net.campaign` is their one round driver.  See
-    docs/SIMULATOR.md for the determinism contract and parameters.
+    :mod:`~repro.net.campaign` is their one round driver.  Both engines
+    build on :mod:`~repro.net.fleet_base`: one constructor prologue,
+    fault-event log, capacitor and ``profile_stats`` block, and
+    :class:`~repro.net.fleet_base.FleetReport`, the base of
+    ``CampaignReport`` and ``KernelReport``.  The clock, the node
+    model, the airtime rule, harvest timing and who pays to receive
+    stay per engine.  See docs/SIMULATOR.md for the determinism
+    contract and parameters.
 
 Dissemination publishes ``net.*`` metrics and ``net.disseminate[_lossy]``
 / ``campaign.run`` / ``net.coding.run`` / ``net.kernel.run`` /
@@ -143,6 +149,7 @@ from .kernel import (
     SimKernel,
     rounds_equivalent,
 )
+from .fleet_base import FleetReport
 from .fleet_sim import FleetNode, FleetSim
 from .gossip import GossipParams, run_gossip
 from .trickle import TrickleParams, run_trickle
@@ -152,6 +159,7 @@ __all__ += [
     "DutyCycle",
     "EventHandle",
     "FleetNode",
+    "FleetReport",
     "FleetSim",
     "GossipParams",
     "KernelReport",

@@ -19,22 +19,20 @@ the fuzz layer's replay guarantee and the regression tests pin.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import random
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..diff.packets import DEFAULT_OVERHEAD, DEFAULT_PAYLOAD
 from ..energy.power_model import MICA2, PowerModel
 from ..obs import metrics, trace
-from .dissemination import PATCH_CYCLES_PER_BYTE, NodeLedger
+from .dissemination import NodeLedger
 from .errors import NetConfigError
-from .faults import FaultPlan, LinkGate
+from .faults import FaultPlan
+from .fleet_base import FleetEngine, FleetReport
 from .lossy import NACK_BYTES
-from .node_state import APPLY_ROUNDS, NodeUpdateState, packetise_blob
-from .profiles import DeviceProfile, check_power_traces
+from .node_state import APPLY_ROUNDS, NodeUpdateState
+from .profiles import DeviceProfile
 from .topology import Topology
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -47,106 +45,17 @@ DEFAULT_STALL_LIMIT = 24
 
 
 @dataclass
-class CampaignReport:
-    """Structured outcome of one update campaign."""
+class CampaignReport(FleetReport):
+    """Outcome of one flood (or LT fountain) campaign: the shared
+    :class:`~repro.net.fleet_base.FleetReport` plus its radio counters."""
 
-    outcome: str  # "converged" | "partial" | "stalled-budget"
-    rounds: int
-    packets: int
-    script_bytes: int
-    old_version: int
-    new_version: int
-    node_versions: dict[int, int]
-    quarantined: tuple[int, ...]
-    unreachable: tuple[int, ...]
-    ledgers: dict[int, NodeLedger]
     broadcasts: int = 0
     retransmissions: int = 0
     nacks: int = 0
-    drops: int = 0
-    crc_rejections: int = 0
-    duplicates: int = 0
-    fault_log: list[str] = field(default_factory=list)
-    plan_digest: str = ""
-    #: Device-profile outcome block (airtime deferrals, brownout/resume
-    #: counts, lifetime metrics).  ``None`` for profile-less runs and for
-    #: the neutral ``MICA2`` profile, which keeps their ``to_json``
-    #: byte-identical to every report minted before profiles existed.
-    profile_stats: dict | None = None
 
-    @property
-    def converged(self) -> bool:
-        return self.outcome == "converged"
-
-    @property
-    def converged_nodes(self) -> tuple[int, ...]:
-        """Non-sink nodes running the new version at campaign end."""
-        return tuple(
-            node
-            for node, version in sorted(self.node_versions.items())
-            if node != 0 and version == self.new_version
-        )
-
-    @property
-    def total_energy_j(self) -> float:
-        return sum(ledger.total_j for ledger in self.ledgers.values())
-
-    def max_node_energy_j(self, exclude_sink: bool = True) -> float:
-        """Energy at the hottest node (the lifetime limiter; the sink
-        is mains-powered, so it is excluded by default)."""
-        candidates = [
-            ledger
-            for node, ledger in self.ledgers.items()
-            if not (exclude_sink and node == 0)
-        ]
-        return max(ledger.total_j for ledger in candidates)
-
-    def to_json(self) -> str:
-        """Canonical JSON rendering — byte-identical across runs with
-        the same seed and fault plan (pinned by tests)."""
-        payload = {
-            "outcome": self.outcome,
-            "rounds": self.rounds,
-            "packets": self.packets,
-            "script_bytes": self.script_bytes,
-            "old_version": self.old_version,
-            "new_version": self.new_version,
-            "node_versions": {
-                str(node): version
-                for node, version in sorted(self.node_versions.items())
-            },
-            "quarantined": list(self.quarantined),
-            "unreachable": list(self.unreachable),
-            "broadcasts": self.broadcasts,
-            "retransmissions": self.retransmissions,
-            "nacks": self.nacks,
-            "drops": self.drops,
-            "crc_rejections": self.crc_rejections,
-            "duplicates": self.duplicates,
-            "fault_log": list(self.fault_log),
-            "plan_digest": self.plan_digest,
-            "ledgers": {
-                str(node): {
-                    "tx_j": ledger.tx_j,
-                    "rx_j": ledger.rx_j,
-                    "cpu_j": ledger.cpu_j,
-                    "packets_sent": ledger.packets_sent,
-                    "packets_received": ledger.packets_received,
-                }
-                for node, ledger in sorted(self.ledgers.items())
-            },
-        }
-        if self.profile_stats is not None:
-            payload["profile"] = self.profile_stats
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-    def digest(self) -> str:
-        return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
-
-    def render(self) -> str:
-        """Human-readable summary."""
+    def _head(self) -> list[str]:
         fleet = len(self.node_versions) - 1  # exclude the sink
-        lines = [
+        return [
             f"campaign : {self.outcome} after {self.rounds} rounds "
             f"({len(self.converged_nodes)}/{fleet} nodes on v{self.new_version})",
             f"script   : {self.script_bytes} B in {self.packets} packets",
@@ -157,25 +66,6 @@ class CampaignReport:
             f"energy   : {self.total_energy_j * 1e3:.2f} mJ network total, "
             f"hottest node {self.max_node_energy_j() * 1e6:.1f} uJ",
         ]
-        if self.profile_stats is not None:
-            stats = self.profile_stats
-            line = (
-                f"profile  : {stats['name']} — "
-                f"{stats['airtime_deferrals']} airtime deferrals "
-                f"({stats['airtime_violations']} violations), "
-                f"{stats['brownouts']} brownouts, "
-                f"{stats['resumed_applies']} resumed applies"
-            )
-            if stats.get("first_node_death_s") is not None:
-                line += f", first death {stats['first_node_death_s']:g}s"
-            lines.append(line)
-        if self.quarantined:
-            nodes = ", ".join(str(node) for node in self.quarantined)
-            lines.append(f"quarantined: {nodes}")
-        if self.fault_log:
-            lines.append("fault log:")
-            lines.extend(f"  {entry}" for entry in self.fault_log)
-        return "\n".join(lines)
 
 
 #: Seconds of simulated time one campaign round occupies (fault-plan
@@ -200,12 +90,10 @@ def run_campaign(
     overhead_per_packet: int = DEFAULT_OVERHEAD,
     old_version: int = 0,
     new_version: int = 1,
-    apply_rounds: int = APPLY_ROUNDS,
-    stall_limit: int = DEFAULT_STALL_LIMIT,
     protocol: str = "flood",
     coding: "CodedTransferParams | None" = None,
     profile: DeviceProfile | None = None,
-):
+) -> FleetReport:
     """Disseminate ``blob`` to every reachable node under ``plan``.
 
     Never raises for an unconverged fleet: nodes the campaign cannot
@@ -219,8 +107,8 @@ def run_campaign(
     event-kernel protocols (:func:`repro.net.trickle.run_trickle`,
     :func:`repro.net.gossip.run_gossip`) with a time budget of
     ``max_rounds * ROUND_S`` seconds and return a
-    :class:`~repro.net.kernel.KernelReport` (same consumer surface:
-    ``converged`` / ``outcome`` / ``render`` / ``digest``).
+    :class:`~repro.net.kernel.KernelReport`.  Both report types
+    subclass :class:`~repro.net.fleet_base.FleetReport`.
 
     ``profile`` applies a :class:`~repro.net.profiles.DeviceProfile`:
     its power model replaces ``power``, payloads are fragmented to its
@@ -234,10 +122,6 @@ def run_campaign(
     ``profile_stats["stalled_pending"]`` — resume by re-running with a
     larger ``max_rounds``.
     """
-    if not 0.0 <= loss < 1.0:
-        raise NetConfigError(
-            "loss", loss, f"loss probability {loss} out of [0, 1)"
-        )
     if protocol not in PROTOCOLS:
         raise NetConfigError(
             "protocol", protocol,
@@ -274,7 +158,6 @@ def run_campaign(
             overhead_per_packet=overhead_per_packet,
             old_version=old_version,
             new_version=new_version,
-            stall_limit=stall_limit,
         )
     if protocol != "flood":
         from .gossip import run_gossip
@@ -322,8 +205,6 @@ def run_campaign(
             overhead_per_packet=overhead_per_packet,
             old_version=old_version,
             new_version=new_version,
-            apply_rounds=apply_rounds,
-            stall_limit=stall_limit,
             profile=profile,
         ).run()
     metrics.counter("campaign.runs").inc()
@@ -352,30 +233,31 @@ def run_campaign(
     return report
 
 
-class _CampaignEngine:
-    """State, fault bookkeeping and round loop of one flood campaign.
+class _CampaignEngine(FleetEngine):
+    """Node model, airtime rule, harvest timing and round loop of one
+    flood campaign; the rest of its plumbing is
+    :class:`~repro.net.fleet_base.FleetEngine`'s.
 
     :meth:`run` is the only round loop: each round it checks termination
     (:meth:`advance_round`), fires the round's fault-plan entries
     (:meth:`apply_faults`), then runs the round body
     (:meth:`run_phases`: NACK, broadcast and apply phases).  A transfer
     mode replaces only the round body and the two class constants
-    below; the LT fountain (:mod:`repro.net.coding`) is one, so crash,
-    reboot and partition handling, the stall rule and the report exist
-    once.  Reports are pinned by ``tests/golden/campaign_digests.json``.
+    ``RNG_STREAM`` and ``CRASH_LOSS``; the LT fountain
+    (:mod:`repro.net.coding`) is one, so crash, reboot and partition
+    handling, the stall rule and the report exist once.  Reports are
+    pinned by ``tests/golden/campaign_digests.json``.
     """
 
     #: Stream name of the link and fault RNGs
     #: (``repro-<stream>-link:<seed>``, ``repro-<stream>-fault:<plan seed>``).
     RNG_STREAM = "campaign"
-    #: What a crash destroys on a node that has not committed yet.
-    CRASH_LOSS = "staging bank lost"
 
     def __init__(
         self,
         topology: Topology,
         blob: bytes,
-        plan: FaultPlan,
+        plan: FaultPlan | None,
         *,
         loss: float,
         seed: int,
@@ -385,54 +267,23 @@ class _CampaignEngine:
         overhead_per_packet: int,
         old_version: int,
         new_version: int,
-        apply_rounds: int,
-        stall_limit: int,
         profile: DeviceProfile | None = None,
     ):
-        check_power_traces(plan, profile)
-        self.topology = topology
-        self.blob = blob
-        self.plan = plan
-        self.loss = loss
-        self.power = power
-        self.max_rounds = max_rounds
-        self.overhead_per_packet = overhead_per_packet
-        self.old_version = old_version
-        self.new_version = new_version
-        self.apply_rounds = apply_rounds
-        self.stall_limit = stall_limit
-        # A neutral profile (MICA2) is dropped here so every profile
-        # code path below is gated on ``self.profile is not None`` and
-        # the report stays byte-identical to a profile-less run.
-        self.profile = (
-            profile if profile is not None and not profile.is_neutral else None
+        super().__init__(
+            topology, blob, plan,
+            loss=loss, seed=seed, power=power,
+            payload_per_packet=payload_per_packet,
+            overhead_per_packet=overhead_per_packet,
+            old_version=old_version, new_version=new_version,
+            profile=profile, stream=self.RNG_STREAM,
         )
-        if self.profile is not None:
-            payload_per_packet = self.profile.effective_payload(
-                payload_per_packet
-            )
-
-        node_count = topology.node_count
-        self.node_count = node_count
-        self.packets = packetise_blob(blob, payload_per_packet)
-        self.count = len(self.packets)
+        self.max_rounds = max_rounds
+        node_count = self.node_count
         self.blob_crc = zlib.crc32(blob) & 0xFFFFFFFF
         self.nack_bits = 8 * NACK_BYTES
-        self.patch_j = PATCH_CYCLES_PER_BYTE * len(blob) * power.cycle_energy_j
-
-        # String seeding: deterministic across platforms (see fuzz.runner).
-        self.rng_link = random.Random(f"repro-{self.RNG_STREAM}-link:{seed}")
-        self.rng_fault = random.Random(f"repro-{self.RNG_STREAM}-fault:{plan.seed}")
-
-        hops = topology.hops_from_sink()
-        self.unreachable = tuple(
-            sorted(node for node in range(node_count) if node not in hops)
-        )
 
         self.states = {
-            node: NodeUpdateState(
-                node=node, version=old_version, apply_rounds=apply_rounds
-            )
+            node: NodeUpdateState(node=node, version=old_version)
             for node in range(node_count)
         }
         sink = self.states[0]
@@ -442,15 +293,14 @@ class _CampaignEngine:
         if self.count == 0:
             # Nothing to ship: every reachable node trivially holds the
             # (empty) script and commits at once.
-            for node in range(1, node_count):
-                if node not in self.unreachable:
-                    self.states[node].commit(new_version)
+            for node in self.reachable:
+                self.states[node].commit(new_version)
 
         self.ledgers = {node: NodeLedger() for node in range(node_count)}
         self.crashes_by_round: dict[int, list] = {}
         self.reboots_by_round: dict[int, list] = {}
         self.event_rounds: set[int] = set()
-        for crash in plan.crashes:
+        for crash in self.plan.crashes:
             if crash.node >= node_count:
                 continue
             self.crashes_by_round.setdefault(crash.round, []).append(crash)
@@ -462,7 +312,7 @@ class _CampaignEngine:
                 ).append(crash)
                 if crash.reboot_round <= max_rounds:
                     self.event_rounds.add(crash.reboot_round)
-        for window in plan.partitions:
+        for window in self.plan.partitions:
             # Events past the round budget can never fire; keeping them
             # out of the stall bookkeeping lets a hopeless run stop early.
             if window.start <= max_rounds:
@@ -470,18 +320,12 @@ class _CampaignEngine:
             if window.end <= max_rounds:
                 self.event_rounds.add(window.end)
 
-        self.fault_log: list[str] = []
         self.broadcasts = 0
         self.nacks = 0
-        self.drops = 0
-        self.duplicates = 0
-        self.crc_rejections = 0
         self.tx_counts: dict[tuple[int, int], int] = {}
         self.rounds = 0
         self.last_progress = 0
         self.round_progress: dict[int, bool] = {}
-        self.partition_open: set[int] = set()
-        self.link_gate = LinkGate(plan.partitions, node_count)
 
         # -- device-profile state (all inert without an active profile) --
         # Airtime: cumulative on-air seconds per node against a cap that
@@ -496,35 +340,14 @@ class _CampaignEngine:
         self.airtime_deferrals = 0
         self.airtime_violations = 0
         self.last_budget_block = -1
-        # Capacitor charge model: per-node stored energy, cumulative
-        # spend (what scripted power traces trigger on), and the set of
-        # browned-out nodes waiting on a recharge.
-        self.pages_total = 0
-        self.flash_page_j = 0.0
-        self.stored: list[float] | None = None
+        #: browned-out nodes waiting on a recharge
         self.browned: set[int] = set()
-        self.first_death_round: int | None = None
-        self.network_death_round: int | None = None
-        if self.profile is not None and self.profile.is_paged:
-            self.pages_total = self.profile.pages_for(len(blob))
-            self.flash_page_j = self.profile.flash_write_j_per_page
-        if self.profile is not None and self.profile.is_energy_limited:
-            prof = self.profile
-            self.storage_j = prof.storage_j
-            self.restart_j = prof.restart_fraction * prof.storage_j
-            self.stored = [prof.storage_j * prof.start_fraction] * node_count
-            self.spent = [0.0] * node_count
-            self.harvest_round_j = [prof.harvest_w * ROUND_S] * node_count
-            self.trace_cuts: dict[int, tuple[float, ...]] = {}
-            self.trace_pos: dict[int, int] = {}
-            for trace_ in plan.power_traces:
-                if trace_.node >= node_count:
-                    continue
-                self.trace_cuts[trace_.node] = trace_.brownout_at_j
-                self.trace_pos[trace_.node] = 0
-                self.harvest_round_j[trace_.node] = (
-                    prof.harvest_w * ROUND_S * trace_.harvest_scale
-                )
+
+    def stamp(self) -> str:
+        return f"r{self.rounds}"
+
+    def now_s(self) -> float:
+        return self.rounds * ROUND_S
 
     # -- the round loop --------------------------------------------------
 
@@ -540,30 +363,30 @@ class _CampaignEngine:
 
     def can_recover(self, node: int) -> bool:
         """Will a browned-out node ever recharge to its restart level?"""
-        if self.stored is None or node not in self.browned:
+        capacitor = self.capacitor
+        if capacitor is None or node not in self.browned:
             return False
         return (
-            self.harvest_round_j[node] > 0.0
-            or self.stored[node] >= self.restart_j
+            capacitor.harvest_w[node] > 0.0
+            or capacitor.stored[node] >= capacitor.restart_j
         )
 
     def pending_nodes(self) -> list[int]:
         """Reachable nodes not yet committed that can still recover."""
-        out = []
-        for node in range(1, self.node_count):
-            if node in self.unreachable or self.states[node].committed:
-                continue
-            if self.states[node].alive:
-                out.append(node)
-            elif self.can_recover(node):
-                out.append(node)
-            elif any(
-                crash.node == node and crash.reboot_round is not None
-                and crash.reboot_round > self.rounds
-                for crash in self.plan.crashes
-            ):
-                out.append(node)
-        return out
+        return [
+            node
+            for node in self.reachable
+            if not self.states[node].committed
+            and (
+                self.states[node].alive
+                or self.can_recover(node)
+                or any(
+                    crash.node == node and crash.reboot_round is not None
+                    and crash.reboot_round > self.rounds
+                    for crash in self.plan.crashes
+                )
+            )
+        ]
 
     def advance_round(self) -> bool:
         """The round tick: termination checks, then the round counter.
@@ -579,7 +402,7 @@ class _CampaignEngine:
         """
         if not self.pending_nodes():
             return False
-        if self.rounds - self.last_progress >= self.stall_limit and not any(
+        if self.rounds - self.last_progress >= DEFAULT_STALL_LIMIT and not any(
             event > self.rounds for event in self.event_rounds
         ):
             waiting_budget = (
@@ -622,24 +445,11 @@ class _CampaignEngine:
         metrics.counter("net.profile.airtime_deferrals").inc(packets)
 
     def spend(self, node: int, joules: float) -> bool:
-        """Debit the node's capacitor; False means the energy ran out
-        (or a scripted power trace fired) and the node must brown out."""
-        if self.stored is None or node == 0:
+        """Debit the node's capacitor; False means the node must brown
+        out.  The sink is mains-powered."""
+        if self.capacitor is None or node == 0:
             return True
-        self.spent[node] += joules
-        self.stored[node] -= joules
-        powered = True
-        cuts = self.trace_cuts.get(node)
-        if cuts is not None:
-            position = self.trace_pos[node]
-            while position < len(cuts) and self.spent[node] >= cuts[position]:
-                position += 1
-                powered = False
-            self.trace_pos[node] = position
-        if self.stored[node] <= 0.0:
-            self.stored[node] = 0.0
-            powered = False
-        return powered
+        return self.capacitor.debit(node, joules)
 
     def fire_brownout(self, node: int, where: str) -> None:
         """Power loss mid-operation: volatile staging state is gone, the
@@ -647,95 +457,39 @@ class _CampaignEngine:
         state = self.states[node]
         state.brownout()
         self.browned.add(node)
-        metrics.counter("net.profile.brownouts").inc()
-        self.fault_log.append(
-            f"r{self.rounds}: node {node} browned out during {where} "
-            f"(checkpoint {state.pages_done}/{self.pages_total} pages)"
-        )
-        if self.first_death_round is None:
-            self.first_death_round = self.rounds
-        if self.network_death_round is None and all(
-            not self.states[peer].alive
-            for peer in range(1, self.node_count)
-            if peer not in self.unreachable
-        ):
-            self.network_death_round = self.rounds
+        self.log_brownout(node, where, state.pages_done, self.states)
 
     def power_round(self) -> None:
         """Harvest income and recharge-driven resumes, at round start."""
-        if self.stored is None:
+        capacitor = self.capacitor
+        if capacitor is None:
             return
-        for node in range(1, self.node_count):
-            if node in self.unreachable:
-                continue
-            self.stored[node] = min(
-                self.storage_j, self.stored[node] + self.harvest_round_j[node]
-            )
-            if node in self.browned and self.stored[node] >= self.restart_j:
+        for node in self.reachable:
+            capacitor.charge(node, capacitor.harvest_w[node] * ROUND_S)
+            if node in self.browned and capacitor.stored[node] >= capacitor.restart_j:
                 self.browned.discard(node)
                 state = self.states[node]
                 state.resume(self.rounds)
-                metrics.counter("net.profile.resumes").inc()
-                self.fault_log.append(
-                    f"r{self.rounds}: node {node} resumed "
-                    f"(checkpoint {state.pages_done}/{self.pages_total} pages)"
-                )
+                self.log_resume(node, state.pages_done)
                 self.last_progress = self.rounds
-
-    # -- fault events ----------------------------------------------------
-
-    def fire_crash(self, crash) -> None:
-        self.states[crash.node].crash()
-        metrics.counter("net.fault.crashes").inc()
-        detail = (
-            "after commit" if self.states[crash.node].committed else self.CRASH_LOSS
-        )
-        self.fault_log.append(
-            f"r{self.rounds}: node {crash.node} crashed ({detail})"
-        )
-
-    def fire_reboot(self, crash) -> None:
-        state = self.states[crash.node]
-        state.reboot(self.rounds)
-        metrics.counter("net.fault.reboots").inc()
-        image = "new image" if state.committed else "golden image"
-        self.fault_log.append(
-            f"r{self.rounds}: node {crash.node} rebooted "
-            f"({image} v{state.version})"
-        )
-
-    def fire_partition(self, index: int, opening: bool) -> None:
-        window = self.plan.partitions[index]
-        island = ",".join(str(n) for n in window.nodes)
-        if opening:
-            if index in self.partition_open:
-                return
-            self.partition_open.add(index)
-            metrics.counter("net.fault.partitions").inc()
-            self.fault_log.append(
-                f"r{self.rounds}: partition {{{island}}} isolated"
-            )
-        else:
-            if index not in self.partition_open:
-                return
-            self.partition_open.discard(index)
-            self.fault_log.append(
-                f"r{self.rounds}: partition {{{island}}} healed"
-            )
 
     def apply_faults(self) -> None:
         """This round's fault-plan entries, in the pinned order:
         crashes (plan order), reboots (plan order), partition
         open/close (window order)."""
         for crash in self.crashes_by_round.get(self.rounds, ()):
-            self.fire_crash(crash)
+            state = self.states[crash.node]
+            state.crash()
+            self.log_crash(crash.node, state.committed)
         for crash in self.reboots_by_round.get(self.rounds, ()):
-            self.fire_reboot(crash)
+            state = self.states[crash.node]
+            state.reboot(self.rounds)
+            self.log_reboot(crash.node, state.committed)
         for index, window in enumerate(self.plan.partitions):
             if window.start == self.rounds:
-                self.fire_partition(index, True)
+                self.log_partition(index, True)
             if window.end == self.rounds:
-                self.fire_partition(index, False)
+                self.log_partition(index, False)
 
     # -- the round body --------------------------------------------------
 
@@ -864,11 +618,7 @@ class _CampaignEngine:
                     break
 
         # -- apply phase (two-bank write, commit = boot-pointer flip) ----
-        pages_per_round = (
-            -(-self.pages_total // max(1, self.apply_rounds))
-            if self.pages_total
-            else 0
-        )
+        pages_per_round = -(-self.pages_total // APPLY_ROUNDS)
         for node in range(1, node_count):
             state = states[node]
             if state.state not in ("staged", "applying"):
@@ -905,9 +655,9 @@ class _CampaignEngine:
                     round_progress[node] = True
                     self.last_progress = rounds
                 continue
-            ledgers[node].cpu_j += self.patch_j / max(1, self.apply_rounds)
-            if self.stored is not None and not self.spend(
-                node, self.patch_j / max(1, self.apply_rounds)
+            ledgers[node].cpu_j += self.patch_j / APPLY_ROUNDS
+            if self.capacitor is not None and not self.spend(
+                node, self.patch_j / APPLY_ROUNDS
             ):
                 self.fire_brownout(node, "patch apply")
                 continue
@@ -922,15 +672,9 @@ class _CampaignEngine:
     # -- reporting -------------------------------------------------------
 
     def build_report(self) -> CampaignReport:
+        states = list(self.states.values())
         quarantined = tuple(
-            sorted(
-                node
-                for node in range(1, self.node_count)
-                if not self.states[node].committed
-            )
-        )
-        retransmissions = sum(
-            c - 1 for c in self.tx_counts.values() if c > 1
+            node for node in range(1, self.node_count) if not states[node].committed
         )
         outcome = "converged" if not quarantined else "partial"
         profile_stats = None
@@ -945,61 +689,24 @@ class _CampaignEngine:
                 # the report is resumable (same plan, larger
                 # ``max_rounds`` — the duty-cycle cap keeps growing).
                 outcome = "stalled-budget"
-            node_brownouts = {
-                str(node): self.states[node].brownouts
-                for node in range(self.node_count)
-                if self.states[node].brownouts
-            }
-            node_resumed = {
-                str(node): self.states[node].resumed_applies
-                for node in range(self.node_count)
-                if self.states[node].resumed_applies
-            }
-            profile_stats = {
-                "name": self.profile.name,
-                "airtime_budget": self.profile.airtime_budget,
-                "airtime_deferrals": self.airtime_deferrals,
-                "airtime_violations": self.airtime_violations,
-                "brownouts": sum(node_brownouts.values()),
-                "resumed_applies": sum(node_resumed.values()),
-                "node_brownouts": node_brownouts,
-                "node_resumed_applies": node_resumed,
-                "pages_total": self.pages_total,
-                "first_node_death_s": (
-                    None
-                    if self.first_death_round is None
-                    else self.first_death_round * ROUND_S
-                ),
-                "network_death_s": (
-                    None
-                    if self.network_death_round is None
-                    else self.network_death_round * ROUND_S
-                ),
-            }
+            profile_stats = self.profile_stats(
+                self.airtime_deferrals,
+                self.airtime_violations,
+                [state.brownouts for state in states],
+                [state.resumed_applies for state in states],
+            )
             if outcome == "stalled-budget":
                 profile_stats["stalled_pending"] = self.pending_nodes()
         return CampaignReport(
+            **self.report_fields(),
             outcome=outcome,
             rounds=self.rounds,
-            packets=self.count,
-            script_bytes=len(self.blob),
-            old_version=self.old_version,
-            new_version=self.new_version,
-            node_versions={
-                node: self.states[node].version
-                for node in range(self.node_count)
-            },
+            node_versions={node: state.version for node, state in enumerate(states)},
             quarantined=quarantined,
-            unreachable=self.unreachable,
             ledgers=self.ledgers,
             broadcasts=self.broadcasts,
-            retransmissions=retransmissions,
+            retransmissions=sum(c - 1 for c in self.tx_counts.values() if c > 1),
             nacks=self.nacks,
-            drops=self.drops,
-            crc_rejections=self.crc_rejections,
-            duplicates=self.duplicates,
-            fault_log=self.fault_log,
-            plan_digest=self.plan.digest(),
             profile_stats=profile_stats,
         )
 

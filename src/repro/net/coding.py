@@ -43,10 +43,10 @@ from typing import Dict, List, Optional, Tuple
 from ..diff.packets import DEFAULT_OVERHEAD, DEFAULT_PAYLOAD
 from ..energy.power_model import MICA2, PowerModel
 from ..obs import metrics, trace
-from .campaign import DEFAULT_STALL_LIMIT, _CampaignEngine
+from .campaign import _CampaignEngine
 from .errors import NetConfigError
 from .faults import FaultPlan
-from .node_state import APPLY_ROUNDS, packetise_blob
+from .node_state import packetise_blob
 from .topology import Topology
 
 #: Legal coding schemes (see module docstring).
@@ -301,26 +301,15 @@ class _FountainEngine(_CampaignEngine):
         self,
         topology: Topology,
         blob: bytes,
-        plan: FaultPlan,
+        plan: "FaultPlan | None",
         params: CodedTransferParams,
-        *,
-        payload_per_packet: int,
-        overhead_per_packet: int,
         **engine,
     ):
-        super().__init__(
-            topology,
-            blob,
-            plan,
-            payload_per_packet=payload_per_packet,
-            overhead_per_packet=overhead_per_packet,
-            apply_rounds=APPLY_ROUNDS,
-            **engine,
-        )
+        super().__init__(topology, blob, plan, **engine)
         self.params = params
-        self.padded = pad_packets(blob, payload_per_packet)
+        self.padded = pad_packets(blob, self.payload_per_packet)
         self.packet_bits = 8 * (
-            payload_per_packet + overhead_per_packet + CODE_HEADER_BYTES
+            self.payload_per_packet + self.overhead_per_packet + CODE_HEADER_BYTES
         )
         self.streams = [
             LTStream(max(self.count, 1), f"repro-coding:{params.seed}:{sender}")
@@ -451,7 +440,6 @@ def run_coded_campaign(
     overhead_per_packet: int = DEFAULT_OVERHEAD,
     old_version: int = 0,
     new_version: int = 1,
-    stall_limit: int = DEFAULT_STALL_LIMIT,
 ):
     """Disseminate ``blob`` by decode-and-forward fountain coding.
 
@@ -477,11 +465,6 @@ def run_coded_campaign(
             "run_coded_campaign speaks the generation-level 'lt' scheme; "
             "the 'xor' burst-parity scheme belongs to the kernel protocols",
         )
-    if not 0.0 <= loss < 1.0:
-        raise NetConfigError(
-            "loss", loss, f"loss probability {loss} out of [0, 1)"
-        )
-    plan = plan if plan is not None else FaultPlan()
     with trace.span(
         "net.coding.run",
         nodes=topology.node_count,
@@ -494,7 +477,6 @@ def run_coded_campaign(
             payload_per_packet=payload_per_packet,
             overhead_per_packet=overhead_per_packet,
             old_version=old_version, new_version=new_version,
-            stall_limit=stall_limit,
         ).run()
     metrics.counter("net.coding.runs").inc()
     metrics.counter("net.coding.transmissions").inc(report.broadcasts)

@@ -29,12 +29,11 @@ from typing import TYPE_CHECKING, Iterable, List, Optional
 
 from ..energy.power_model import PowerModel
 from ..obs import metrics
-from .dissemination import PATCH_CYCLES_PER_BYTE
 from .errors import NetConfigError
-from .faults import FaultPlan, LinkGate
+from .faults import FaultPlan
+from .fleet_base import FleetEngine
 from .kernel import DutyCycle, KernelReport, SimKernel, rounds_equivalent
-from .node_state import packetise_blob
-from .profiles import DeviceProfile, check_power_traces
+from .profiles import DeviceProfile
 from .topology import Topology
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -79,7 +78,7 @@ class FleetNode:
         self.pages_done = 0
 
 
-class FleetSim:
+class FleetSim(FleetEngine):
     """One protocol run over a fleet: nodes, faults, energy, report.
 
     Subclasses implement :meth:`start` (schedule the initial per-node
@@ -87,7 +86,8 @@ class FleetSim:
     :meth:`on_overhear_data` / :meth:`on_commit` hooks; everything else
     — fault events, delivery coins, apply/commit, report building — is
     shared so flood-era fault plans behave identically under every
-    kernel protocol.
+    kernel protocol.  The plumbing that does not depend on the clock is
+    :class:`~repro.net.fleet_base.FleetEngine`'s, shared with the flood.
     """
 
     protocol = "kernel"
@@ -112,10 +112,14 @@ class FleetSim:
         coding: "Optional[CodedTransferParams]" = None,
         profile: Optional[DeviceProfile] = None,
     ):
-        if not 0.0 <= loss < 1.0:
-            raise NetConfigError(
-                "loss", loss, f"loss probability {loss} out of [0, 1)"
-            )
+        super().__init__(
+            topology, blob, plan,
+            loss=loss, seed=seed, power=power,
+            payload_per_packet=payload_per_packet,
+            overhead_per_packet=overhead_per_packet,
+            old_version=old_version, new_version=new_version,
+            profile=profile, stream=component,
+        )
         if not (math.isfinite(round_s) and round_s > 0.0):
             raise NetConfigError(
                 "round_s", round_s,
@@ -128,30 +132,12 @@ class FleetSim:
                 "scheme; the 'lt' fountain runs as a flood campaign "
                 "(repro.net.coding.run_coded_campaign)",
             )
-        self.topology = topology
-        self.plan = plan if plan is not None else FaultPlan()
-        check_power_traces(self.plan, profile)
-        self.loss = loss
-        self.power = power
         self.round_s = round_s
         self.apply_s = apply_s
-        self.old_version = old_version
-        self.new_version = new_version
-        self.overhead_per_packet = overhead_per_packet
         self.coding = coding
         self.repairs = 0
-        # A neutral profile (MICA2) is dropped so every profile code
-        # path is gated on ``self.profile is not None`` and the report
-        # stays byte-identical to a profile-less run.
-        self.profile = (
-            profile if profile is not None and not profile.is_neutral else None
-        )
-        if self.profile is not None:
-            payload_per_packet = self.profile.effective_payload(
-                payload_per_packet
-            )
 
-        node_count = topology.node_count
+        node_count = self.node_count
         self.kernel = SimKernel(
             node_count,
             power=power,
@@ -160,31 +146,18 @@ class FleetSim:
                 self.profile.airtime_budget if self.profile is not None else 1.0
             ),
         )
-        # Derived string seeds (RNG001): one stream for protocol timer
-        # jitter, one for link loss, one for the fault plan's coins.
+        # One more derived string seed (RNG001), for protocol timer jitter.
         self.rng = random.Random(f"repro-{component}:{seed}")
-        self.rng_link = random.Random(f"repro-{component}-link:{seed}")
-        self.rng_fault = random.Random(f"repro-{component}-fault:{self.plan.seed}")
 
-        self.packets = packetise_blob(blob, payload_per_packet)
-        self.count = len(self.packets)
-        self.script_bytes = len(blob)
         self.full_mask = (1 << self.count) - 1
         self.packet_bits = [
             8 * (len(pkt.payload) + overhead_per_packet) for pkt in self.packets
         ]
-        self.patch_j = PATCH_CYCLES_PER_BYTE * len(blob) * power.cycle_energy_j
-
         neighbors = topology.neighbors
         #: Per-node neighbour tuples, built once for the hearer filter.
         self._neighbours = [
             tuple(neighbors.get(node, ())) for node in range(node_count)
         ]
-        hops = topology.hops_from_sink()
-        self.unreachable = tuple(
-            sorted(node for node in range(node_count) if node not in hops)
-        )
-        unreachable_set = set(self.unreachable)
 
         self.nodes: List[FleetNode] = [FleetNode() for _ in range(node_count)]
         sink = self.nodes[0]
@@ -194,69 +167,37 @@ class FleetSim:
         self.cpu_j = [0.0] * node_count
         self.sent = [0] * node_count
         self.received = [0] * node_count
-        self.fault_log: "list[str]" = []
         self.transmissions = 0
         self.beacons = 0
         self.requests = 0
         self.suppressed = 0
         self.resets = 0
-        self.drops = 0
-        self.crc_rejections = 0
-        self.duplicates = 0
 
-        self.remaining = sum(
-            1
-            for node in range(1, node_count)
-            if node not in unreachable_set
-        )
+        self.remaining = len(self.reachable)
         if self.count == 0:
             # Nothing to ship: every reachable node trivially holds the
             # (empty) script and commits at time zero.
-            for node in range(1, node_count):
-                if node not in unreachable_set:
-                    self.nodes[node].committed = True
+            for node in self.reachable:
+                self.nodes[node].committed = True
             self.remaining = 0
 
-        # -- device-profile state (inert without an active profile) ------
-        self.pages_total = 0
-        self.flash_page_j = 0.0
-        self.stored: "list[float] | None" = None
         self.node_brownouts = [0] * node_count
         self.node_resumed = [0] * node_count
-        self.first_death_s: "float | None" = None
-        self.network_death_s: "float | None" = None
-        if self.profile is not None and self.profile.is_paged:
-            self.pages_total = self.profile.pages_for(len(blob))
-            self.flash_page_j = self.profile.flash_write_j_per_page
-        if self.profile is not None and self.profile.is_energy_limited:
-            prof = self.profile
-            self.storage_j = prof.storage_j
-            self.restart_j = prof.restart_fraction * prof.storage_j
-            self.stored = [prof.storage_j * prof.start_fraction] * node_count
-            self.spent = [0.0] * node_count
-            self.harvest_w = [prof.harvest_w] * node_count
-            self.last_energy_t = [0.0] * node_count
-            self.trace_cuts: "dict[int, tuple[float, ...]]" = {}
-            self.trace_pos: "dict[int, int]" = {}
-            for trace_ in self.plan.power_traces:
-                if trace_.node >= node_count:
-                    continue
-                self.trace_cuts[trace_.node] = trace_.brownout_at_j
-                self.trace_pos[trace_.node] = 0
-                self.harvest_w[trace_.node] = (
-                    prof.harvest_w * trace_.harvest_scale
-                )
-
-        self._partition_open: "set[int]" = set()
-        self.link_gate = LinkGate(self.plan.partitions, node_count)
+        #: when each node's harvest income was last credited
+        self.last_energy_t = [0.0] * node_count
         self._schedule_faults()
+
+    def stamp(self) -> str:
+        return f"t{self.kernel.now:g}"
+
+    def now_s(self) -> float:
+        return self.kernel.now
 
     # -- fault plan as kernel events ------------------------------------
 
     def _schedule_faults(self) -> None:
-        node_count = self.topology.node_count
         for crash in self.plan.crashes:
-            if crash.node >= node_count:
+            if crash.node >= self.node_count:
                 continue
             self.kernel.schedule_at(
                 crash.round * self.round_s,
@@ -273,27 +214,20 @@ class FleetSim:
             self.kernel.schedule_at(
                 window.start * self.round_s,
                 0,
-                partial(self._partition_event, index, True),
+                partial(self.log_partition, index, True),
             )
             self.kernel.schedule_at(
                 window.end * self.round_s,
                 0,
-                partial(self._partition_event, index, False),
+                partial(self.log_partition, index, False),
             )
 
-    def _crash(self, node: int) -> None:
-        state = self.nodes[node]
-        if not state.alive:
-            return
+    def _power_off(self, state: FleetNode) -> None:
+        """The node goes down: its pending events are cancelled and,
+        until it commits, its volatile staging bank is lost (the boot
+        pointer never moved, so the resident golden image survives)."""
         state.alive = False
-        metrics.counter("net.fault.crashes").inc()
-        detail = "after commit" if state.committed else "staging bank lost"
-        self.fault_log.append(
-            f"t{self.kernel.now:g}: node {node} crashed ({detail})"
-        )
         if not state.committed:
-            # Volatile staging state is gone; the boot pointer never
-            # moved, so the resident golden image survives.
             state.held = 0
         for handle in (
             state.timer, state.respond, state.request_evt, state.apply_evt
@@ -303,37 +237,18 @@ class FleetSim:
         state.timer = state.respond = state.request_evt = state.apply_evt = None
         state.pending = 0
 
-    def _reboot(self, node: int) -> None:
+    def _crash(self, node: int) -> None:
         state = self.nodes[node]
         if state.alive:
-            return
-        state.alive = True
-        metrics.counter("net.fault.reboots").inc()
-        image = "new image" if state.committed else "golden image"
-        version = self.new_version if state.committed else self.old_version
-        self.fault_log.append(
-            f"t{self.kernel.now:g}: node {node} rebooted ({image} v{version})"
-        )
-        self.on_reboot(node)
+            self._power_off(state)
+            self.log_crash(node, state.committed)
 
-    def _partition_event(self, index: int, opening: bool) -> None:
-        window = self.plan.partitions[index]
-        island = ",".join(str(node) for node in window.nodes)
-        if opening:
-            if index in self._partition_open:
-                return
-            self._partition_open.add(index)
-            metrics.counter("net.fault.partitions").inc()
-            self.fault_log.append(
-                f"t{self.kernel.now:g}: partition {{{island}}} isolated"
-            )
-        else:
-            if index not in self._partition_open:
-                return
-            self._partition_open.discard(index)
-            self.fault_log.append(
-                f"t{self.kernel.now:g}: partition {{{island}}} healed"
-            )
+    def _reboot(self, node: int) -> None:
+        state = self.nodes[node]
+        if not state.alive:
+            state.alive = True
+            self.log_reboot(node, state.committed)
+            self.on_reboot(node)
 
     def link_sides(self) -> "list[int] | None":
         """Partition labels at the current kernel time: the ``a``—``b``
@@ -378,7 +293,7 @@ class FleetSim:
         interleaved one hearer at a time."""
         hearers = self._hearers(sender)
         self.kernel._account_rx_all(hearers, bits)
-        if self.stored is None:
+        if self.capacitor is None:
             return hearers
         return (peer for peer in hearers if self._debit_rx(peer, bits))
 
@@ -400,36 +315,20 @@ class FleetSim:
         return False
 
     def spend(self, node: int, joules: float) -> bool:
-        """Debit the node's capacitor; False means the energy ran out
-        (or a scripted power trace fired) and the node must brown out.
+        """Debit the node's capacitor; False means the node must brown
+        out.  The sink is mains-powered.
 
         Harvest income accrues continuously, so it is credited up to
         the current kernel time before the debit."""
-        if self.stored is None or node == 0:
+        capacitor = self.capacitor
+        if capacitor is None or node == 0:
             return True
         now = self.kernel.now
-        income = self.harvest_w[node]
+        income = capacitor.harvest_w[node]
         if income > 0.0:
-            self.stored[node] = min(
-                self.storage_j,
-                self.stored[node]
-                + income * (now - self.last_energy_t[node]),
-            )
+            capacitor.charge(node, income * (now - self.last_energy_t[node]))
         self.last_energy_t[node] = now
-        self.spent[node] += joules
-        self.stored[node] -= joules
-        powered = True
-        cuts = self.trace_cuts.get(node)
-        if cuts is not None:
-            position = self.trace_pos[node]
-            while position < len(cuts) and self.spent[node] >= cuts[position]:
-                position += 1
-                powered = False
-            self.trace_pos[node] = position
-        if self.stored[node] <= 0.0:
-            self.stored[node] = 0.0
-            powered = False
-        return powered
+        return capacitor.debit(node, joules)
 
     def _brownout(self, node: int, where: str) -> None:
         """Power loss mid-operation: volatile staging state is gone, the
@@ -437,60 +336,35 @@ class FleetSim:
         state = self.nodes[node]
         if not state.alive:
             return
-        state.alive = False
+        self._power_off(state)
         self.node_brownouts[node] += 1
-        metrics.counter("net.profile.brownouts").inc()
-        self.fault_log.append(
-            f"t{self.kernel.now:g}: node {node} browned out during {where} "
-            f"(checkpoint {state.pages_done}/{self.pages_total} pages)"
-        )
-        if not state.committed:
-            # Volatile staging bank is lost; ``pages_done`` is flash.
-            state.held = 0
-        for handle in (
-            state.timer, state.respond, state.request_evt, state.apply_evt
-        ):
-            if handle is not None:
-                handle.cancel()
-        state.timer = state.respond = state.request_evt = state.apply_evt = None
-        state.pending = 0
-        unreachable_set = set(self.unreachable)
-        if self.first_death_s is None:
-            self.first_death_s = self.kernel.now
-        if self.network_death_s is None and all(
-            not self.nodes[peer].alive
-            for peer in range(1, self.topology.node_count)
-            if peer not in unreachable_set
-        ):
-            self.network_death_s = self.kernel.now
-        income = self.harvest_w[node]
+        self.log_brownout(node, where, state.pages_done, self.nodes)
+        capacitor = self.capacitor
+        income = capacitor.harvest_w[node]
         if income > 0.0:
             # Deterministic recharge: the capacitor reaches the restart
             # level after deficit/income seconds of harvest.
-            deficit = max(self.restart_j - self.stored[node], 0.0)
+            deficit = max(capacitor.restart_j - capacitor.stored[node], 0.0)
             self.kernel._schedule_handler(deficit / income, node, self._resume)
 
     def _resume(self, node: int) -> None:
         """Capacitor recharged to the restart level: boot the resident
         image and rejoin the protocol."""
         state = self.nodes[node]
-        if state.alive or self.stored is None:
+        capacitor = self.capacitor
+        if state.alive or capacitor is None:
             return
         state.alive = True
-        self.stored[node] = max(self.stored[node], self.restart_j)
+        capacitor.stored[node] = max(capacitor.stored[node], capacitor.restart_j)
         self.last_energy_t[node] = self.kernel.now
-        metrics.counter("net.profile.resumes").inc()
-        self.fault_log.append(
-            f"t{self.kernel.now:g}: node {node} resumed "
-            f"(checkpoint {state.pages_done}/{self.pages_total} pages)"
-        )
+        self.log_resume(node, state.pages_done)
         self.on_reboot(node)
 
     def account_tx(self, node: int, bits: int) -> bool:
         """Kernel TX accounting plus the capacitor debit; returns False
         when the transmission browned the sender out."""
         self.kernel.account_tx(node, bits)
-        if self.stored is None:
+        if self.capacitor is None:
             return True
         return self.spend(node, bits * self.power.tx_bit_energy_j)
 
@@ -498,7 +372,7 @@ class FleetSim:
         """Kernel RX accounting plus the capacitor debit; returns False
         when the reception browned the receiver out."""
         self.kernel.account_rx(node, bits)
-        return self.stored is None or self._debit_rx(node, bits)
+        return self.capacitor is None or self._debit_rx(node, bits)
 
     def _debit_rx(self, node: int, bits: int) -> bool:
         """The capacitor half of :meth:`account_rx`."""
@@ -670,7 +544,7 @@ class FleetSim:
                 state.pages_done += 1
         else:
             self.cpu_j[node] += self.patch_j
-            if self.stored is not None and not self.spend(node, self.patch_j):
+            if self.capacitor is not None and not self.spend(node, self.patch_j):
                 self._brownout(node, "patch apply")
                 return
         state.committed = True
@@ -707,78 +581,44 @@ class FleetSim:
         return self.build_report()
 
     def build_report(self) -> KernelReport:
-        node_count = self.topology.node_count
+        nodes = self.nodes
         ledgers = self.kernel.ledgers()
-        for node in range(node_count):
-            ledger = ledgers[node]
+        for node, ledger in ledgers.items():
             ledger.cpu_j = self.cpu_j[node]
             ledger.packets_sent = self.sent[node]
             ledger.packets_received = self.received[node]
         quarantined = tuple(
-            sorted(
-                node
-                for node in range(1, node_count)
-                if not self.nodes[node].committed
-            )
+            node for node in range(1, self.node_count) if not nodes[node].committed
         )
-        node_versions = {
-            node: (
-                self.new_version
-                if self.nodes[node].committed
-                else self.old_version
-            )
-            for node in range(node_count)
-        }
         profile_stats = None
         if self.profile is not None:
-            profile_stats = {
-                "name": self.profile.name,
-                "airtime_budget": self.profile.airtime_budget,
-                "airtime_deferrals": self.kernel.airtime_deferrals,
-                "airtime_violations": self.kernel.airtime_violations,
-                "brownouts": sum(self.node_brownouts),
-                "resumed_applies": sum(self.node_resumed),
-                "node_brownouts": {
-                    str(node): count
-                    for node, count in enumerate(self.node_brownouts)
-                    if count
-                },
-                "node_resumed_applies": {
-                    str(node): count
-                    for node, count in enumerate(self.node_resumed)
-                    if count
-                },
-                "pages_total": self.pages_total,
-                "first_node_death_s": self.first_death_s,
-                "network_death_s": self.network_death_s,
-            }
+            profile_stats = self.profile_stats(
+                self.kernel.airtime_deferrals,
+                self.kernel.airtime_violations,
+                self.node_brownouts,
+                self.node_resumed,
+            )
         return KernelReport(
+            **self.report_fields(),
             protocol=self.protocol,
             outcome="converged" if not quarantined else "partial",
             time_s=self.kernel.now,
             rounds=rounds_equivalent(self.kernel.now, self.round_s),
             events=self.kernel.events_dispatched,
-            packets=self.count,
-            script_bytes=self.script_bytes,
-            old_version=self.old_version,
-            new_version=self.new_version,
-            node_versions=node_versions,
+            node_versions={
+                node: self.new_version if state.committed else self.old_version
+                for node, state in enumerate(nodes)
+            },
             quarantined=quarantined,
-            unreachable=self.unreachable,
             ledgers=ledgers,
             transmissions=self.transmissions,
             beacons=self.beacons,
             requests=self.requests,
             suppressed=self.suppressed,
             resets=self.resets,
-            drops=self.drops,
-            crc_rejections=self.crc_rejections,
-            duplicates=self.duplicates,
             duty_cycle=self.kernel.duty_cycle.name,
             listen_fraction=self.kernel.duty_cycle.listen_fraction,
             sleep_fraction=self.kernel.sleep_fraction(),
-            fault_log=self.fault_log,
-            plan_digest=self.plan.digest(),
             profile_stats=profile_stats,
         )
 

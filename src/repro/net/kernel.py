@@ -33,10 +33,8 @@ sleep at the standby draw (:func:`SimKernel.ledgers`).
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Callable, Optional
 
@@ -44,6 +42,7 @@ from ..energy.power_model import MICA2, PowerModel
 from ..obs import metrics, trace
 from .dissemination import NodeLedger
 from .errors import NetConfigError
+from .fleet_base import FleetReport
 
 
 @dataclass(frozen=True)
@@ -204,10 +203,12 @@ class SimKernel:
         """Dispatch events in ``(time, seq, node)`` order until the
         queue drains, :meth:`stop` is called, or ``max_time`` would be
         exceeded (the clock then rests *at* ``max_time``).  Returns the
-        final simulation time."""
-        if max_time is not None and math.isnan(max_time):
+        final simulation time.  The clock never runs backwards, so a
+        ``max_time`` before ``now`` (or NaN) is refused."""
+        if max_time is not None and not max_time >= self.now:
             raise NetConfigError(
-                "max_time", max_time, "max_time must be a number, got nan"
+                "max_time", max_time,
+                f"max_time must be a number >= now ({self.now}s), got {max_time}",
             )
         limit = math.inf if max_time is None else max_time
         dispatched = 0
@@ -324,66 +325,28 @@ class SimKernel:
 
 
 @dataclass
-class KernelReport:
-    """Structured outcome of one kernel-based dissemination run.
-
-    Duck-types the surface of
-    :class:`~repro.net.campaign.CampaignReport` that
-    :class:`~repro.core.session.CampaignResult`, the CLI, and the fleet
-    service consume (``converged`` / ``outcome`` / ``node_versions`` /
-    ``quarantined`` / energy totals / ``render`` / canonical
-    ``to_json`` + ``digest``), while reporting the event-kernel
-    quantities round-based reports cannot: simulation time, beacon and
-    suppression counts, interval resets, and the fleet sleep fraction.
+class KernelReport(FleetReport):
+    """Outcome of one kernel-based dissemination run: the shared
+    :class:`~repro.net.fleet_base.FleetReport` plus the event-kernel
+    quantities round-based reports cannot give: simulation time,
+    beacon and suppression counts, interval resets, and the duty
+    cycle's idle-listening and sleep energy.
     """
 
-    protocol: str
-    outcome: str  # "converged" | "partial"
-    time_s: float
-    rounds: int
-    events: int
-    packets: int
-    script_bytes: int
-    old_version: int
-    new_version: int
-    node_versions: "dict[int, int]"
-    quarantined: "tuple[int, ...]"
-    unreachable: "tuple[int, ...]"
-    ledgers: "dict[int, NodeLedger]"
+    # Defaults only so these may follow the base's defaulted fields.
+    protocol: str = "kernel"
+    time_s: float = 0.0
+    events: int = 0
     transmissions: int = 0
     beacons: int = 0
     requests: int = 0
     suppressed: int = 0
     resets: int = 0
-    drops: int = 0
-    crc_rejections: int = 0
-    duplicates: int = 0
     duty_cycle: str = "always-on"
     listen_fraction: float = 1.0
     sleep_fraction: float = 0.0
-    fault_log: "list[str]" = field(default_factory=list)
-    plan_digest: str = ""
-    #: Device-profile outcome block; ``None`` keeps the rendering
-    #: byte-identical to pre-profile reports (same contract as
-    #: :attr:`repro.net.campaign.CampaignReport.profile_stats`).
-    profile_stats: "dict | None" = None
 
-    @property
-    def converged(self) -> bool:
-        return self.outcome == "converged"
-
-    @property
-    def converged_nodes(self) -> "tuple[int, ...]":
-        """Non-sink nodes running the new version at run end."""
-        return tuple(
-            node
-            for node, version in sorted(self.node_versions.items())
-            if node != 0 and version == self.new_version
-        )
-
-    @property
-    def total_energy_j(self) -> float:
-        return sum(ledger.total_j for ledger in self.ledgers.values())
+    LEDGER_KEYS = FleetReport.LEDGER_KEYS + ("idle_j", "sleep_j")
 
     @property
     def total_idle_j(self) -> float:
@@ -391,72 +354,9 @@ class KernelReport:
         round models cannot see."""
         return sum(ledger.idle_j for ledger in self.ledgers.values())
 
-    def max_node_energy_j(self, exclude_sink: bool = True) -> float:
-        """Energy at the hottest node (the sink is mains-powered and
-        excluded by default)."""
-        candidates = [
-            ledger
-            for node, ledger in self.ledgers.items()
-            if not (exclude_sink and node == 0)
-        ]
-        return max(ledger.total_j for ledger in candidates)
-
-    def to_json(self) -> str:
-        """Canonical JSON — byte-identical across runs with the same
-        topology, seed, parameters, and fault plan (pinned by tests)."""
-        payload = {
-            "protocol": self.protocol,
-            "outcome": self.outcome,
-            "time_s": self.time_s,
-            "rounds": self.rounds,
-            "events": self.events,
-            "packets": self.packets,
-            "script_bytes": self.script_bytes,
-            "old_version": self.old_version,
-            "new_version": self.new_version,
-            "node_versions": {
-                str(node): version
-                for node, version in sorted(self.node_versions.items())
-            },
-            "quarantined": list(self.quarantined),
-            "unreachable": list(self.unreachable),
-            "transmissions": self.transmissions,
-            "beacons": self.beacons,
-            "requests": self.requests,
-            "suppressed": self.suppressed,
-            "resets": self.resets,
-            "drops": self.drops,
-            "crc_rejections": self.crc_rejections,
-            "duplicates": self.duplicates,
-            "duty_cycle": self.duty_cycle,
-            "listen_fraction": self.listen_fraction,
-            "sleep_fraction": self.sleep_fraction,
-            "fault_log": list(self.fault_log),
-            "plan_digest": self.plan_digest,
-            "ledgers": {
-                str(node): {
-                    "tx_j": ledger.tx_j,
-                    "rx_j": ledger.rx_j,
-                    "cpu_j": ledger.cpu_j,
-                    "idle_j": ledger.idle_j,
-                    "sleep_j": ledger.sleep_j,
-                    "packets_sent": ledger.packets_sent,
-                    "packets_received": ledger.packets_received,
-                }
-                for node, ledger in sorted(self.ledgers.items())
-            },
-        }
-        if self.profile_stats is not None:
-            payload["profile"] = self.profile_stats
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-    def digest(self) -> str:
-        return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
-
-    def render(self) -> str:
-        """Human-readable summary."""
+    def _head(self) -> "list[str]":
         fleet = len(self.node_versions) - 1  # exclude the sink
-        lines = [
+        return [
             f"{self.protocol} : {self.outcome} after {self.time_s:.1f}s "
             f"({len(self.converged_nodes)}/{fleet} nodes on "
             f"v{self.new_version}, {self.events} events)",
@@ -474,21 +374,6 @@ class KernelReport:
             f"({self.total_idle_j * 1e3:.2f} mJ idle-listening), "
             f"hottest node {self.max_node_energy_j() * 1e3:.3f} mJ",
         ]
-        if self.profile_stats is not None:
-            stats = self.profile_stats
-            lines.append(
-                f"profile  : {stats['name']} — "
-                f"{stats['airtime_deferrals']} airtime deferrals "
-                f"({stats['airtime_violations']} violations), "
-                f"{stats['brownouts']} brownouts"
-            )
-        if self.quarantined:
-            nodes = ", ".join(str(node) for node in self.quarantined)
-            lines.append(f"quarantined: {nodes}")
-        if self.fault_log:
-            lines.append("fault log:")
-            lines.extend(f"  {entry}" for entry in self.fault_log)
-        return "\n".join(lines)
 
 
 def rounds_equivalent(time_s: float, round_s: float) -> int:

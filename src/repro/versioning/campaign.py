@@ -217,11 +217,6 @@ def run_versioned_campaign(
             quarantined = tuple(
                 node for node in wave.quarantined if node in plan.nodes
             )
-            # Flood/coded reports count `broadcasts`; the kernel
-            # protocols count `transmissions` — same physical quantity.
-            on_air = getattr(wave, "broadcasts", None)
-            if on_air is None:
-                on_air = wave.transmissions
             report.cohorts.append(
                 CohortOutcome(
                     plan=plan,
@@ -231,7 +226,7 @@ def run_versioned_campaign(
                     rounds=wave.rounds,
                     blob_bytes=len(blob),
                     energy_j=wave.total_energy_j,
-                    broadcasts=on_air,
+                    broadcasts=wave.packets_sent,
                     report_digest=wave.digest(),
                     final_image_digest=final_digest,
                     quarantined=quarantined,

@@ -76,6 +76,25 @@ class TestCampaignDeterminism:
         assert report.crc_rejections > 0
         assert delta["net.fault.corruptions"] == report.crc_rejections
 
+    @pytest.mark.parametrize(
+        "protocol,scheme",
+        [("flood", None), ("flood", "lt"), ("trickle", "xor"), ("gossip", "xor")],
+    )
+    def test_packets_sent_is_each_engines_data_count(self, protocol, scheme):
+        """``FleetReport.packets_sent``, what a versioned cohort reports
+        as its broadcasts, is the flood's ``broadcasts`` and the kernel's
+        ``transmissions`` (parity included)."""
+        report = run_campaign(
+            grid(4, 4),
+            BLOB,
+            loss=0.2,
+            seed=5,
+            protocol=protocol,
+            coding=CodedTransferParams(scheme=scheme) if scheme else None,
+        )
+        own = report.broadcasts if protocol == "flood" else report.transmissions
+        assert report.packets_sent == own > 0
+
     def test_report_json_is_canonical(self):
         report = run_campaign(line(4), BLOB, FaultPlan(), seed=2)
         assert report.to_json() == report.to_json()

@@ -18,6 +18,8 @@ from repro.net.kernel import (
     SimKernel,
     rounds_equivalent,
 )
+from repro.net.topology import grid
+from repro.net.trickle import run_trickle
 
 
 class TestEventOrdering:
@@ -131,6 +133,33 @@ class TestStopAndBudget:
         assert fired == [1.0]
         assert end == 5.0
         assert kernel.now == 5.0
+
+    def test_max_time_before_now_is_refused(self):
+        """The clock never runs backwards: a budget that ends before
+        ``now`` raises and leaves the clock where it was."""
+        kernel = SimKernel(1)
+        kernel.schedule(1.0, 0, lambda: None)
+        kernel.schedule(10.0, 0, lambda: None)
+        with pytest.raises(NetConfigError):
+            kernel.run(max_time=-5.0)
+        assert kernel.now == 0.0
+        assert kernel.pending() == 2
+        kernel.run(max_time=3.0)
+        with pytest.raises(NetConfigError):
+            kernel.run(max_time=2.0)
+        assert kernel.now == 3.0
+
+    def test_max_time_equal_to_now_is_accepted(self):
+        kernel = SimKernel(1)
+        fired = []
+        kernel.schedule(0.0, 0, lambda: fired.append(0.0))
+        assert kernel.run(max_time=0.0) == 0.0
+        assert kernel.now == 0.0
+        assert fired == [0.0]
+
+    def test_protocol_budget_before_time_zero_is_refused(self):
+        with pytest.raises(NetConfigError):
+            run_trickle(grid(3, 3), b"x" * 100, max_time=-10.0)
 
     def test_events_dispatched_counter(self):
         kernel = SimKernel(1)

@@ -2,12 +2,13 @@
 
 Convergence under loss and faults, the Trickle economics (suppression,
 interval resets, receiver-driven requests), determinism of the
-KernelReport digest, and the CampaignReport-compatible surface.
+KernelReport digest, and the report surface it shares with the flood.
 """
 
 import pytest
 
 from repro.net import (
+    BATTERYLESS_HARVEST,
     FaultPlan,
     GossipParams,
     NodeCrash,
@@ -164,7 +165,8 @@ class TestGossip:
 
 
 class TestKernelReportSurface:
-    """KernelReport duck-types the CampaignReport consumer surface."""
+    """KernelReport is a FleetReport, like the flood's CampaignReport:
+    the shared fields, totals, canonical JSON and render tail."""
 
     def test_render_and_totals(self):
         from repro.net.kernel import ALWAYS_ON
@@ -181,6 +183,20 @@ class TestKernelReportSurface:
         assert report.total_idle_j > 0.0
         assert report.max_node_energy_j() > 0.0
         assert 0.0 <= report.sleep_fraction <= 1.0
+
+    def test_render_shows_the_shared_profile_tail(self):
+        """Under a capacitor profile the profile line is the flood's:
+        it names the resumed applies and the first death."""
+        report = run_trickle(
+            grid(3, 3), bytes(range(256)) * 8, loss=0.05, seed=5,
+            max_time=4000.0, profile=BATTERYLESS_HARVEST,
+        )
+        stats = report.profile_stats
+        assert stats["resumed_applies"] > 0
+        assert stats["first_node_death_s"] is not None
+        text = report.render()
+        assert f"{stats['resumed_applies']} resumed applies" in text
+        assert f"first death {stats['first_node_death_s']:g}s" in text
 
     def test_every_ledger_has_idle_and_sleep(self):
         report = run_trickle(grid(3, 3), BLOB, seed=1)
