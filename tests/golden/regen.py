@@ -45,7 +45,13 @@ import random
 from functools import lru_cache
 from pathlib import Path
 
-from repro.config import CohortPlan, CompileConfig, FleetJob, VersionGraphConfig
+from repro.config import (
+    CohortPlan,
+    CompileConfig,
+    FleetJob,
+    TopologySpec,
+    VersionGraphConfig,
+)
 from repro.core import compile_source, measure_cycles, plan_update
 from repro.diff.packets import DEFAULT_OVERHEAD, DEFAULT_PAYLOAD, Packetisation
 from repro.energy import DEFAULT_ENERGY_MODEL
@@ -546,6 +552,58 @@ def batch_answer() -> tuple:
     }
 
 
+def service_network_answer() -> tuple:
+    """Case 6 through the update service with a network: the analytic
+    flood, the lossy flood, two fault campaigns (one partial), a gcc/gcc
+    job with cycles, and one job that fails to disseminate."""
+    case = CASES["6"]
+    grid3 = TopologySpec.grid(3, 3)
+
+    def job(job_id, topology=grid3, **knobs):
+        return FleetJob(
+            old_source=case.old_source,
+            new_source=case.new_source,
+            topology=topology,
+            job_id=job_id,
+            **knobs,
+        )
+
+    jobs = [
+        job("loss0"),
+        job("loss0.1", loss=0.1),
+        job(
+            "crash+corrupt",
+            loss=0.05,
+            fault_plan=FaultPlan(
+                crashes=(NodeCrash(node=4, round=2, reboot_round=5),),
+                corrupt_prob=0.05,
+                seed=3,
+            ),
+        ),
+        job(
+            "partition",
+            fault_plan=FaultPlan(partitions=(PartitionWindow(1, 60, (8,)),)),
+            max_rounds=40,
+        ),
+        job(
+            "gcc-cycles",
+            loss=0.1,
+            update=UpdateConfig(ra="gcc", da="gcc"),
+            measure_cycles=True,
+        ),
+        job("line-loss0.99", topology=TopologySpec.line(8), loss=0.99),
+    ]
+    result = FleetUpdateService(workers=1).run(jobs)
+    outcomes = [outcome.key_metrics() for outcome in result.outcomes]
+    return _sha(outcomes), {
+        "ok": [int(outcome.ok) for outcome in result.outcomes],
+        "nodes_patched": [outcome.nodes_patched for outcome in result.outcomes],
+        "outcomes": [
+            outcome.campaign_outcome for outcome in result.outcomes
+        ],
+    }
+
+
 #: The 600-byte script blob of the dissemination and coded-transfer
 #: studies: 28 packets at the default 22-byte payload.
 DISSEMINATION_BLOB = bytes(range(256)) * 2 + bytes(88)
@@ -743,6 +801,7 @@ def answer_cases() -> dict:
         cases[f"fig09_case{cid}"] = lambda c=cid: diff_answer(c)
     cases.update({
         "fig10_batch16": batch_answer,
+        "service_network_jobs": service_network_answer,
         "lossy1k_flood_vs_trickle": flood_vs_trickle_answer,
         "grid5k_trickle": trickle_5k_answer,
         "flood_faulted_grid12": faulted_flood_answer,
