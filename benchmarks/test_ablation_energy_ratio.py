@@ -33,7 +33,7 @@ def test_ablation_energy_ratio(benchmark, case_olds):
         planner = UpdatePlanner(
             old, energy=model, config=UpdateConfig(expected_runs=cnt)
         )
-        chosen = planner.plan_adaptive(case.new_source, cnt=cnt, energy=model)
+        chosen = planner.plan_adaptive(case.new_source)
         choice = "UCC" if chosen.ra_strategy.endswith("(ucc)") else "baseline"
         choices.append(choice)
         rows.append(

@@ -10,9 +10,9 @@ Also sweeps placement *headroom* (pre-provisioned slack per function at
 first deployment) against a growth-heavy update.
 """
 
-from repro.core import Compiler, CompilerOptions, plan_update
+from repro.core import Compiler, plan_update
 from repro.workloads import CASES, RA_CASE_IDS
-from repro.config import UpdateConfig
+from repro.config import CompileConfig, UpdateConfig
 
 from conftest import emit_table
 
@@ -65,8 +65,7 @@ def test_ablation_placement_headroom():
     """Headroom pre-pays flash for future address stability."""
     rows = []
     for headroom in (0, 8, 16, 32):
-        options = CompilerOptions(placement_headroom=headroom)
-        old = Compiler(options).compile(GROWTH_SRC)
+        old = Compiler(CompileConfig(placement_headroom=headroom)).compile(GROWTH_SRC)
         result = plan_update(old, GROWN_SRC, config=UpdateConfig(ra="ucc", da="ucc", cp="ucc"))
         stable = len(result.new.placement.stable_functions(old.placement))
         rows.append(

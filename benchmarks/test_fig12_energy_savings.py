@@ -36,7 +36,9 @@ def test_fig12_energy_savings(benchmark, case_olds):
             baseline = measure_cycles(
                 planner.plan(case.new_source, config=UpdateConfig(ra="gcc", da="ucc"))
             )
-            adaptive = planner.plan_adaptive(case.new_source, cnt=cnt)
+            adaptive = planner.plan_adaptive(
+                case.new_source, config=UpdateConfig(expected_runs=cnt)
+            )
             savings = baseline.diff_energy(cnt, model) - adaptive.diff_energy(
                 cnt, model
             )

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from repro.core import Compiler, CompilerOptions, compile_source
+from repro.core import Compiler, compile_source
 from repro.energy import DEFAULT_ENERGY_MODEL
 from repro.ilp import solve
 from repro.ir import analyze, static_frequencies
@@ -35,7 +35,7 @@ CHUNK_SOURCES = [("6", "tosh_run_next_task"), ("11", "timer_handle_fire")]
 def chunk_spec(case_id, fname, candidates=3):
     case = CASES[case_id]
     old = compile_source(case.old_source)
-    module = Compiler(CompilerOptions()).front_and_middle(case.new_source)
+    module = Compiler().front_and_middle(case.new_source)
     fn = module.functions[fname]
     record, report = allocate_ucc_greedy(
         fn, old.module.functions[fname], old.records[fname]

@@ -47,7 +47,9 @@ def main() -> None:
     print(header)
     print("-" * len(header))
     for cnt in (1, 10, 100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000):
-        chosen = planner.plan_adaptive(case.new_source, cnt=cnt)
+        chosen = planner.plan_adaptive(
+            case.new_source, config=UpdateConfig(expected_runs=cnt)
+        )
         ucc_e = ucc.diff_energy(cnt)
         base_e = baseline.diff_energy(cnt)
         winner = "UCC" if chosen.ra_strategy.endswith("(ucc)") else "baseline"

@@ -10,7 +10,7 @@ approximation against the exact non-linear objective — the paper's
 Run:  python examples/ilp_playground.py
 """
 
-from repro.core import Compiler, CompilerOptions, compile_source
+from repro.core import Compiler, compile_source
 from repro.energy import DEFAULT_ENERGY_MODEL
 from repro.ilp import solve
 from repro.ir import analyze, static_frequencies
@@ -30,7 +30,7 @@ def main() -> None:
     print(f"update case 6: {case.description}\n")
 
     old = compile_source(case.old_source)
-    module = Compiler(CompilerOptions()).front_and_middle(case.new_source)
+    module = Compiler().front_and_middle(case.new_source)
     fn = module.functions["tosh_run_next_task"]
     record, report = allocate_ucc_greedy(
         fn, old.module.functions["tosh_run_next_task"],

@@ -47,7 +47,6 @@ from .config import (
 from .core import (
     CompiledProgram,
     Compiler,
-    CompilerOptions,
     UpdatePlanner,
     UpdateResult,
     UpdateSession,
@@ -61,7 +60,6 @@ __all__ = [
     "CompileConfig",
     "CompiledProgram",
     "Compiler",
-    "CompilerOptions",
     "DEFAULT_ENERGY_MODEL",
     "EnergyModel",
     "FleetJob",

@@ -36,7 +36,7 @@ from .config import (
     VersionGraphConfig,
     VersionSpec,
 )
-from .core.compiler import CompiledProgram, Compiler
+from .core.compiler import CompiledProgram, compile_source
 from .core.session import (
     CampaignResult,
     SessionResult,
@@ -87,16 +87,6 @@ from .versioning import (
     plan_cohorts,
     run_versioned_campaign,
 )
-
-
-def compile_source(
-    source: str,
-    config: Optional[CompileConfig] = None,
-    filename: str = "<source>",
-) -> CompiledProgram:
-    """Compile one translation unit under a :class:`CompileConfig`."""
-    cfg = config if config is not None else CompileConfig()
-    return Compiler(cfg.to_options()).compile(source, filename=filename)
 
 
 def make_session(

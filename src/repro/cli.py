@@ -4,7 +4,10 @@ Every planning command speaks the same strategy flags — ``--ra``
 (``ucc``/``ucc-ilp``/``gcc``/``linear``, default ``ucc``), ``--da``
 (``ucc``/``gcc``, default ``ucc``), ``--cp`` (``auto``/``ucc``/``gcc``,
 default: strategy-dependent), ``--checked`` — which map one-to-one onto
-:class:`repro.UpdateConfig` (see ``docs/API.md``).
+:class:`repro.UpdateConfig` (see ``docs/API.md``).  ``compile`` and
+``run`` build no update, so they take only ``--ra`` (``gcc``/``linear``,
+default ``gcc``) and ``--checked``, which map onto
+:class:`repro.CompileConfig`.
 
 Commands
 --------
@@ -79,8 +82,9 @@ from .config import (
     TopologySpec,
     UpdateConfig,
 )
-from .core import measure_cycles, plan_update
-from .core.compiler import Compiler
+from .core import compile_source, measure_cycles, plan_update
+from .core.errors import EmptyFleetError
+from .net.errors import DisseminationIncomplete
 from .net.profiles import PROFILE_NAMES
 from .sim import DeviceBoard, Simulator, Timer
 from .workloads import CASES
@@ -120,6 +124,19 @@ def _add_strategy_flags(parser, baseline: bool = True) -> None:
         )
 
 
+def _add_compile_flags(parser) -> None:
+    """The ``--ra/--checked`` flags of a from-scratch compile, which map
+    one-to-one onto :class:`repro.CompileConfig`."""
+    parser.add_argument(
+        "--ra", default="gcc", choices=list(RA_BASELINE_NAMES),
+        help="register allocator (default: gcc)",
+    )
+    parser.add_argument(
+        "--checked", action="store_true",
+        help="run the checked pipeline (verify after every phase)",
+    )
+
+
 def _update_config(args) -> UpdateConfig:
     return UpdateConfig(
         ra=args.ra,
@@ -129,15 +146,16 @@ def _update_config(args) -> UpdateConfig:
     )
 
 
-def _compile_config(args, ra: str) -> CompileConfig:
-    return CompileConfig.of(ra=ra, checked=args.checked)
+def _compile_config(args) -> CompileConfig:
+    """The deployed old binary's compile (``--baseline-ra``)."""
+    return CompileConfig(ra=args.baseline_ra, checked=args.checked)
 
 
 def cmd_compile(args) -> int:
-    config = CompileConfig.of(
+    config = CompileConfig(
         ra=args.ra, optimize=not args.no_opt, checked=args.checked
     )
-    program = Compiler(config.to_options()).compile(_read(args.file))
+    program = compile_source(_read(args.file), config)
     print(f"{args.file}: {program.instruction_count} instructions, "
           f"{program.size_words} words code, "
           f"{len(program.image.data)} bytes data")
@@ -151,8 +169,8 @@ def cmd_compile(args) -> int:
 
 
 def cmd_run(args) -> int:
-    config = CompileConfig.of(ra=args.ra, checked=args.checked)
-    program = Compiler(config.to_options()).compile(_read(args.file))
+    config = CompileConfig(ra=args.ra, checked=args.checked)
+    program = compile_source(_read(args.file), config)
     board = DeviceBoard(timer=Timer(period_cycles=args.timer))
     sim = Simulator(program.image, devices=board, collect_profile=args.profile)
     result = sim.run(max_cycles=args.max_cycles)
@@ -173,8 +191,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_update(args) -> int:
-    compile_config = _compile_config(args, args.baseline_ra)
-    old = Compiler(compile_config.to_options()).compile(_read(args.old))
+    old = compile_source(_read(args.old), _compile_config(args))
     result = plan_update(old, _read(args.new), config=_update_config(args))
     print(f"strategy      : ra={result.ra_strategy} da={result.da_strategy} "
           f"cp={result.new.placement.algorithm}")
@@ -204,8 +221,7 @@ def cmd_case(args) -> int:
         return 2
     print(f"case {case.case_id} ({case.level}, {case.program}): "
           f"{case.description}")
-    compile_config = _compile_config(args, args.baseline_ra)
-    old = Compiler(compile_config.to_options()).compile(case.old_source)
+    old = compile_source(case.old_source, _compile_config(args))
     chosen = _update_config(args)
     for config in (UpdateConfig(ra="gcc", da="gcc"), chosen):
         result = plan_update(old, case.new_source, config=config)
@@ -246,7 +262,7 @@ def _job_from_spec(spec: dict, index: int) -> FleetJob:
         cp=spec.get("cp"),
         checked=checked,
     )
-    compile_config = CompileConfig.of(
+    compile_config = CompileConfig(
         ra=spec.get("baseline_ra", "gcc"), checked=bool(checked)
     )
     topology = None
@@ -319,8 +335,7 @@ def cmd_verify(args) -> int:
         print("verify needs OLD NEW files or --case ID", file=sys.stderr)
         return 2
 
-    compile_config = _compile_config(args, args.baseline_ra)
-    old = Compiler(compile_config.to_options()).compile(old_source)
+    old = compile_source(old_source, _compile_config(args))
     result = plan_update(old, new_source, config=_update_config(args))
     report = verify_update(result)
     print(f"verify {label} (ra={args.ra} da={args.da})")
@@ -430,12 +445,15 @@ def cmd_campaign(args) -> int:
               f"trickle/gossip)", file=sys.stderr)
         return 2
 
-    compile_config = _compile_config(args, args.baseline_ra)
-    old = Compiler(compile_config.to_options()).compile(old_source)
-    session = UpdateSession(
-        old, topology=topology, loss=args.loss, loss_seed=args.seed,
-        config=_update_config(args), version=from_version,
-    )
+    old = compile_source(old_source, _compile_config(args))
+    try:
+        session = UpdateSession(
+            old, topology=topology, loss=args.loss, loss_seed=args.seed,
+            config=_update_config(args), version=from_version,
+        )
+    except EmptyFleetError as error:
+        print(f"campaign: {error}", file=sys.stderr)
+        return 2
     profile = get_profile(args.profile) if args.profile else None
     result = session.push_campaign(
         {to_version: new_source}, plan=plan, max_rounds=args.rounds,
@@ -634,15 +652,22 @@ def cmd_profile(args) -> int:
         print("profile needs OLD NEW files or --case ID", file=sys.stderr)
         return 2
 
-    report = profile_update(
-        old_source,
-        new_source,
-        grid_side=args.grid,
-        loss=args.loss,
-        simulate=not args.no_sim,
-        label=label,
-        config=_update_config(args),
-    )
+    try:
+        report = profile_update(
+            old_source,
+            new_source,
+            grid_side=args.grid,
+            loss=args.loss,
+            simulate=not args.no_sim,
+            label=label,
+            config=_update_config(args),
+        )
+    except EmptyFleetError as error:
+        print(f"profile: {error}", file=sys.stderr)
+        return 2
+    except DisseminationIncomplete as error:
+        print(f"profile: {error}", file=sys.stderr)
+        return 1
     print(report.render())
     if args.trace:
         report.write_chrome_trace(args.trace)
@@ -663,7 +688,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_compile = sub.add_parser("compile", help="compile a ucc-C file")
     p_compile.add_argument("file")
-    _add_strategy_flags(p_compile, baseline=False)
+    _add_compile_flags(p_compile)
     p_compile.add_argument("--no-opt", action="store_true")
     p_compile.add_argument("--disasm", action="store_true")
     p_compile.add_argument("-o", "--output")
@@ -671,7 +696,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="compile and simulate")
     p_run.add_argument("file")
-    _add_strategy_flags(p_run, baseline=False)
+    _add_compile_flags(p_run)
     p_run.add_argument("--timer", type=int, default=500)
     p_run.add_argument("--max-cycles", type=int, default=5_000_000)
     p_run.add_argument("--profile", action="store_true")

@@ -3,8 +3,8 @@
 One frozen dataclass per decision surface; each is the only way to
 set the knobs it holds:
 
-* :class:`CompileConfig` — one baseline compile (maps 1:1 onto
-  :class:`repro.core.compiler.CompilerOptions`);
+* :class:`CompileConfig` — one baseline compile (what
+  :class:`repro.core.compiler.Compiler` reads);
 * :class:`UpdateConfig`  — one update plan (strategy selection plus
   every planner knob);
 * :class:`TopologySpec`  — a reproducible network topology recipe;
@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from .diff.packets import DEFAULT_OVERHEAD, DEFAULT_PAYLOAD
 from .regalloc.chunks import DEFAULT_K
@@ -39,16 +39,6 @@ RA_BASELINE_NAMES = ("gcc", "linear")
 DA_STRATEGIES = ("ucc", "gcc")
 #: Legal code-placement strategies (``None`` = strategy default).
 CP_STRATEGIES = ("auto", "ucc", "gcc")
-
-
-def baseline_ra(ra: str) -> str:
-    """The baseline allocator an update strategy falls back to.
-
-    The update-conscious strategies allocate brand-new functions with
-    the graph-coloring baseline, so a from-scratch compile under
-    ``"ucc"``/``"ucc-ilp"`` *is* a ``"gcc"`` compile.
-    """
-    return ra if ra in RA_BASELINE_NAMES else "gcc"
 
 
 def _reject_unencodable(obj):
@@ -74,7 +64,7 @@ def _digest_of(obj) -> str:
 
 @dataclass(frozen=True)
 class CompileConfig:
-    """Knobs of one from-scratch compile (typed CompilerOptions)."""
+    """Knobs of one from-scratch compile."""
 
     #: baseline register allocator: "gcc" (graph coloring) or "linear"
     ra: str = "gcc"
@@ -82,8 +72,6 @@ class CompileConfig:
     optimize: bool = True
     #: per-function Depth_i overrides (paper §4) as (name, depth) pairs
     depths: Tuple[Tuple[str, int], ...] = ()
-    #: verify allocations against liveness (cheap; on by default)
-    verify: bool = True
     #: slack words added to every function slot at placement time
     placement_headroom: int = 0
     #: run the full repro.analysis passes after the compile
@@ -94,40 +82,13 @@ class CompileConfig:
             raise ValueError(
                 f"CompileConfig.ra must be one of {RA_BASELINE_NAMES}, "
                 f"got {self.ra!r} (update strategies like 'ucc' belong in "
-                f"UpdateConfig; see repro.config.baseline_ra)"
+                f"UpdateConfig)"
             )
-
-    @staticmethod
-    def of(
-        ra: str = "gcc",
-        optimize: bool = True,
-        depths: Optional[Mapping[str, int]] = None,
-        verify: bool = True,
-        placement_headroom: int = 0,
-        checked: bool = False,
-    ) -> "CompileConfig":
-        """Build from loose arguments (dict depths, update-strategy ra)."""
-        return CompileConfig(
-            ra=baseline_ra(ra),
-            optimize=optimize,
-            depths=tuple(sorted((depths or {}).items())),
-            verify=verify,
-            placement_headroom=placement_headroom,
-            checked=checked,
-        )
-
-    def to_options(self):
-        """The equivalent :class:`repro.core.compiler.CompilerOptions`."""
-        from .core.compiler import CompilerOptions
-
-        return CompilerOptions(
-            register_allocator=self.ra,
-            optimize=self.optimize,
-            depths=dict(self.depths),
-            verify=self.verify,
-            placement_headroom=self.placement_headroom,
-            checked=self.checked,
-        )
+        if self.placement_headroom < 0:
+            raise ValueError(
+                f"CompileConfig.placement_headroom must be >= 0, "
+                f"got {self.placement_headroom}"
+            )
 
     def digest(self) -> str:
         return _digest_of(asdict(self))
@@ -146,7 +107,7 @@ class UpdateConfig:
     #: for the update-conscious allocators, "gcc" for the baselines)
     cp: Optional[str] = None
     #: run the repro.analysis passes over the planned update; None
-    #: inherits the old program's ``options.checked``
+    #: inherits the old program's ``config.checked``
     checked: Optional[bool] = None
     #: verify the sensor-side patch round-trips (cheap; on by default)
     verify: bool = True
@@ -458,5 +419,4 @@ __all__ = [
     "UpdateConfig",
     "VersionGraphConfig",
     "VersionSpec",
-    "baseline_ra",
 ]

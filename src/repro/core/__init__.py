@@ -1,9 +1,9 @@
 """End-to-end pipeline: compiler, update planner, dissemination session."""
 
+from ..config import CompileConfig
 from .compiler import (
     CompiledProgram,
     Compiler,
-    CompilerOptions,
     RA_BASELINES,
     build_data_image,
     compile_source,
@@ -15,6 +15,10 @@ from .update import (
     plan_update,
     profile_program,
 )
+
+# The old name of CompileConfig.  perfbench/cases.py still imports it
+# from here; drop it when that benchmark next changes.
+CompilerOptions = CompileConfig
 
 __all__ = [
     "CompiledProgram",

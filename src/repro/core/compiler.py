@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..config import CompileConfig
 from ..datalayout.gcc_da import allocate_gcc_da
 from ..datalayout.layout import DataLayout, collect_layout_objects
 from ..ir.builder import build_ir
@@ -43,27 +44,6 @@ RA_BASELINES = {
 
 
 @dataclass
-class CompilerOptions:
-    """Knobs of one compile."""
-
-    #: baseline register allocator: "gcc" (graph coloring) or "linear"
-    register_allocator: str = "gcc"
-    #: run the optimization passes (paper compiles with -O3)
-    optimize: bool = True
-    #: per-function Depth_i overrides (paper §4), name -> depth
-    depths: dict[str, int] = field(default_factory=dict)
-    #: verify allocations against liveness (cheap; on by default)
-    verify: bool = True
-    #: slack words added to every function slot at placement time
-    #: (pre-provisioned growth room for maintenance; see
-    #: repro.codegen.placement)
-    placement_headroom: int = 0
-    #: run the full repro.analysis verification passes after every
-    #: compile/update and raise VerificationError on any finding
-    checked: bool = False
-
-
-@dataclass
 class CompiledProgram:
     """A compiled binary plus every decision needed to update it later."""
 
@@ -74,7 +54,7 @@ class CompiledProgram:
     layout: DataLayout
     machine: list[MachineInstr]
     image: BinaryImage
-    options: CompilerOptions
+    config: CompileConfig
     placement: PlacementPlan = field(default_factory=PlacementPlan)
 
     @property
@@ -95,8 +75,8 @@ class CompiledProgram:
 class Compiler:
     """Compiles ucc-C source with a chosen baseline allocator."""
 
-    def __init__(self, options: CompilerOptions | None = None):
-        self.options = options or CompilerOptions()
+    def __init__(self, config: CompileConfig | None = None):
+        self.config = config if config is not None else CompileConfig()
 
     # Individual stages are exposed so the update planner can rerun the
     # back end with substituted decisions.
@@ -106,23 +86,20 @@ class Compiler:
         with trace.span("compile.front_middle", filename=filename):
             checked = frontend(source, filename)
             module = build_ir(checked)
-            for name, depth in self.options.depths.items():
+            for name, depth in self.config.depths:
                 if name in module.functions:
                     module.functions[name].depth = depth
-            if self.options.optimize:
+            if self.config.optimize:
                 optimize_module(module)
             return module
 
     def allocate_registers(self, module: IRModule) -> dict[str, AllocationRecord]:
-        with trace.span(
-            "compile.regalloc", allocator=self.options.register_allocator
-        ):
-            allocator = RA_BASELINES[self.options.register_allocator]
+        with trace.span("compile.regalloc", allocator=self.config.ra):
+            allocator = RA_BASELINES[self.config.ra]
             records = {}
             for name, fn in module.functions.items():
                 record = allocator(fn)
-                if self.options.verify:
-                    verify_allocation(record, analyze(fn))
+                verify_allocation(record, analyze(fn))
                 records[name] = record
             return records
 
@@ -133,7 +110,7 @@ class Compiler:
             objects = collect_layout_objects(
                 module,
                 spill_orders={name: rec.spill_order for name, rec in records.items()},
-                depths=self.options.depths,
+                depths=dict(self.config.depths),
             )
             return allocate_gcc_da(objects)
 
@@ -184,12 +161,12 @@ class Compiler:
                 sizes,
                 order,
                 old_placement,
-                self.options.placement_headroom,
+                self.config.placement_headroom,
                 old_slot_words=old_slot_words,
             )
         else:
             plan = baseline_placement(
-                sizes, order, self.options.placement_headroom
+                sizes, order, self.config.placement_headroom
             )
         machine = apply_placement(function_code, plan)
         data = build_data_image(module, layout)
@@ -216,10 +193,10 @@ class Compiler:
             layout=layout,
             machine=machine,
             image=image,
-            options=self.options,
+            config=self.config,
             placement=plan,
         )
-        if self.options.checked:
+        if self.config.checked:
             # Lazy import: repro.analysis reaches back into regalloc and
             # datalayout, so a top-level import would cycle.
             from ..analysis import verify_program
@@ -255,13 +232,8 @@ def _poke(data: bytearray, offset: int, value: int, size: int) -> None:
 
 def compile_source(
     source: str,
-    register_allocator: str = "gcc",
-    optimize: bool = True,
+    config: CompileConfig | None = None,
     filename: str = "<source>",
-    checked: bool = False,
 ) -> CompiledProgram:
-    """One-call convenience compile."""
-    options = CompilerOptions(
-        register_allocator=register_allocator, optimize=optimize, checked=checked
-    )
-    return Compiler(options).compile(source, filename)
+    """Compile one translation unit under a :class:`CompileConfig`."""
+    return Compiler(config).compile(source, filename)

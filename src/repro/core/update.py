@@ -37,7 +37,7 @@ from .errors import PatchDivergenceError, PlanStateError
 from ..regalloc.ucc_ra import UCCReport, allocate_ucc_greedy
 from ..sim.devices import DeviceBoard, Timer
 from ..sim.executor import run_image
-from .compiler import CompiledProgram, Compiler, CompilerOptions, RA_BASELINES
+from .compiler import CompiledProgram, Compiler, RA_BASELINES
 
 
 @dataclass
@@ -149,7 +149,7 @@ class UpdatePlanner:
         ``config.checked`` runs the full :mod:`repro.analysis`
         verification passes over the planned update and raises
         :class:`~repro.analysis.VerificationError` on any finding;
-        ``None`` inherits the old program's ``options.checked``.
+        ``None`` inherits the old program's ``config.checked``.
         """
         cfg = config if config is not None else self.config
         with trace.span("update.plan", ra=cfg.ra, da=cfg.da):
@@ -162,24 +162,14 @@ class UpdatePlanner:
         old = self.old
         checked = cfg.checked
         if checked is None:
-            checked = old.options.checked
-        options = CompilerOptions(
-            register_allocator=old.options.register_allocator,
-            optimize=old.options.optimize,
-            depths=dict(old.options.depths),
-            verify=old.options.verify,
-            placement_headroom=old.options.placement_headroom,
-            checked=checked,
-        )
-        compiler = Compiler(options)
+            checked = old.config.checked
+        compiler = Compiler(replace(old.config, checked=checked))
         module = compiler.front_and_middle(new_source)
 
         # -- register allocation ------------------------------------------
         ra_reports: dict[str, UCCReport] = {}
         records = {}
-        baseline = RA_BASELINES[
-            ra if ra in RA_BASELINES else options.register_allocator
-        ]
+        baseline = RA_BASELINES[ra if ra in RA_BASELINES else old.config.ra]
         with trace.span("update.regalloc", ra=ra):
             for name, fn in module.functions.items():
                 updatable = name in old.module.functions and name in old.records
@@ -211,8 +201,7 @@ class UpdatePlanner:
                     ra_reports[name] = ilp_report.greedy
                 else:
                     record = baseline(fn)
-                if options.verify:
-                    verify_allocation(record, analyze(fn))
+                verify_allocation(record, analyze(fn))
                 records[name] = record
 
         # -- data layout ------------------------------------------------------
@@ -220,7 +209,7 @@ class UpdatePlanner:
             objects = collect_layout_objects(
                 module,
                 spill_orders={n: r.spill_order for n, r in records.items()},
-                depths=options.depths,
+                depths=dict(old.config.depths),
             )
             da_report = None
             if da == "ucc":
@@ -265,7 +254,7 @@ class UpdatePlanner:
             layout=layout,
             machine=machine,
             image=image,
-            options=options,
+            config=compiler.config,
             placement=plan,
         )
         data_script = diff_data(old.image.data, image.data)
@@ -304,33 +293,26 @@ class UpdatePlanner:
         return result
 
     def plan_adaptive(
-        self,
-        new_source: str,
-        cnt: float | None = None,
-        energy: EnergyModel | None = None,
-        config: UpdateConfig | None = None,
+        self, new_source: str, config: UpdateConfig | None = None
     ) -> UpdateResult:
         """Plan under both UCC-RA and the baseline, measure both, and
-        return whichever minimises eq. 18's total energy at execution
-        count ``cnt`` (defaults to the config's ``expected_runs``).
+        return whichever minimises eq. 18's total energy at the
+        config's ``expected_runs``, priced with the planner's energy
+        model.
 
         This is the paper's §5.5 fallback made explicit: *"UCC-RA falls
         back to GCC-RA when [the code] is executed more than 10^7 times
         because of the diminishing energy gain."*
         """
         base = config if config is not None else self.config
-        cnt = base.expected_runs if cnt is None else cnt
-        energy = energy or self.energy
-        # Both candidate plans see the same Cnt for their mov-insertion
-        # decisions.
-        base = replace(base, expected_runs=cnt)
+        cnt = base.expected_runs
         ucc = measure_cycles(
             self.plan(new_source, config=replace(base, ra="ucc"))
         )
         baseline = measure_cycles(
             self.plan(new_source, config=replace(base, ra="gcc"))
         )
-        if ucc.diff_energy(cnt, energy) <= baseline.diff_energy(cnt, energy):
+        if ucc.diff_energy(cnt, self.energy) <= baseline.diff_energy(cnt, self.energy):
             ucc.ra_strategy = "ucc-adaptive(ucc)"
             return ucc
         baseline.ra_strategy = "ucc-adaptive(gcc)"

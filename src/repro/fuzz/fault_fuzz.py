@@ -159,7 +159,7 @@ def _build_pair(rng: random.Random, config: UpdateConfig) -> _Pair:
 
     program = generate_program(rng)
     mutated, _edits = mutate(program, rng, rng.randrange(1, 3))
-    old = compile_source(program.render(), register_allocator="gcc")
+    old = compile_source(program.render())
     planner = UpdatePlanner(old, config=config)
     result = planner.plan(mutated.render())
     blob = result.diff.script.to_bytes() + result.data_script.to_bytes()
@@ -168,7 +168,7 @@ def _build_pair(rng: random.Random, config: UpdateConfig) -> _Pair:
     rebuilt = patched_words(old.image, result.diff.script)
     if rebuilt != result.new.image.words():
         failures.append("patched image diverges from the sink binary")
-    scratch = compile_source(mutated.render(), register_allocator="gcc")
+    scratch = compile_source(mutated.render())
     golden_run = run_image(old.image, devices=_board(), max_cycles=MAX_CYCLES)
     new_run = run_image(
         result.new.image, devices=_board(), max_cycles=MAX_CYCLES

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from ..config import UpdateConfig
-from ..core.compiler import Compiler, CompilerOptions, compile_source
+from ..core.compiler import Compiler, compile_source
 from ..core.update import UpdatePlanner
 from ..diff.data_diff import apply_data, DataScript
 from ..diff.edit_script import EditScript
@@ -89,26 +89,18 @@ def _board() -> DeviceBoard:
 def check_pair(
     old_source: str,
     new_source: str,
-    ra: str = "ucc",
-    da: str = "ucc",
-    expected_runs: float = 1000.0,
-    baseline_ra: str = "gcc",
     config: UpdateConfig | None = None,
 ) -> PairVerdict:
     """Run every oracle over one update pair.
 
-    ``config`` carries the full planning configuration (cp, checked
-    mode, knobs); when given it wins over the loose ``ra``/``da``
-    strings.  Its ``verify`` flag is forced off — the planner's own
-    assertions would raise, while the oracles below re-check those
+    ``config`` carries the full planning configuration (strategies, cp,
+    checked mode, knobs; ``None`` means ``UpdateConfig()``); both
+    sources compile under the default :class:`~repro.config
+    .CompileConfig`.  Its ``verify`` flag is forced off — the planner's
+    own assertions would raise, while the oracles below re-check those
     properties and *report* instead.
     """
-    cfg = (
-        config
-        if config is not None
-        else UpdateConfig(ra=ra, da=da, expected_runs=expected_runs)
-    )
-    cfg = replace(cfg, verify=False)
+    cfg = replace(config if config is not None else UpdateConfig(), verify=False)
     verdict = PairVerdict()
 
     def fail(oracle: str, message: str) -> None:
@@ -116,7 +108,7 @@ def check_pair(
 
     # -- plan the incremental update -----------------------------------
     try:
-        old = compile_source(old_source, register_allocator=baseline_ra)
+        old = compile_source(old_source)
     except Exception as error:  # a generated program must always compile
         fail("plan", f"old source failed to compile: {error}")
         return verdict
@@ -189,7 +181,7 @@ def check_pair(
 
     # -- oracle: device-trace equivalence vs a from-scratch compile ----
     try:
-        scratch = compile_source(new_source, register_allocator=baseline_ra)
+        scratch = compile_source(new_source)
     except Exception as error:
         fail("trace", f"from-scratch compile of the new source failed: {error}")
         return verdict
@@ -215,7 +207,7 @@ def check_pair(
             + divergence.render(),
         )
     try:
-        module = Compiler(CompilerOptions()).front_and_middle(new_source)
+        module = Compiler().front_and_middle(new_source)
         reference = run_ir(module, devices=_board(), max_steps=MAX_CYCLES)
     except Exception as error:
         fail("trace", f"IR interpreter failed on the new source: {error}")

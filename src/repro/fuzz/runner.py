@@ -101,8 +101,6 @@ def run_fuzz(
     iters: int = 100,
     max_edits: int = 3,
     corpus_dir: str | None = None,
-    ra: str = "ucc",
-    da: str = "ucc",
     config: GenConfig | None = None,
     on_progress=None,
     shrink_findings: bool = True,
@@ -110,13 +108,11 @@ def run_fuzz(
 ) -> FuzzReport:
     """Run one deterministic fuzz campaign.
 
-    ``update_config`` carries the full planning configuration (cp,
-    checked mode, knobs) for the oracle battery; when given it wins
-    over the loose ``ra``/``da`` strings.
+    ``update_config`` carries the full planning configuration
+    (strategies, cp, checked mode, knobs) for the oracle battery;
+    ``None`` means ``UpdateConfig()``.
     """
-    plan_cfg = (
-        update_config if update_config is not None else UpdateConfig(ra=ra, da=da)
-    )
+    plan_cfg = update_config if update_config is not None else UpdateConfig()
     report = FuzzReport(seed=seed, iterations=iters)
     hasher = hashlib.sha256()
     before = REGISTRY.values("fuzz.")

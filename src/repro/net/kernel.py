@@ -218,10 +218,12 @@ class SimKernel:
             heap = self._heap
             pop = heappop
             while heap and not self._stopped:
-                time_s, _seq, node, handle, callback, per_node = pop(heap)
+                time_s, seq, node, handle, callback, per_node = pop(heap)
                 if handle.cancelled:
                     continue
                 if time_s > limit:
+                    # Past the budget: requeue it for a later run().
+                    heappush(heap, (time_s, seq, node, handle, callback, per_node))
                     self.now = limit
                     break
                 self.now = time_s

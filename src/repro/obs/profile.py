@@ -1,8 +1,9 @@
 """The engine behind ``repro profile``: one traced end-to-end update.
 
 :func:`profile_update` drives the whole pipeline — compile the old
-program, plan the update, disseminate the packetised script over a
-grid, simulate both versions — with the process-wide tracer enabled,
+program, push the update through an
+:class:`~repro.core.session.UpdateSession` on a grid (plan, disseminate,
+patch), simulate both versions — with the process-wide tracer enabled,
 then folds the collected spans into a per-phase wall-time/energy
 breakdown and a per-run metrics delta.
 
@@ -17,11 +18,9 @@ from dataclasses import dataclass, field
 
 from ..config import UpdateConfig
 from ..core.compiler import compile_source
-from ..core.update import UpdateResult, measure_cycles, plan_update
+from ..core.session import UpdateSession
+from ..core.update import UpdateResult, measure_cycles
 from ..energy.model import DEFAULT_ENERGY_MODEL
-from ..energy.power_model import MICA2
-from ..net.dissemination import disseminate
-from ..net.lossy import disseminate_lossy
 from ..net.topology import grid
 from . import metrics, trace
 
@@ -34,6 +33,7 @@ CORE_PHASES = (
     "compile.regalloc",
     "compile.datalayout",
     "compile.backend",
+    "session.push_update",
     "update.plan",
     "update.regalloc",
     "update.datalayout",
@@ -199,15 +199,15 @@ def profile_update(
     before = metrics.REGISTRY.values()
     try:
         with trace.span("profile.total", ra=cfg.ra, da=cfg.da):
-            old = compile_source(old_source)
-            result = plan_update(old, new_source, config=cfg)
-            topology = grid(grid_side, grid_side)
-            if loss > 0.0:
-                dissemination = disseminate_lossy(
-                    topology, result.packets, loss=loss, seed=loss_seed, power=MICA2
-                )
-            else:
-                dissemination = disseminate(topology, result.packets, MICA2)
+            session = UpdateSession(
+                compile_source(old_source),
+                topology=grid(grid_side, grid_side),
+                loss=loss,
+                loss_seed=loss_seed,
+                config=cfg,
+            )
+            pushed = session.push_update(new_source)
+            result = pushed.update
             if simulate:
                 measure_cycles(result)
     finally:
@@ -220,8 +220,8 @@ def profile_update(
     energy = DEFAULT_ENERGY_MODEL
     sim_cycles = delta.get("sim.cycles", 0.0)
     energy_by_phase = {
-        "net.disseminate": f"{dissemination.total_energy_j:.4g} J",
-        "net.disseminate_lossy": f"{dissemination.total_energy_j:.4g} J",
+        "net.disseminate": f"{pushed.network_energy_j:.4g} J",
+        "net.disseminate_lossy": f"{pushed.network_energy_j:.4g} J",
         "diff.images": (
             f"{energy.e_trans_words(result.diff_words) + energy.e_trans_bytes(result.data_script_bytes):.4g} u tx"
         ),
@@ -240,8 +240,8 @@ def profile_update(
         rows=rows,
         events=events,
         metrics_delta=delta,
-        dissemination_energy_j=dissemination.total_energy_j,
-        nodes=topology.node_count - 1,
+        dissemination_energy_j=pushed.network_energy_j,
+        nodes=pushed.nodes_patched,
     )
 
 

@@ -180,71 +180,49 @@ def execute_job(
     # Imported here so a forked worker only pays for what it runs.
     import hashlib
 
+    from ..core.session import UpdateSession
     from ..core.update import UpdatePlanner, measure_cycles
-    from ..net.campaign import run_campaign
-    from ..net.dissemination import disseminate
-    from ..net.errors import DisseminationIncomplete
-    from ..net.lossy import disseminate_lossy
 
     start = time.perf_counter()
     with trace.span("service.job", index=index, ra=job.update.ra):
         try:
             old = _compile_cached(job.old_source, job.compile, compile_cache)
-            planner = UpdatePlanner(old, config=job.update)
-            result = planner.plan(job.new_source)
             nodes = 0
             energy_j = 0.0
             rounds = 0
             campaign_outcome = ""
             nodes_quarantined = 0
             campaign_digest = ""
-            if job.topology is not None:
-                topology = job.topology.build()
+            if job.topology is None:
+                result = UpdatePlanner(old, config=job.update).plan(job.new_source)
+            else:
+                session = UpdateSession(
+                    old,
+                    topology=job.topology.build(),
+                    loss=job.loss,
+                    loss_seed=job.loss_seed,
+                    config=job.update,
+                )
                 if job.fault_plan is not None:
                     # Fault-tolerant campaign: graceful degradation —
                     # an unconverged fleet is a structured partial
                     # outcome, never an exception.
-                    blob = (
-                        result.diff.script.to_bytes()
-                        + result.data_script.to_bytes()
-                    )
-                    report = run_campaign(
-                        topology,
-                        blob,
-                        job.fault_plan,
-                        loss=job.loss,
-                        seed=job.loss_seed,
+                    pushed = session.push_campaign(
+                        {1: job.new_source},
+                        plan=job.fault_plan,
                         max_rounds=job.max_rounds,
-                        payload_per_packet=result.packets.payload_per_packet,
-                        overhead_per_packet=result.packets.overhead_per_packet,
                     )
-                    nodes = len(report.converged_nodes)
-                    energy_j = report.total_energy_j
+                    report = pushed.report
                     rounds = report.rounds
                     campaign_outcome = report.outcome
                     nodes_quarantined = len(report.quarantined)
                     campaign_digest = report.digest()
-                elif job.loss > 0.0:
-                    dissemination = disseminate_lossy(
-                        topology,
-                        result.packets,
-                        loss=job.loss,
-                        seed=job.loss_seed,
-                    )
-                    if not dissemination.complete:
-                        raise DisseminationIncomplete(
-                            missing=dissemination.missing,
-                            rounds=dissemination.rounds,
-                            packets=dissemination.packets,
-                        )
-                    nodes = topology.node_count - 1
-                    energy_j = dissemination.total_energy_j
-                    rounds = dissemination.rounds
                 else:
-                    dissemination = disseminate(topology, result.packets)
-                    nodes = topology.node_count - 1
-                    energy_j = dissemination.total_energy_j
-                    rounds = dissemination.rounds
+                    pushed = session.push_update(job.new_source)
+                    rounds = pushed.dissemination.rounds
+                result = pushed.update
+                nodes = pushed.nodes_patched
+                energy_j = pushed.network_energy_j
             if job.measure_cycles:
                 measure_cycles(result)
             script_digest = hashlib.sha256(
@@ -291,17 +269,17 @@ def execute_job(
 
 
 def _compile_cached(source, config, cache: Optional[ContentCache]):
-    from ..core.compiler import Compiler
+    from ..core.compiler import compile_source
 
     if cache is None:
-        return Compiler(config.to_options()).compile(source)
+        return compile_source(source, config)
     key = compile_key(source, config.digest())
     program = cache.get(key)
     if program is not None:
         metrics.counter("service.cache.compile_hits").inc()
         return program
     metrics.counter("service.cache.compile_misses").inc()
-    program = Compiler(config.to_options()).compile(source)
+    program = compile_source(source, config)
     cache.put(key, program)
     return program
 

@@ -34,7 +34,7 @@ from ..config import (
     VersionGraphConfig,
     VersionSpec,
 )
-from ..core.compiler import CompiledProgram
+from ..core.compiler import CompiledProgram, compile_source
 from ..core.errors import PlanStateError
 from ..diff.compose import compose_chain
 from ..diff.data_diff import DataScript, apply_data, diff_data
@@ -361,8 +361,6 @@ def build_version_graph(
     with trace.span(
         "versioning.build", versions=len(ordered), target=ordered[-1]
     ):
-        from ..api import compile_source
-
         if ordered[0] not in programs:
             programs[ordered[0]] = compile_source(
                 specs[ordered[0]].source, compile_config

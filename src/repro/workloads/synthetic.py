@@ -9,7 +9,7 @@ answers all sweep this one definition.
 
 from __future__ import annotations
 
-from ..core import Compiler, CompilerOptions, compile_source
+from ..core import Compiler, compile_source
 from ..energy import DEFAULT_ENERGY_MODEL
 from ..ir import analyze, static_frequencies
 from ..regalloc import allocate_ucc_greedy
@@ -52,7 +52,7 @@ def ilp_spec(n_stmts: int):
     ``n_stmts`` statements, recompiled against its own first compile."""
     source = synthetic_chunk_source(n_stmts)
     old = compile_source(source)
-    module = Compiler(CompilerOptions()).front_and_middle(source)
+    module = Compiler().front_and_middle(source)
     fn = module.functions["f"]
     record, report = allocate_ucc_greedy(
         fn, old.module.functions["f"], old.records["f"]

@@ -17,7 +17,6 @@ from repro.analysis import (
 )
 from repro.core import (
     Compiler,
-    CompilerOptions,
     UpdatePlanner,
     compile_source,
     plan_update,
@@ -27,7 +26,7 @@ from repro.ilp.model import IntegerProgram
 from repro.ir import build_cfg, build_ir
 from repro.lang import frontend
 from repro.workloads import CASES, RA_CASE_IDS
-from repro.config import UpdateConfig
+from repro.config import CompileConfig, UpdateConfig
 
 
 def lower_fn(source, name="f"):
@@ -290,20 +289,20 @@ class TestILPAudit:
 class TestCheckedMode:
     def test_checked_compile_passes_on_clean_source(self):
         case = CASES["1"]
-        program = compile_source(case.old_source, checked=True)
-        assert program.options.checked
+        program = compile_source(case.old_source, CompileConfig(checked=True))
+        assert program.config.checked
 
     def test_checked_plan_runs_verifiers(self, compiled_case_olds):
         case = CASES["2"]
         result = plan_update(
             compiled_case_olds["2"], case.new_source, config=UpdateConfig(checked=True)
         )
-        assert result.new.options.checked
+        assert result.new.config.checked
 
     def test_checked_inherited_from_old_options(self):
         case = CASES["1"]
-        compiler = Compiler(CompilerOptions(checked=True))
+        compiler = Compiler(CompileConfig(checked=True))
         old = compiler.compile(case.old_source)
         result = UpdatePlanner(old).plan(case.new_source)
-        # checked=None inherits from the old program's options
-        assert result.new.options.checked
+        # checked=None inherits from the old program's config
+        assert result.new.config.checked

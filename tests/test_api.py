@@ -2,8 +2,11 @@
 
 Pins the facade's behaviour: typed configs validate at construction,
 the facade functions produce the same artefacts as the underlying
-classes, and empty fleets are rejected up front.
+classes, each knob is set one way, and empty fleets are rejected up
+front.
 """
+
+import inspect
 
 import pytest
 
@@ -13,7 +16,6 @@ from repro.config import (
     FleetJob,
     TopologySpec,
     UpdateConfig,
-    baseline_ra,
 )
 from repro.workloads import CASES
 
@@ -51,15 +53,16 @@ class TestConfigValidation:
 
     def test_compile_config_rejects_update_strategies(self):
         # "ucc" is an *update* strategy; a from-scratch compile needs a
-        # baseline allocator.  CompileConfig.of does the mapping.
+        # baseline allocator.
         with pytest.raises(ValueError, match="CompileConfig.ra"):
             CompileConfig(ra="ucc")
 
-    def test_compile_config_of_maps_update_strategy_to_baseline(self):
-        assert CompileConfig.of(ra="ucc").ra == "gcc"
-        assert CompileConfig.of(ra="ucc-ilp").ra == "gcc"
-        assert CompileConfig.of(ra="linear").ra == "linear"
-        assert baseline_ra("ucc") == "gcc"
+    def test_compile_config_rejects_negative_headroom(self):
+        # Refused up front, not by an assert or a placement overlap
+        # deep in the back end.
+        with pytest.raises(ValueError, match="placement_headroom must be >= 0"):
+            CompileConfig(placement_headroom=-1)
+        assert CompileConfig(placement_headroom=0).placement_headroom == 0
 
     def test_topology_spec_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="grid/line/random"):
@@ -107,7 +110,7 @@ class TestFacade:
         from repro.core.compiler import Compiler
 
         via_api = api.compile_source(CASE.old_source, CompileConfig())
-        direct = Compiler(CompileConfig().to_options()).compile(CASE.old_source)
+        direct = Compiler(CompileConfig()).compile(CASE.old_source)
         assert via_api.image.words() == direct.image.words()
 
     def test_plan_update_matches_planner(self):
@@ -121,10 +124,40 @@ class TestFacade:
 
     def test_facade_reexports_one_implementation(self):
         import repro
+        import repro.core
         import repro.service
 
         assert repro.plan_update is api.plan_update
         assert api.run_batch is repro.service.run_batch
+        assert repro.compile_source is repro.core.compile_source
+        assert repro.core.compile_source is api.compile_source
+
+    def test_no_entry_point_takes_a_loose_knob(self):
+        """Compile knobs live on CompileConfig and plan knobs on
+        UpdateConfig; no entry point takes one as its own parameter."""
+        import repro
+        from repro.fuzz import check_pair, run_fuzz
+        from repro.obs.profile import profile_update
+
+        loose = {
+            "ra", "da", "cp", "k", "expected_runs", "space_threshold",
+            "cnt", "register_allocator", "optimize", "checked",
+            "baseline_ra",
+        }
+        entry_points = [
+            repro.compile_source,
+            repro.Compiler,
+            repro.UpdatePlanner.plan,
+            repro.UpdatePlanner.plan_adaptive,
+            repro.plan_update,
+            repro.UpdateSession.push_update,
+            profile_update,
+            check_pair,
+            run_fuzz,
+        ]
+        for entry in entry_points:
+            params = set(inspect.signature(entry).parameters)
+            assert not params & loose, (entry.__qualname__, params & loose)
 
     def test_make_session_accepts_topology_spec(self):
         old = api.compile_source(CASE.old_source)

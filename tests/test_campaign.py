@@ -406,6 +406,13 @@ class TestCampaignCli:
         assert "bad --partition" in err
         assert "must be >= 1" in err
 
+    def test_cli_empty_fleet_exits_two(self, capsys):
+        from repro.cli import main
+
+        code = main(["campaign", "--case", "6", "--grid", "1"])
+        assert code == 2
+        assert "no sensor nodes" in capsys.readouterr().err
+
 
 class TestFaultFuzzAcceptance:
     def test_fifty_case_seeded_sweep_passes(self):

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import Compiler, CompilerOptions, build_data_image, compile_source
+from repro.config import CompileConfig
+from repro.core import Compiler, build_data_image, compile_source
 from repro.isa import disassemble_words
 from repro.lang import CompileError
 
@@ -81,19 +82,19 @@ class TestOptionsAndErrors:
             compile_source("void main() { undeclared = 1; }")
 
     def test_linear_allocator_option(self, simple_source):
-        prog = compile_source(simple_source, register_allocator="linear")
+        prog = compile_source(simple_source, CompileConfig(ra="linear"))
         assert all(r.algorithm == "linear-scan" for r in prog.records.values())
 
     def test_unknown_allocator_rejected(self, simple_source):
-        with pytest.raises(KeyError):
-            compile_source(simple_source, register_allocator="magic")
+        with pytest.raises(ValueError, match="CompileConfig.ra"):
+            CompileConfig(ra="magic")
 
     def test_depth_override_reaches_ir(self, simple_source):
-        options = CompilerOptions(depths={"bump": 3})
-        prog = Compiler(options).compile(simple_source)
+        config = CompileConfig(depths=(("bump", 3),))
+        prog = Compiler(config).compile(simple_source)
         assert prog.module.functions["bump"].depth == 3
 
     def test_optimize_flag_reduces_code(self, simple_source):
-        optimized = compile_source(simple_source, optimize=True)
-        plain = compile_source(simple_source, optimize=False)
+        optimized = compile_source(simple_source, CompileConfig(optimize=True))
+        plain = compile_source(simple_source, CompileConfig(optimize=False))
         assert optimized.size_words <= plain.size_words

@@ -102,6 +102,7 @@ class TestCSE:
         assert sim.load(prog.layout.addresses["r"]) == (15 + 15 + 6) & 0xFF
 
     def test_cse_reduces_code_size(self):
+        from repro.config import CompileConfig
         from repro.core import compile_source
 
         src = """
@@ -112,8 +113,8 @@ class TestCSE:
             halt();
         }
         """
-        small = compile_source(src, optimize=True)
-        big = compile_source(src, optimize=False)
+        small = compile_source(src, CompileConfig(optimize=True))
+        big = compile_source(src, CompileConfig(optimize=False))
         assert small.size_words < big.size_words
 
     def test_cse_is_deterministic(self):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
+from repro.config import CompileConfig
 from repro.core import compile_source
 from repro.sim import Simulator
 
@@ -190,7 +191,7 @@ class TestExpressionDifferential:
             halt();
         }}
         """
-        progs = [compile_source(src, optimize=flag) for flag in (True, False)]
+        progs = [compile_source(src, CompileConfig(optimize=flag)) for flag in (True, False)]
         values = []
         for prog in progs:
             sim = Simulator(prog.image)
@@ -217,7 +218,7 @@ class TestExpressionDifferential:
         """
         values = []
         for ra in ("gcc", "linear"):
-            prog = compile_source(src, register_allocator=ra)
+            prog = compile_source(src, CompileConfig(ra=ra))
             sim = Simulator(prog.image)
             sim.run(max_cycles=200_000)
             values.append(sim.load(prog.layout.addresses["result"]))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import Compiler, CompilerOptions, compile_source
+from repro.core import Compiler, compile_source
 from repro.energy import DEFAULT_ENERGY_MODEL
 from repro.ir import analyze, static_frequencies
 from repro.ir.liveness import analyze as analyze_liveness
@@ -25,7 +25,7 @@ from repro.config import UpdateConfig
 def chunk_fixture(case_id="6", fname="tosh_run_next_task", candidates=3):
     case = CASES[case_id]
     old = compile_source(case.old_source)
-    module = Compiler(CompilerOptions()).front_and_middle(case.new_source)
+    module = Compiler().front_and_middle(case.new_source)
     fn = module.functions[fname]
     record, report = allocate_ucc_greedy(
         fn, old.module.functions[fname], old.records[fname]
@@ -104,7 +104,7 @@ class TestILPAllocator:
     def test_ilp_mode_verifies(self):
         case = CASES["6"]
         old = compile_source(case.old_source)
-        module = Compiler(CompilerOptions()).front_and_middle(case.new_source)
+        module = Compiler().front_and_middle(case.new_source)
         for fname, fn in module.functions.items():
             record, report = allocate_ucc_ilp(
                 fn, old.module.functions[fname], old.records[fname]
@@ -123,7 +123,7 @@ class TestILPAllocator:
     def test_stats_recorded_per_chunk(self):
         case = CASES["6"]
         old = compile_source(case.old_source)
-        module = Compiler(CompilerOptions()).front_and_middle(case.new_source)
+        module = Compiler().front_and_middle(case.new_source)
         fn = module.functions["tosh_run_next_task"]
         _, report = allocate_ucc_ilp(
             fn, old.module.functions["tosh_run_next_task"], old.records["tosh_run_next_task"]

@@ -136,4 +136,4 @@ class TestCheckedPipeline:
     def test_checked_plan_with_ilp_allocator(self, compiled_case_olds):
         case = CASES["4"]
         result = plan_update(compiled_case_olds["4"], case.new_source, config=UpdateConfig(ra="ucc-ilp", checked=True))
-        assert result.new.options.checked
+        assert result.new.config.checked

@@ -3,13 +3,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import Compiler, CompilerOptions, compile_source
+from repro.config import CompileConfig
+from repro.core import Compiler, compile_source
 from repro.ir import IRInterpError, run_ir
 from repro.sim import run_image
 
 
 def front_middle(source, optimize=True):
-    return Compiler(CompilerOptions(optimize=optimize)).front_and_middle(source)
+    return Compiler(CompileConfig(optimize=optimize)).front_and_middle(source)
 
 
 class TestBasics:
@@ -61,7 +62,7 @@ class TestBasics:
         src = "u8 r; void main() { u8 a = 7; u8 z = a - a; r = a / z; halt(); }"
         module = front_middle(src, optimize=False)
         ir_result = run_ir(module)
-        prog = compile_source(src, optimize=False)
+        prog = compile_source(src, CompileConfig(optimize=False))
         from repro.sim import Simulator
 
         sim = Simulator(prog.image)

@@ -134,6 +134,19 @@ class TestStopAndBudget:
         assert end == 5.0
         assert kernel.now == 5.0
 
+    def test_budgeted_run_keeps_the_next_event(self):
+        """The first event past the budget stays queued, so a run in
+        slices dispatches every event the whole run would."""
+        kernel = SimKernel(1)
+        fired = []
+        kernel.schedule(1.0, 0, lambda: fired.append(1.0))
+        kernel.schedule(10.0, 0, lambda: fired.append(10.0))
+        kernel.run(max_time=3.0)
+        assert kernel.pending() == 1
+        assert kernel.run() == 10.0
+        assert fired == [1.0, 10.0]
+        assert kernel.events_dispatched == 2
+
     def test_max_time_before_now_is_refused(self):
         """The clock never runs backwards: a budget that ends before
         ``now`` raises and leaves the clock where it was."""

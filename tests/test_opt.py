@@ -144,6 +144,7 @@ class TestDeterminismAndSemantics:
 
     def test_optimized_program_still_correct(self):
         """Optimization must not change observable behaviour."""
+        from repro.config import CompileConfig
         from repro.core import compile_source
         from repro.sim import run_image
 
@@ -156,8 +157,8 @@ class TestDeterminismAndSemantics:
             halt();
         }
         """
-        opt = compile_source(src, optimize=True)
-        unopt = compile_source(src, optimize=False)
+        opt = compile_source(src, CompileConfig(optimize=True))
+        unopt = compile_source(src, CompileConfig(optimize=False))
         sent_opt = run_image(opt.image).devices.radio.sent
         sent_unopt = run_image(unopt.image).devices.radio.sent
         expected = sum(i * 2 + 1 for i in range(10))

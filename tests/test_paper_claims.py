@@ -110,10 +110,10 @@ class TestSection3:
         model has at most two different operands.'"""
         from repro.ir import IROp
         from repro.workloads import PROGRAMS
-        from repro.core import Compiler, CompilerOptions
+        from repro.core import Compiler
 
         for source in PROGRAMS.values():
-            module = Compiler(CompilerOptions()).front_and_middle(source)
+            module = Compiler().front_and_middle(source)
             for fn in module.functions.values():
                 for ins in fn.instrs:
                     if ins.op is IROp.CALL:

@@ -9,10 +9,10 @@ from repro.codegen.placement import (
     code_size_words,
     ucc_placement,
 )
-from repro.core import Compiler, CompilerOptions, compile_source, plan_update
+from repro.core import Compiler, compile_source, plan_update
 from repro.isa.instructions import MachineInstr
 from repro.sim import run_image
-from repro.config import UpdateConfig
+from repro.config import CompileConfig, UpdateConfig
 
 
 class TestPlans:
@@ -138,8 +138,7 @@ class TestEndToEnd:
         assert new.slot("a").start >= old.slot("c").start + 5
 
     def test_padded_binary_still_correct(self):
-        options = CompilerOptions(placement_headroom=6)
-        prog = Compiler(options).compile(self.SRC)
+        prog = Compiler(CompileConfig(placement_headroom=6)).compile(self.SRC)
         sim_result = run_image(prog.image)
         assert sim_result.halted
         # g = 1 + 2 + 3
@@ -150,8 +149,7 @@ class TestEndToEnd:
         assert sim.load(prog.layout.addresses["g"]) == 6
 
     def test_headroom_roundtrip_through_update(self):
-        options = CompilerOptions(placement_headroom=8)
-        old = Compiler(options).compile(self.SRC)
+        old = Compiler(CompileConfig(placement_headroom=8)).compile(self.SRC)
         new_src = self.SRC.replace("g = g + 2;", "g = g + 2; g = g | 1;")
         result = plan_update(old, new_src, config=UpdateConfig(ra="ucc", da="ucc"))
         # growth absorbed by headroom: every function keeps its address

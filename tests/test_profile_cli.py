@@ -167,6 +167,18 @@ def test_cli_profile_requires_inputs(capsys):
     assert main(["profile"]) == 2
 
 
+@pytest.mark.parametrize("side", ["0", "1"])
+def test_cli_profile_refuses_an_empty_fleet(side, capsys):
+    assert main(["profile", "--case", "6", "--grid", side, "--no-sim"]) == 2
+    assert "no sensor nodes" in capsys.readouterr().err
+
+
+def test_cli_profile_fails_an_incomplete_dissemination(capsys):
+    code = main(["profile", "--case", "6", "--grid", "3", "--loss", "0.99", "--no-sim"])
+    assert code == 1
+    assert "dissemination incomplete" in capsys.readouterr().err
+
+
 def test_fuzz_report_embeds_metrics(capsys):
     code = main(["fuzz", "--iters", "3", "--quiet", "--no-shrink"])
     assert code == 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import Compiler, CompilerOptions, compile_source
+from repro.core import Compiler, compile_source
 from repro.ir import analyze, build_ir
 from repro.isa import registers as regs
 from repro.lang import frontend
@@ -26,7 +26,7 @@ def lower_fn(source, name="f"):
 
 
 def front_middle(source):
-    return Compiler(CompilerOptions()).front_and_middle(source)
+    return Compiler().front_and_middle(source)
 
 
 class TestPlacement:

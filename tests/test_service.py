@@ -224,6 +224,18 @@ class TestFailurePaths:
         assert timed_out
         assert all("timeout" in outcome.error for outcome in timed_out)
 
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_empty_fleet_fails_the_job(self, side):
+        """A topology with no sensor node fails the job the way
+        ``UpdateSession`` refuses it, instead of reporting -1 or 0
+        patched nodes."""
+        job = _case_job("6", topology=TopologySpec.grid(side, side))
+        outcome = execute_job(job)
+        assert not outcome.ok
+        assert outcome.error.startswith("EmptyFleetError: fleet has no sensor nodes")
+        assert outcome.nodes_patched == 0
+        assert outcome.network_energy_j == 0.0
+
     def test_constructor_validation(self):
         with pytest.raises(ValueError, match="workers"):
             FleetUpdateService(workers=0)

@@ -1,6 +1,7 @@
 """Unit tests for the fuzz oracle's trace comparator
 (:func:`repro.sim.traces_equal`)."""
 
+from repro.config import CompileConfig
 from repro.core import compile_source
 from repro.sim import DeviceBoard, Divergence, Timer, run_image, traces_equal
 from repro.sim.executor import RunResult
@@ -81,7 +82,7 @@ void main() {
 
 class TestTracesEqualOnRealRuns:
     def _trace(self, source, ra="gcc"):
-        program = compile_source(source, register_allocator=ra)
+        program = compile_source(source, CompileConfig(ra=ra))
         board = DeviceBoard(timer=Timer(fire_every_polls=3))
         return run_image(program.image, devices=board)
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import compile_source, measure_cycles, plan_update
+from repro.core import UpdatePlanner, compile_source, measure_cycles, plan_update
 from repro.diff.patcher import patched_words
 from repro.workloads import CASES
 from repro.config import UpdateConfig
@@ -96,6 +96,31 @@ class TestEnergyAccounting:
         if ucc.diff_words < baseline.diff_words:
             cnt = 10.0
             assert baseline.diff_energy(cnt) > ucc.diff_energy(cnt)
+
+
+class TestPlanAdaptive:
+    """The §5.5 fallback at the default Cnt: whichever plan
+    :meth:`UpdatePlanner.plan_adaptive` ships is the plain plan of the
+    winning strategy."""
+
+    @pytest.mark.parametrize(
+        "case_id, winner", [("6", "ucc"), ("D1", "gcc")]
+    )
+    def test_ships_the_cheaper_plan(self, compiled_case_olds, case_id, winner):
+        case = CASES[case_id]
+        planner = UpdatePlanner(compiled_case_olds[case_id])
+        chosen = planner.plan_adaptive(case.new_source)
+        assert chosen.ra_strategy == f"ucc-adaptive({winner})"
+        plain = measure_cycles(
+            planner.plan(case.new_source, config=UpdateConfig(ra=winner))
+        )
+        assert chosen.diff.script.render() == plain.diff.script.render()
+        assert chosen.new.image.words() == plain.new.image.words()
+        assert chosen.data_script.to_bytes() == plain.data_script.to_bytes()
+        assert (chosen.old_cycles, chosen.new_cycles) == (
+            plain.old_cycles,
+            plain.new_cycles,
+        )
 
 
 class TestExpectedRunsKnob:

@@ -36,9 +36,9 @@ class TestSurge:
         stream under the poll-driven timer (identical logical schedules;
         a cycle-driven timer would fire at different points because IR
         steps and machine cycles are different clocks)."""
-        from repro.core import Compiler, CompilerOptions
+        from repro.core import Compiler
 
-        module = Compiler(CompilerOptions()).front_and_middle(SURGE)
+        module = Compiler().front_and_middle(SURGE)
         ir_result = run_ir(
             module,
             devices=DeviceBoard(timer=Timer(fire_every_polls=3)),
