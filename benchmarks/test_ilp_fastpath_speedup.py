@@ -124,7 +124,7 @@ def test_fastpath_batch_not_slower_than_reference():
         SOLVE_CACHE.clear()
         with reference_mode(reference):
             start = time.perf_counter()
-            result = FleetUpdateService(workers=1, use_processes=False).run(jobs)
+            result = FleetUpdateService(workers=1).run(jobs)
             elapsed = (time.perf_counter() - start) * 1000.0
         assert result.ok
         return elapsed

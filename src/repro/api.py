@@ -33,8 +33,6 @@ from .config import (
     FleetJob,
     TopologySpec,
     UpdateConfig,
-    VersionGraphConfig,
-    VersionSpec,
 )
 from .core.compiler import CompiledProgram, compile_source
 from .core.session import (
@@ -155,8 +153,6 @@ __all__ = [
     "UpdateResult",
     "UpdateSession",
     "VersionGraph",
-    "VersionGraphConfig",
-    "VersionSpec",
     "VersionedCampaignReport",
     "VersionedCampaignResult",
     "build_version_graph",

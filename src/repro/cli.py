@@ -307,7 +307,6 @@ def cmd_batch(args) -> int:
         workers=1 if args.serial else workers,
         timeout_s=args.timeout,
         retries=args.retries,
-        use_processes=not args.serial,
     )
     result = service.run(jobs)
     if args.repeat > 1:
@@ -484,7 +483,6 @@ def _coding_fits_protocol(coding, protocol: str) -> bool:
 
 
 def cmd_plan_versions(args) -> int:
-    from .config import VersionGraphConfig
     from .net.topology import grid
     from .versioning import build_version_graph, plan_cohorts
     from .versioning.planner import predicted_wave_energy_j
@@ -534,9 +532,8 @@ def cmd_plan_versions(args) -> int:
         for node in range(1, topology.node_count):
             fleet[node] = labels[0]
 
-    config = VersionGraphConfig(loss=args.loss)
-    graph = build_version_graph(releases, config=config)
-    plans = plan_cohorts(graph, fleet, target)
+    graph = build_version_graph(releases)
+    plans = plan_cohorts(graph, fleet, target, loss=args.loss)
     print(f"version graph {'-'.join(f'v{v}' for v in labels)} "
           f"-> v{target} over {topology.node_count} nodes "
           f"(loss={args.loss:g})")
@@ -550,7 +547,7 @@ def cmd_plan_versions(args) -> int:
         full = graph.full_edge(plan.from_version, plan.to_version)
         full_energy = predicted_wave_energy_j(
             full.script_bytes, node_count=topology.node_count,
-            mean_degree=4.0, config=graph.config,
+            mean_degree=4.0, loss=args.loss,
         )
         total += plan.predicted_energy_j
         total_full += full_energy

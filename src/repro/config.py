@@ -25,7 +25,6 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Optional, Tuple
 
-from .diff.packets import DEFAULT_OVERHEAD, DEFAULT_PAYLOAD
 from .regalloc.chunks import DEFAULT_K
 
 if TYPE_CHECKING:  # imported lazily to keep this module import-light
@@ -257,91 +256,6 @@ class FleetJob:
 
 #: Legal per-cohort dissemination strategies (see repro.versioning).
 PLAN_STRATEGIES = ("chain", "merged", "full")
-#: How a merged edge's script is produced: a fresh diff of the
-#: endpoint images, or diff-of-diffs composition along the chain.
-MERGED_FROM = ("direct", "composed")
-
-
-@dataclass(frozen=True)
-class VersionSpec:
-    """One version of the fleet's program — a node in the version graph.
-
-    ``version`` is the fleet-visible integer label nodes advertise;
-    ``source`` is the program text the sink compiled to that image.
-    The digest hashes the source by content, so two specs with the same
-    label but different programs get different addresses.
-    """
-
-    version: int
-    source: str
-    #: free-form release label echoed in reports ("v7-hotfix")
-    label: str = ""
-
-    def __post_init__(self):
-        if self.version < 0:
-            raise ValueError(
-                f"VersionSpec.version must be >= 0, got {self.version}"
-            )
-        if not self.source.strip():
-            raise ValueError(
-                f"VersionSpec v{self.version} has an empty source program"
-            )
-
-    def digest(self) -> str:
-        return _digest_of(
-            {
-                "version": self.version,
-                "source": hashlib.sha256(
-                    self.source.encode("utf-8")
-                ).hexdigest(),
-                "label": self.label,
-            }
-        )
-
-
-@dataclass(frozen=True)
-class VersionGraphConfig:
-    """Knobs of version-graph construction and cohort planning.
-
-    ``loss`` is the *planning-time* expected per-link loss the cost
-    model inflates air time by; the campaign's actual loss is set where
-    it runs.  ``merged_from`` picks how merged edges are produced
-    (``"direct"`` re-diffs the endpoint images, ``"composed"``
-    composes the chain's step scripts without touching the
-    intermediate images).  ``max_chain`` bounds the longest chained
-    plan the planner will consider.
-    """
-
-    merged_from: str = "direct"
-    loss: float = 0.0
-    payload_per_packet: int = DEFAULT_PAYLOAD
-    overhead_per_packet: int = DEFAULT_OVERHEAD
-    max_chain: int = 16
-
-    def __post_init__(self):
-        if self.merged_from not in MERGED_FROM:
-            raise ValueError(
-                f"VersionGraphConfig.merged_from must be one of "
-                f"{MERGED_FROM}, got {self.merged_from!r}"
-            )
-        if not 0.0 <= self.loss < 1.0:
-            raise ValueError(
-                f"VersionGraphConfig.loss must be in [0, 1), got {self.loss}"
-            )
-        if self.payload_per_packet < 1 or self.overhead_per_packet < 0:
-            raise ValueError(
-                f"VersionGraphConfig packet geometry invalid: payload "
-                f"{self.payload_per_packet}, overhead "
-                f"{self.overhead_per_packet}"
-            )
-        if self.max_chain < 1:
-            raise ValueError(
-                f"VersionGraphConfig.max_chain must be >= 1, "
-                f"got {self.max_chain}"
-            )
-
-    def digest(self) -> str:
-        return _digest_of(asdict(self))
 
 
 @dataclass(frozen=True)
@@ -408,7 +322,6 @@ class CohortPlan:
 __all__ = [
     "CP_STRATEGIES",
     "DA_STRATEGIES",
-    "MERGED_FROM",
     "PLAN_STRATEGIES",
     "RA_BASELINE_NAMES",
     "RA_STRATEGIES",
@@ -417,6 +330,4 @@ __all__ = [
     "FleetJob",
     "TopologySpec",
     "UpdateConfig",
-    "VersionGraphConfig",
-    "VersionSpec",
 ]

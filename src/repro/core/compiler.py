@@ -65,9 +65,6 @@ class CompiledProgram:
     def size_words(self) -> int:
         return self.image.size_words
 
-    def function_names(self) -> list[str]:
-        return list(self.module.functions)
-
     def disassemble(self) -> str:
         return self.image.disassemble()
 

@@ -248,7 +248,7 @@ class UpdateSession:
         ``"xor"`` burst parity with the kernel protocols);
         ``profile`` pins a :class:`repro.net.profiles.DeviceProfile`
         (radio draws, MTU fragmentation, airtime budget, capacitor
-        brownout model) on the single-release campaign.
+        brownout model) on every wave of the campaign.
         """
         releases = {int(v): source for v, source in payloads.items()}
         if not releases:
@@ -282,15 +282,9 @@ class UpdateSession:
                     releases[self.version + 1], plan, cfg, max_rounds,
                     protocol, coding, profile,
                 )
-            if profile is not None:
-                raise PlanStateError(
-                    "push_campaign",
-                    "device profiles apply to single-release campaigns; "
-                    "the version-graph planner does not take one yet",
-                )
             return self._push_versioned_campaign(
                 releases, plan, cfg, max_rounds, protocol, coding,
-                fleet_versions,
+                fleet_versions, profile,
             )
 
     def _push_single_campaign(
@@ -352,6 +346,7 @@ class UpdateSession:
         protocol: str,
         coding: "CodedTransferParams | None",
         fleet_versions: "Mapping[int, int] | None",
+        profile: "DeviceProfile | None",
     ) -> "VersionedCampaignResult":
         from ..versioning import (
             build_version_graph,
@@ -393,6 +388,7 @@ class UpdateSession:
             coding=coding,
             fault_plan=plan,
             max_rounds=max_rounds,
+            profile=profile,
         )
         patched = sum(
             len(c.plan.nodes) - len(c.quarantined) for c in report.cohorts

@@ -51,15 +51,6 @@ class ScriptGroup:
                 total += prim.count
         return total
 
-    @property
-    def old_consumed(self) -> int:
-        """Old-image instructions this group consumes."""
-        total = 0
-        for prim in self.primitives:
-            if prim.op in (PrimOp.COPY, PrimOp.REMOVE, PrimOp.REPLACE):
-                total += prim.count
-        return total
-
 
 def group_script(script: EditScript, max_group_bytes: int = 64) -> list[ScriptGroup]:
     """Split ``script`` into self-contained groups of roughly

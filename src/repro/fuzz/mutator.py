@@ -92,12 +92,6 @@ def _rewrite_stmt_exprs(stmt, fn) -> None:
         stmt.value = _rewrite_expr(stmt.value, fn)
 
 
-def _rewrite_program_exprs(program: GenProgram, fn) -> None:
-    for func in program.funcs:
-        for stmt in iter_stmts(func.body):
-            _rewrite_stmt_exprs(stmt, fn)
-
-
 #: Operators whose right operand must not be tweaked: divisors (a 0
 #: would fault constant folding) and shift amounts / modulus guards
 #: (the generator relies on ``% length`` for array bounds).

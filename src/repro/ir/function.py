@@ -49,9 +49,6 @@ class IRFunction:
                 seen.setdefault(reg.name, reg)
         return list(seen.values())
 
-    def named_vregs(self) -> list[VReg]:
-        return [r for r in self.vregs() if not r.is_temp]
-
     def instruction_count(self) -> int:
         """IR instructions excluding label markers."""
         return sum(1 for ins in self.instrs if ins.op is not IROp.LABEL)

@@ -239,10 +239,6 @@ class IRInstr:
         assert self.op is IROp.LABEL
         return self.args[0].name
 
-    def branch_targets(self) -> list[str]:
-        """Label names this instruction may jump to."""
-        return [a.name for a in self.args if isinstance(a, Label)]
-
     # -- rendering ---------------------------------------------------------
 
     def render(self, normalized: bool = False) -> str:
@@ -275,8 +271,3 @@ class IRInstr:
 
     def __str__(self) -> str:
         return self.render()
-
-
-def make_temp(stmt_id: int, counter: int, ctype: Type) -> VReg:
-    """Create the ``counter``-th temporary of statement ``stmt_id``."""
-    return VReg(f"${stmt_id}.{counter}", ctype)

@@ -72,10 +72,6 @@ class LivenessInfo:
     def interval(self, name: str) -> LiveInterval:
         return self.intervals[name]
 
-    def live_at(self, index: int) -> set:
-        """Vreg names live *out of* instruction ``index``."""
-        return self.live_out[index]
-
     def is_last_use(self, index: int, name: str) -> bool:
         """Is instruction ``index`` the last use of ``name`` (paper's
         ``lastUse.a.s``): the vreg is used here and dead afterwards?"""
@@ -83,14 +79,6 @@ class LivenessInfo:
         if name not in {r.name for r in ins.uses()}:
             return False
         return name not in self.live_out[index]
-
-    def is_def(self, index: int, name: str) -> bool:
-        ins = self.function.instrs[index]
-        return any(r.name == name for r in ins.defs())
-
-    def is_use(self, index: int, name: str) -> bool:
-        ins = self.function.instrs[index]
-        return any(r.name == name for r in ins.uses())
 
 
 def analyze(fn: IRFunction) -> LivenessInfo:

@@ -63,11 +63,6 @@ def reg_name(index: int) -> str:
     return f"r{index}"
 
 
-def is_pair_base(index: int) -> bool:
-    """Can a u16 value start at this register?"""
-    return index in PAIR_BASES
-
-
 def registers_of(base: int, size: int) -> tuple[int, ...]:
     """The physical registers a value of ``size`` bytes occupies."""
     if size == 1:

@@ -77,10 +77,6 @@ class CheckedFunction:
     params: list[Symbol] = field(default_factory=list)
     locals: list[Symbol] = field(default_factory=list)
 
-    @property
-    def all_variables(self) -> list[Symbol]:
-        return list(self.params) + list(self.locals)
-
 
 @dataclass
 class CheckedProgram:

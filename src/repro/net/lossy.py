@@ -58,12 +58,6 @@ class LossyResult:
         ]
         return max(ledger.total_j for ledger in candidates)
 
-    def overhead_factor(self, lossless_broadcasts: int) -> float:
-        """How many times more broadcasts than the lossless flood."""
-        if lossless_broadcasts == 0:
-            return 1.0
-        return self.broadcasts / lossless_broadcasts
-
 
 def disseminate_lossy(
     topology: Topology,

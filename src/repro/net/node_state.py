@@ -130,9 +130,6 @@ class NodeUpdateState:
             self._apply_left = self.apply_rounds
         return "accepted"
 
-    def missing_count(self, expected_count: int) -> int:
-        return expected_count - len(self.bank)
-
     def holds_all(self, expected_count: int) -> bool:
         return len(self.bank) >= expected_count
 

@@ -99,11 +99,6 @@ class MoveInsertion:
     dst: int
     size: int
 
-    @property
-    def machine_words(self) -> int:
-        """Encoded size: one MOVW word for a pair, one MOV word for a byte."""
-        return 1
-
 
 @dataclass
 class AllocationRecord:
@@ -134,14 +129,6 @@ class AllocationRecord:
 
     def spilled_vregs(self) -> list[str]:
         return [name for name, p in self.placements.items() if p.spilled]
-
-    def register_pressure(self) -> int:
-        """Distinct physical registers ever used (diagnostic)."""
-        used: set[int] = set()
-        for placement in self.placements.values():
-            for piece in placement.pieces:
-                used.update(regs.registers_of(piece.base, placement.size))
-        return len(used)
 
 
 def allocation_conflicts(record: AllocationRecord, liveness):

@@ -32,13 +32,6 @@ class IRMatch:
     new_to_old: dict[int, int] = field(default_factory=dict)
     old_to_new: dict[int, int] = field(default_factory=dict)
 
-    def is_matched(self, new_index: int) -> bool:
-        return new_index in self.new_to_old
-
-    @property
-    def matched_count(self) -> int:
-        return len(self.new_to_old)
-
 
 @dataclass
 class Chunk:

@@ -55,9 +55,6 @@ class ILPReport:
     greedy: UCCReport = None
     chunks: list[ILPChunkOutcome] = field(default_factory=list)
 
-    def total_iterations(self) -> int:
-        return sum(o.stats.simplex_iterations for o in self.chunks if o.stats)
-
 
 def allocate_ucc_ilp(
     new_fn: IRFunction,

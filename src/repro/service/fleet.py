@@ -29,11 +29,10 @@ from __future__ import annotations
 
 import os
 import time
-import traceback
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 from ..config import FleetJob
@@ -230,12 +229,9 @@ def execute_job(
             ).hexdigest()
         except Exception as exc:  # noqa: BLE001 — the contract is one
             # outcome per job, whatever the planner raises.
-            detail = traceback.format_exc(limit=2).strip().splitlines()[-1]
             outcome = _failed(job, index, f"{type(exc).__name__}: {exc}", 1)
             return replace(
-                outcome,
-                error=f"{outcome.error} ({detail})" if detail else outcome.error,
-                wall_ms=(time.perf_counter() - start) * 1000.0,
+                outcome, wall_ms=(time.perf_counter() - start) * 1000.0
             )
         return JobOutcome(
             index=index,
@@ -284,9 +280,13 @@ def _compile_cached(source, config, cache: Optional[ContentCache]):
     return program
 
 
+#: Entries a service keeps of whole job outcomes and of compiles.
+JOB_CACHE_SIZE = 1024
+COMPILE_CACHE_SIZE = 256
+
 #: Per-worker-process compile cache (module global: survives across the
 #: jobs one worker executes; with fork start, seeds from the parent).
-_WORKER_COMPILE_CACHE = ContentCache(maxsize=256, name="worker-compile")
+_WORKER_COMPILE_CACHE = ContentCache(COMPILE_CACHE_SIZE, name="worker-compile")
 
 
 def _worker_run(payload: Tuple[int, FleetJob]) -> JobOutcome:
@@ -298,9 +298,9 @@ class FleetUpdateService:
     """Executes batches of update jobs with caching and parallelism.
 
     One service instance owns the parent-side caches; reuse it across
-    batches to keep them warm.  ``workers=1`` (or
-    ``use_processes=False``) forces the in-process serial path —
-    results are identical either way, only wall time changes.
+    batches to keep them warm.  ``workers=1`` forces the in-process
+    serial path — results are identical either way, only wall time
+    changes.
     """
 
     def __init__(
@@ -308,9 +308,6 @@ class FleetUpdateService:
         workers: Optional[int] = None,
         timeout_s: Optional[float] = None,
         retries: int = 1,
-        use_processes: bool = True,
-        job_cache_size: int = 1024,
-        compile_cache_size: int = 256,
     ):
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -319,9 +316,8 @@ class FleetUpdateService:
         self.workers = workers or min(8, os.cpu_count() or 1)
         self.timeout_s = timeout_s
         self.retries = retries
-        self.use_processes = use_processes
-        self.job_cache = ContentCache(job_cache_size, name="job")
-        self.compile_cache = ContentCache(compile_cache_size, name="compile")
+        self.job_cache = ContentCache(JOB_CACHE_SIZE, name="job")
+        self.compile_cache = ContentCache(COMPILE_CACHE_SIZE, name="compile")
 
     # -- public API -----------------------------------------------------
 
@@ -356,10 +352,7 @@ class FleetUpdateService:
 
             mode = "cached"
             if pending:
-                parallel_worthwhile = (
-                    self.use_processes and self.workers > 1 and len(pending) > 1
-                )
-                if parallel_worthwhile:
+                if self.workers > 1 and len(pending) > 1:
                     mode = self._run_parallel(pending, outcomes)
                 else:
                     self._run_serial(pending, outcomes)
@@ -488,14 +481,10 @@ def run_batch(
     workers: Optional[int] = None,
     timeout_s: Optional[float] = None,
     retries: int = 1,
-    use_processes: bool = True,
 ) -> FleetResult:
     """One-shot convenience: a fresh service, one batch."""
     service = FleetUpdateService(
-        workers=workers,
-        timeout_s=timeout_s,
-        retries=retries,
-        use_processes=use_processes,
+        workers=workers, timeout_s=timeout_s, retries=retries
     )
     return service.run(jobs)
 

@@ -41,10 +41,6 @@ class Radio:
     def write_hi(self, value: int) -> None:
         self.sent.append(self.latch | ((value & 0xFF) << 8))
 
-    @property
-    def bytes_sent(self) -> int:
-        return 2 * len(self.sent)
-
 
 @dataclass
 class Timer:

@@ -24,7 +24,7 @@ Layers:
 
 from .campaign import VersionedCampaignReport, run_versioned_campaign
 from .graph import VersionEdge, VersionGraph, build_version_graph
-from .planner import plan_cohorts, predicted_plan_energy_j
+from .planner import plan_cohorts
 
 __all__ = [
     "VersionEdge",
@@ -32,6 +32,5 @@ __all__ = [
     "VersionedCampaignReport",
     "build_version_graph",
     "plan_cohorts",
-    "predicted_plan_energy_j",
     "run_versioned_campaign",
 ]

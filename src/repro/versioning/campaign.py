@@ -6,14 +6,13 @@ the cohort's nodes stage and commit the blob — a node at v3 applies
 the v3→v7 plan it was assigned, stage by stage, with the same
 crash-consistent two-bank apply the single-version campaign uses.
 
-Before any wave leaves the sink, every plan is **replayed** against
+Before its wave leaves the sink, every plan is **replayed** against
 the version graph (:meth:`repro.versioning.graph.VersionGraph.replay`):
 chained, merged, and full paths must all rebuild the byte-identical
-target image, or the campaign refuses to start.  After the waves, the
-per-cohort final digests are checked again and recorded in the
-report — the acceptance criterion "every planned path yields the
-identical final image digest on every node" is enforced here, not
-just in tests.
+target image, or the campaign stops there.  Each cohort records the
+target digest its replay rebuilt — the acceptance criterion "every
+planned path yields the identical final image digest on every node"
+is enforced here, not just in tests.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ from ..net.campaign import run_campaign
 from ..net.coding import CodedTransferParams
 from ..net.errors import NetConfigError
 from ..net.faults import FaultPlan
+from ..net.profiles import DeviceProfile
 from ..net.topology import Topology
 from ..obs import metrics, trace
 from .graph import VersionGraph, encode_plan_blob
@@ -158,6 +158,7 @@ def run_versioned_campaign(
     coding: Optional[CodedTransferParams] = None,
     fault_plan: Optional[FaultPlan] = None,
     max_rounds: int = 200,
+    profile: Optional[DeviceProfile] = None,
 ) -> VersionedCampaignReport:
     """Execute every cohort plan as one dissemination wave each.
 
@@ -165,9 +166,11 @@ def run_versioned_campaign(
     which also rejects protocol × coding mismatches: ``coding``
     switches the waves to coded transfer (the ``"lt"`` fountain
     replaces the flood protocol's NACK repair, the ``"xor"`` burst
-    parity rides inside the Trickle/gossip kernel).  Waves run in
-    ascending ``from_version`` order with derived seeds, so the whole
-    campaign is deterministic and its report digest stable.
+    parity rides inside the Trickle/gossip kernel), and ``profile``
+    pins a :class:`repro.net.profiles.DeviceProfile` on every wave.
+    Waves run in ascending ``from_version`` order with derived seeds,
+    so the whole campaign is deterministic and its report digest
+    stable.
     """
     target = plans[0].to_version if plans else graph.target
     for plan in plans:
@@ -194,26 +197,17 @@ def run_versioned_campaign(
         ):
             edges = plan_edges(graph, plan)
             # Replay oracle BEFORE any bytes hit the air: the plan must
-            # rebuild the canonical target image along its exact path.
+            # rebuild the canonical target image along its exact path,
+            # or replay raises, so the cohort ends on ``target_digest``.
             graph.replay(plan.path, edges)
             blob = encode_plan_blob(edges)
             wave = run_campaign(
                 topology, blob, fault_plan,
                 loss=loss, seed=seed + 1000 * index, power=power,
                 max_rounds=max_rounds,
-                payload_per_packet=graph.config.payload_per_packet,
-                overhead_per_packet=graph.config.overhead_per_packet,
                 old_version=plan.from_version, new_version=target,
-                protocol=protocol, coding=coding,
+                protocol=protocol, coding=coding, profile=profile,
             )
-            words, data = graph.replay(plan.path, edges)
-            final_digest = hashlib.sha256(
-                json.dumps(
-                    {"words": words, "data": data.hex()},
-                    sort_keys=True,
-                    separators=(",", ":"),
-                ).encode("utf-8")
-            ).hexdigest()
             quarantined = tuple(
                 node for node in wave.quarantined if node in plan.nodes
             )
@@ -228,7 +222,7 @@ def run_versioned_campaign(
                     energy_j=wave.total_energy_j,
                     broadcasts=wave.packets_sent,
                     report_digest=wave.digest(),
-                    final_image_digest=final_digest,
+                    final_image_digest=target_digest,
                     quarantined=quarantined,
                 )
             )

@@ -6,11 +6,8 @@ stream + data segment), edges are diff artifacts:
 * ``"step"``   — the update-conscious diff between adjacent released
   versions, produced by :class:`repro.core.update.UpdatePlanner`
   exactly as the single-version pipeline would have;
-* ``"merged"`` — one direct diff across a span of versions, either a
-  fresh :func:`repro.diff.differ.diff_images` of the endpoint images
-  (``VersionGraphConfig.merged_from == "direct"``) or a
-  :func:`repro.diff.compose.compose_chain` of the step scripts
-  (``"composed"`` — no intermediate images needed);
+* ``"merged"`` — one direct diff across a span of versions, a fresh
+  :func:`repro.diff.differ.diff_images` of the endpoint images;
 * ``"full"``   — the whole target image as a remove-all/insert-all
   script, the fallback every plan is benchmarked against.
 
@@ -25,18 +22,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..config import (
-    CompileConfig,
-    UpdateConfig,
-    VersionGraphConfig,
-    VersionSpec,
-)
+from ..config import UpdateConfig
 from ..core.compiler import CompiledProgram, compile_source
 from ..core.errors import PlanStateError
-from ..diff.compose import compose_chain
 from ..diff.data_diff import DataScript, apply_data, diff_data
 from ..diff.differ import diff_images
 from ..diff.edit_script import EditScript
@@ -128,20 +119,17 @@ class VersionGraph:
 
     def __init__(
         self,
-        specs: Dict[int, VersionSpec],
         programs: Dict[int, CompiledProgram],
         edges: Dict[Tuple[int, int], VersionEdge],
-        config: VersionGraphConfig,
     ):
-        self.specs = specs
         self.programs = programs
-        self.config = config
         self._edges = edges
+        self._full: Dict[Tuple[int, int], VersionEdge] = {}
         self._digests: Dict[int, str] = {}
 
     @property
     def versions(self) -> Tuple[int, ...]:
-        return tuple(sorted(self.specs))
+        return tuple(sorted(self.programs))
 
     @property
     def target(self) -> int:
@@ -171,8 +159,8 @@ class VersionGraph:
 
     def step_path(self, src: int, dst: int) -> List[int]:
         """The chain of released versions src → dst (inclusive)."""
-        if src not in self.specs or dst not in self.specs:
-            missing = src if src not in self.specs else dst
+        if src not in self.programs or dst not in self.programs:
+            missing = src if src not in self.programs else dst
             raise PlanStateError(
                 "chain", f"version v{missing} is not in the graph"
             )
@@ -189,32 +177,19 @@ class VersionGraph:
         ]
 
     def merged_edge(self, src: int, dst: int) -> VersionEdge:
-        """The single-hop merged diff src → dst (cached).
-
-        ``merged_from="direct"`` re-diffs the endpoint images;
-        ``"composed"`` composes the chain's step code scripts without
-        reading any intermediate image (the data segment is byte-level
-        patched, so its merged script is always a direct diff — data
-        patches carry absolute offsets and need no composition
-        machinery).
-        """
+        """The single-hop diff src → dst: the step edge when the two
+        are adjacent, else a fresh diff of the endpoint images (cached)."""
         key = (src, dst)
         existing = self._edges.get(key)
-        if existing is not None and existing.kind in ("step", "merged"):
+        if existing is not None:
             return existing
         old = self.programs[src].image
         new = self.programs[dst].image
-        if self.config.merged_from == "direct":
-            code_script = diff_images(old, new).script
-        else:
-            code_script = compose_chain(
-                [step.code_script for step in self.step_edges(src, dst)]
-            )
         edge = VersionEdge(
             src=src,
             dst=dst,
             kind="merged",
-            code_script=code_script,
+            code_script=diff_images(old, new).script,
             data_script=diff_data(old.data, new.data),
         )
         self._edges[key] = edge
@@ -224,13 +199,10 @@ class VersionGraph:
     def full_edge(self, src: int, dst: int) -> VersionEdge:
         """The full-image fallback: drop src's code, ship dst's whole
         image as literals (data segment patched directly)."""
-        key = (src, dst, "full")
-        cached = getattr(self, "_full_cache", None)
-        if cached is None:
-            cached = {}
-            self._full_cache = cached
-        if key in cached:
-            return cached[key]
+        key = (src, dst)
+        cached = self._full.get(key)
+        if cached is not None:
+            return cached
         old = self.programs[src].image
         new = self.programs[dst].image
         script = EditScript()
@@ -243,7 +215,7 @@ class VersionGraph:
             code_script=script,
             data_script=diff_data(old.data, new.data),
         )
-        cached[key] = edge
+        self._full[key] = edge
         metrics.counter("versioning.edges").inc()
         return edge
 
@@ -293,78 +265,59 @@ class VersionGraph:
 
 
 def build_version_graph(
-    releases: "Mapping[int, str] | Sequence[VersionSpec]",
+    releases: Mapping[int, str],
     *,
-    compile_config: Optional[CompileConfig] = None,
     update_config: Optional[UpdateConfig] = None,
-    config: Optional[VersionGraphConfig] = None,
-    base: "Tuple[int, CompiledProgram] | Mapping[int, CompiledProgram] | None" = None,
+    base: Optional[Mapping[int, CompiledProgram]] = None,
 ) -> VersionGraph:
     """Compile a release history into a :class:`VersionGraph`.
 
-    ``releases`` maps version labels to program sources (or is a
-    sequence of :class:`VersionSpec`).  The lowest version is compiled
-    from scratch; every later one is planned as an update-conscious
-    step from its predecessor, which yields both the canonical image
-    of each version and the graph's ``"step"`` edges in one pass.
+    ``releases`` maps version labels to program sources.  The lowest
+    version is compiled from scratch; every later one is planned as an
+    update-conscious step from its predecessor, which yields both the
+    canonical image of each version and the graph's ``"step"`` edges in
+    one pass.
 
-    ``base`` anchors the chain on already-compiled programs whose
+    ``base`` maps version labels to already-compiled programs whose
     sources are unavailable (an :class:`repro.core.session
     .UpdateSession` constructed around a deployed binary, or its
-    version history when the fleet straggles several releases behind):
-    either one ``(version, program)`` pair or a mapping of them.  Base
-    versions must precede every sourced release; adjacent precompiled
-    versions are bridged by a direct image diff, and the first sourced
-    release is planned as an update-conscious step from the newest
-    base.
+    version history when the fleet straggles several releases behind).
+    Base versions must precede every sourced release; adjacent
+    precompiled versions are bridged by a direct image diff, and the
+    first sourced release is planned as an update-conscious step from
+    the newest base.
     """
     from ..core.update import UpdatePlanner
 
-    if isinstance(releases, Mapping):
-        specs = {
-            int(version): VersionSpec(version=int(version), source=source)
-            for version, source in releases.items()
-        }
-    else:
-        specs = {spec.version: spec for spec in releases}
-        if len(specs) != len(releases):
-            raise PlanStateError(
-                "build", "duplicate version labels in the release history"
-            )
-    programs: Dict[int, CompiledProgram] = {}
-    if base is not None:
-        anchors: Dict[int, CompiledProgram] = (
-            dict(base) if isinstance(base, Mapping) else {base[0]: base[1]}
+    sources = {int(version): source for version, source in releases.items()}
+    programs: Dict[int, CompiledProgram] = dict(base or {})
+    ordered = sorted(set(sources) | set(programs))
+    if ordered and ordered[0] < 0:
+        raise PlanStateError(
+            "build", f"version labels must be >= 0, got v{ordered[0]}"
         )
-        earliest_release = min(specs) if specs else None
-        for base_version, base_program in sorted(anchors.items()):
-            if earliest_release is not None and base_version >= earliest_release:
-                raise PlanStateError(
-                    "build",
-                    f"base v{base_version} must precede every release "
-                    f"(earliest is v{earliest_release})",
-                )
-            specs[base_version] = VersionSpec(
-                version=base_version,
-                source="<deployed-binary>",
-                label="deployed",
+    for version, source in sources.items():
+        if not source.strip():
+            raise PlanStateError(
+                "build", f"release v{version} has an empty source program"
             )
-            programs[base_version] = base_program
-    if len(specs) < 2:
+    if programs and sources and max(programs) >= min(sources):
         raise PlanStateError(
             "build",
-            f"a version graph needs at least two releases, got {len(specs)}",
+            f"base v{max(programs)} must precede every release "
+            f"(earliest is v{min(sources)})",
         )
-    graph_config = config if config is not None else VersionGraphConfig()
-    ordered = sorted(specs)
+    if len(ordered) < 2:
+        raise PlanStateError(
+            "build",
+            f"a version graph needs at least two releases, got {len(ordered)}",
+        )
 
     with trace.span(
         "versioning.build", versions=len(ordered), target=ordered[-1]
     ):
         if ordered[0] not in programs:
-            programs[ordered[0]] = compile_source(
-                specs[ordered[0]].source, compile_config
-            )
+            programs[ordered[0]] = compile_source(sources[ordered[0]])
         edges: Dict[Tuple[int, int], VersionEdge] = {}
         cfg = update_config if update_config is not None else UpdateConfig()
         for prev, curr in zip(ordered, ordered[1:]):
@@ -382,7 +335,7 @@ def build_version_graph(
                 )
                 continue
             planner = UpdatePlanner(programs[prev], config=cfg)
-            update = planner.plan(specs[curr].source)
+            update = planner.plan(sources[curr])
             programs[curr] = update.new
             edges[(prev, curr)] = VersionEdge(
                 src=prev,
@@ -393,7 +346,7 @@ def build_version_graph(
             )
     metrics.counter("versioning.graphs").inc()
     metrics.counter("versioning.edges").inc(len(edges))
-    return VersionGraph(specs, programs, edges, graph_config)
+    return VersionGraph(programs, edges)
 
 
 __all__ = [

@@ -5,9 +5,9 @@ cohorts (one per distinct version) and pick for each the cheapest way
 to reach the target:
 
 * ``"chain"``  — the released step diffs v3→v4→…→v7, smallest bytes
-  per hop but every hop is a full dissemination wave;
-* ``"merged"`` — one direct (or composed) diff v3→v7, a single wave
-  whose script grows with the span;
+  per hop;
+* ``"merged"`` — one direct diff v3→v7, whose script grows with the
+  span;
 * ``"full"``   — the whole target image, span-independent and big.
 
 Cost model (documented in docs/VERSIONING.md): one dissemination wave
@@ -19,9 +19,13 @@ degree ``d`` and per-link loss ``p`` costs approximately::
 — every node forwards the wave once (flood/Trickle both converge to
 O(n) transmissions under suppression), each transmission is overheard
 by ``d`` neighbours, and loss inflates air time by the expected
-repair factor.  A chained plan pays one wave per hop; merged and full
-pay one wave of a bigger blob.  The model's job is *ranking*, not
-joule-accurate prediction — the bench pins the realised ratio.
+repair factor.  Packets carry ``DEFAULT_PAYLOAD`` bytes behind
+``DEFAULT_OVERHEAD`` bytes of header, the geometry every wave uses.
+A chain is priced as the sum of its hops' waves, although
+:func:`repro.versioning.campaign.run_versioned_campaign` ships every
+plan, chains included, as one framed blob in one wave.  The model's
+job is *ranking*, not joule-accurate prediction — the bench pins the
+realised ratio.
 
 The chain candidate is found by Dijkstra over every edge already in
 the graph (step edges plus any cached merged edges), so a previously
@@ -31,13 +35,17 @@ materialised shortcut v3→v5 is considered alongside the pure chain.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
-from ..config import CohortPlan, VersionGraphConfig
+from ..config import CohortPlan
 from ..core.errors import PlanStateError
+from ..diff.packets import DEFAULT_OVERHEAD, DEFAULT_PAYLOAD
 from ..energy.power_model import MICA2, PowerModel
 from ..obs import metrics, trace
 from .graph import VersionGraph
+
+#: The longest chained plan (in hops) the planner considers.
+MAX_CHAIN = 16
 
 
 def predicted_wave_energy_j(
@@ -45,36 +53,14 @@ def predicted_wave_energy_j(
     *,
     node_count: int,
     mean_degree: float,
-    config: VersionGraphConfig,
+    loss: float = 0.0,
     power: PowerModel = MICA2,
 ) -> float:
     """Cost-model energy of one dissemination wave of ``script_bytes``."""
-    payload = config.payload_per_packet
-    packets = max(1, -(-script_bytes // payload))
-    bits = packets * 8 * (payload + config.overhead_per_packet)
+    packets = max(1, -(-script_bytes // DEFAULT_PAYLOAD))
+    bits = packets * 8 * (DEFAULT_PAYLOAD + DEFAULT_OVERHEAD)
     per_tx = power.tx_bit_energy_j + mean_degree * power.rx_bit_energy_j
-    return bits * per_tx * node_count / (1.0 - config.loss)
-
-
-def predicted_plan_energy_j(
-    hop_bytes: Sequence[int],
-    *,
-    node_count: int,
-    mean_degree: float,
-    config: VersionGraphConfig,
-    power: PowerModel = MICA2,
-) -> float:
-    """Cost-model energy of a multi-hop plan: one wave per hop."""
-    return sum(
-        predicted_wave_energy_j(
-            size,
-            node_count=node_count,
-            mean_degree=mean_degree,
-            config=config,
-            power=power,
-        )
-        for size in hop_bytes
-    )
+    return bits * per_tx * node_count / (1.0 - loss)
 
 
 def _cheapest_chain(
@@ -84,12 +70,12 @@ def _cheapest_chain(
     *,
     node_count: int,
     mean_degree: float,
+    loss: float,
     power: PowerModel,
 ) -> "Optional[Tuple[List[int], float, int]]":
     """Dijkstra over the graph's existing edges; returns
     ``(path, energy, bytes)`` or ``None`` when no path fits
-    ``max_chain``."""
-    config = graph.config
+    :data:`MAX_CHAIN`."""
     adjacency: Dict[int, List[Tuple[int, int]]] = {}
     for (a, b), edge in graph._edges.items():
         adjacency.setdefault(a, []).append((b, edge.script_bytes))
@@ -100,7 +86,7 @@ def _cheapest_chain(
         cost, here, hops = heapq.heappop(queue)
         if here == dst:
             break
-        if cost > best.get(here, float("inf")) or hops >= config.max_chain:
+        if cost > best.get(here, float("inf")) or hops >= MAX_CHAIN:
             continue
         for peer, size in adjacency.get(here, ()):
             if peer > dst:
@@ -109,7 +95,7 @@ def _cheapest_chain(
                 size,
                 node_count=node_count,
                 mean_degree=mean_degree,
-                config=config,
+                loss=loss,
                 power=power,
             )
             if cost + step < best.get(peer, float("inf")):
@@ -133,6 +119,7 @@ def plan_cohorts(
     fleet_versions: Mapping[int, int],
     target: Optional[int] = None,
     *,
+    loss: float = 0.0,
     mean_degree: float = 4.0,
     power: PowerModel = MICA2,
 ) -> Tuple[CohortPlan, ...]:
@@ -140,14 +127,18 @@ def plan_cohorts(
 
     ``fleet_versions`` maps node ids to their advertised versions
     (node 0, the sink, is assumed current and ignored); ``target``
-    defaults to the graph's newest version.  Returns one frozen
-    :class:`repro.config.CohortPlan` per distinct stale version,
-    ordered by version.  Nodes already at the target need no plan;
-    nodes advertising a version the graph does not know raise —
+    defaults to the graph's newest version.  ``loss`` is the
+    planning-time per-link loss the cost model inflates air time by;
+    the campaign's actual loss is set where it runs.  Returns one
+    frozen :class:`repro.config.CohortPlan` per distinct stale
+    version, ordered by version.  Nodes already at the target need no
+    plan; nodes advertising a version the graph does not know raise —
     an unknown image cannot be diffed against.
     """
+    if not 0.0 <= loss < 1.0:
+        raise PlanStateError("plan", f"loss must be in [0, 1), got {loss}")
     goal = target if target is not None else graph.target
-    if goal not in graph.specs:
+    if goal not in graph.programs:
         raise PlanStateError(
             "plan", f"target v{goal} is not in the version graph"
         )
@@ -155,7 +146,7 @@ def plan_cohorts(
     for node, version in fleet_versions.items():
         if node == 0 or version == goal:
             continue
-        if version not in graph.specs:
+        if version not in graph.programs:
             raise PlanStateError(
                 "plan",
                 f"node {node} advertises v{version}, which is not in "
@@ -183,7 +174,8 @@ def plan_cohorts(
 
             chain = _cheapest_chain(
                 graph, version, goal,
-                node_count=node_count, mean_degree=mean_degree, power=power,
+                node_count=node_count, mean_degree=mean_degree, loss=loss,
+                power=power,
             )
             if chain is not None:
                 path, energy, size = chain
@@ -194,7 +186,7 @@ def plan_cohorts(
             merged_energy = predicted_wave_energy_j(
                 merged.script_bytes,
                 node_count=node_count, mean_degree=mean_degree,
-                config=graph.config, power=power,
+                loss=loss, power=power,
             )
             candidates.append(
                 (merged_energy, "merged", (version, goal), merged.script_bytes)
@@ -204,7 +196,7 @@ def plan_cohorts(
             full_energy = predicted_wave_energy_j(
                 full.script_bytes,
                 node_count=node_count, mean_degree=mean_degree,
-                config=graph.config, power=power,
+                loss=loss, power=power,
             )
             candidates.append(
                 (full_energy, "full", (version, goal), full.script_bytes)
@@ -244,8 +236,8 @@ def plan_edges(graph: VersionGraph, plan: CohortPlan):
 
 
 __all__ = [
+    "MAX_CHAIN",
     "plan_cohorts",
     "plan_edges",
-    "predicted_plan_energy_j",
     "predicted_wave_energy_j",
 ]

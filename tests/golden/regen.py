@@ -50,7 +50,6 @@ from repro.config import (
     CompileConfig,
     FleetJob,
     TopologySpec,
-    VersionGraphConfig,
 )
 from repro.core import compile_source, measure_cycles, plan_update
 from repro.diff.packets import DEFAULT_OVERHEAD, DEFAULT_PAYLOAD, Packetisation
@@ -688,11 +687,11 @@ def cohorts_answer() -> tuple:
     """The 1k fleet with cohorts at v3/v5/v6 converging to v7, once on
     the cohort planner's plans and once on forced full images."""
     topology = _lossy1k()
-    graph = build_version_graph(aes_releases(), config=VersionGraphConfig(loss=0.15))
+    graph = build_version_graph(aes_releases())
     fleet = {0: 7}
     for node in range(1, 1000):
         fleet[node] = (3, 5, 6)[node % 3]
-    plans = plan_cohorts(graph, fleet)
+    plans = plan_cohorts(graph, fleet, loss=0.15)
     full_plans = []
     for plan in plans:
         full_bytes = graph.full_edge(plan.from_version, plan.to_version).script_bytes
@@ -704,7 +703,7 @@ def cohorts_answer() -> tuple:
             path=(plan.from_version, plan.to_version),
             script_bytes=full_bytes,
             predicted_energy_j=predicted_wave_energy_j(
-                full_bytes, node_count=1000, mean_degree=4.0, config=graph.config
+                full_bytes, node_count=1000, mean_degree=4.0, loss=0.15
             ),
         ))
     planned = run_versioned_campaign(graph, plans, topology, loss=0.15, seed=3)

@@ -20,7 +20,6 @@ import random
 import pytest
 from hypothesis import example, given, strategies as st
 
-from repro.core.errors import PlanStateError
 from repro.core.session import UpdateSession
 from repro.fuzz.fault_fuzz import run_fault_fuzz
 from repro.net import (
@@ -47,6 +46,7 @@ from repro.net.fleet_sim import FleetSim
 from repro.net.gossip import run_gossip
 from repro.net.kernel import ALWAYS_ON
 from repro.net.trickle import run_trickle
+from repro.obs import metrics
 from repro.workloads import CASES
 
 BLOB = bytes(range(256)) * 4  # 1024 B: 16 batteryless flash pages
@@ -383,15 +383,48 @@ class TestSessionProfile:
         assert stats["name"] == "lorawan-dr3"
         assert stats["airtime_violations"] == 0
 
-    def test_versioned_campaign_rejects_profiles(self):
-        case = CASES["6"]
+    @staticmethod
+    def versioned_push(profile, coding=None):
+        """Case 3 pushed from v3 to v5 and v6 on a 3x3 grid at 5 % loss;
+        returns the result and the airtime metric deltas."""
+        case = CASES["3"]
+        v6 = case.new_source.replace("u8 am_type = 4;", "u8 am_type = 5;")
         from repro.api import compile_source
 
         session = UpdateSession(
-            compile_source(case.old_source), topology=grid(3, 3)
+            compile_source(case.old_source), topology=grid(3, 3),
+            loss=0.05, version=3,
         )
-        with pytest.raises(PlanStateError):
-            session.push_campaign({2: case.new_source}, profile=LORAWAN_DR3)
+        names = ("net.profile.airtime_deferrals", "net.profile.airtime_violations")
+        before = [metrics.counter(name).value for name in names]
+        result = session.push_campaign(
+            {5: case.new_source, 6: v6}, coding=coding, profile=profile
+        )
+        after = [metrics.counter(name).value for name in names]
+        return result, [b - a for a, b in zip(before, after)]
+
+    def test_versioned_push_under_mica2_matches_no_profile(self):
+        plain, _ = self.versioned_push(None)
+        neutral, _ = self.versioned_push(MICA2_PROFILE)
+        assert neutral.report.to_json() == plain.report.to_json()
+
+    def test_versioned_push_under_lorawan_defers_and_never_violates(self):
+        result, (deferrals, violations) = self.versioned_push(LORAWAN_DR3)
+        assert result.converged
+        assert result.report.replay_identical
+        assert deferrals == 268
+        assert violations == 0
+
+    def test_versioned_push_under_batteryless_converges(self):
+        result, _ = self.versioned_push(BATTERYLESS_HARVEST)
+        assert result.converged
+        assert result.report.replay_identical
+
+    def test_versioned_lt_push_refuses_a_non_neutral_profile(self):
+        with pytest.raises(NetConfigError):
+            self.versioned_push(
+                LORAWAN_DR3, coding=CodedTransferParams(scheme="lt")
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ Pins the three service guarantees:
   raised batch.
 """
 
+import dataclasses
 import time
 
 import pytest
@@ -57,7 +58,7 @@ def _metrics(outcomes):
 class TestDeterminism:
     def test_serial_and_parallel_agree(self):
         jobs = _small_batch()
-        serial = FleetUpdateService(workers=1, use_processes=False).run(jobs)
+        serial = FleetUpdateService(workers=1).run(jobs)
         parallel = FleetUpdateService(workers=2).run(jobs)
         assert serial.ok and parallel.ok
         assert serial.mode == "serial"
@@ -74,7 +75,7 @@ class TestDeterminism:
 
     def test_warm_replay_is_bit_identical(self):
         jobs = _small_batch()
-        service = FleetUpdateService(workers=1, use_processes=False)
+        service = FleetUpdateService(workers=1)
         cold = service.run(jobs)
         warm = service.run(jobs)
         assert warm.mode == "cached"
@@ -89,12 +90,12 @@ class TestDeterminism:
     def test_compile_cache_dedupes_shared_old_sources(self):
         # Jobs 2 and 3 of the small batch share old_source under the
         # same CompileConfig: the second compile must be a hit.
-        service = FleetUpdateService(workers=1, use_processes=False)
+        service = FleetUpdateService(workers=1)
         result = service.run(_small_batch())
         assert result.compile_cache_hits >= 1
 
     def test_run_batch_convenience(self):
-        result = run_batch(_small_batch(), workers=1, use_processes=False)
+        result = run_batch(_small_batch(), workers=1)
         assert result.ok
         assert len(result.outcomes) == 3
 
@@ -159,7 +160,7 @@ class TestAcceptanceBatch:
             # in-process (a worker pool would ignore the toggle).
             SOLVE_CACHE.clear()
             with reference_mode(reference):
-                return FleetUpdateService(workers=1, use_processes=False).run(jobs)
+                return FleetUpdateService(workers=1).run(jobs)
 
         fast, ref = batch(False), batch(True)
         assert fast.ok and ref.ok
@@ -187,7 +188,7 @@ class TestFailurePaths:
             FleetJob(old_source="this is not ucc-C", new_source="nor is this"),
             _case_job("6", topology=None),
         ]
-        result = FleetUpdateService(workers=1, use_processes=False).run(jobs)
+        result = FleetUpdateService(workers=1).run(jobs)
         assert not result.ok
         assert [outcome.ok for outcome in result.outcomes] == [True, False, True]
         failed = result.outcomes[1]
@@ -196,7 +197,7 @@ class TestFailurePaths:
 
     def test_failed_jobs_are_not_cached(self):
         bad = FleetJob(old_source="syntax error", new_source="syntax error")
-        service = FleetUpdateService(workers=1, use_processes=False)
+        service = FleetUpdateService(workers=1)
         service.run([bad])
         second = service.run([bad])
         # The failure re-executes (a transient infra failure must not
@@ -213,7 +214,7 @@ class TestFailurePaths:
         result = FleetUpdateService(workers=4).run(jobs)
         assert result.ok
         assert result.mode == "serial-fallback"
-        reference = FleetUpdateService(workers=1, use_processes=False).run(jobs)
+        reference = FleetUpdateService(workers=1).run(jobs)
         assert _metrics(result.outcomes) == _metrics(reference.outcomes)
 
     def test_timeout_produces_failed_outcome(self):
@@ -235,6 +236,17 @@ class TestFailurePaths:
         assert outcome.error.startswith("EmptyFleetError: fleet has no sensor nodes")
         assert outcome.nodes_patched == 0
         assert outcome.network_energy_j == 0.0
+
+    def test_failure_message_is_written_once(self):
+        """A job that cannot disseminate (an 8-node line at 99 % loss)
+        reports ``"{Type}: {message}"`` with the message once."""
+        job = _case_job("6", topology=TopologySpec.line(8))
+        outcome = execute_job(dataclasses.replace(job, loss=0.99))
+        assert not outcome.ok
+        assert outcome.error.startswith(
+            "DisseminationIncomplete: dissemination incomplete after 200 rounds"
+        )
+        assert outcome.error.count("dissemination incomplete") == 1
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError, match="workers"):

@@ -1,22 +1,27 @@
 """Version-graph tests: replay identity, planning, versioned campaigns.
 
 The acceptance criterion pinned here: **every** planned path — chained
-step diffs, merged diff (direct or composed), full image — rebuilds a
-byte-identical target image, including under crash/corruption fault
-plans, and the session's typed API exposes the whole machinery.
+step diffs, merged diff, full image — rebuilds a byte-identical target
+image, including under crash/corruption fault plans, and the session's
+typed API exposes the whole machinery.
 """
 
+import itertools
 import math
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.config import CohortPlan, VersionGraphConfig, VersionSpec
-from repro.core.compiler import Compiler
+from repro.config import CohortPlan
+from repro.core.compiler import Compiler, compile_source
 from repro.core.errors import PlanStateError
 from repro.core.session import UpdateSession, VersionedCampaignResult
+from repro.fuzz import generate_program, mutate
 from repro.net.coding import CodedTransferParams
 from repro.net.errors import NetConfigError
-from repro.diff.packets import Packetisation
+from repro.diff.packets import DEFAULT_OVERHEAD, DEFAULT_PAYLOAD, Packetisation
 from repro.net.dissemination import disseminate
 from repro.net.faults import FaultPlan, NodeCrash
 from repro.net.topology import grid, random_geometric
@@ -47,13 +52,6 @@ RELEASES = {3: V3, 5: V5, 6: V6, 7: V7}
 @pytest.fixture(scope="module")
 def graph():
     return build_version_graph(RELEASES)
-
-
-@pytest.fixture(scope="module")
-def composed_graph():
-    return build_version_graph(
-        RELEASES, config=VersionGraphConfig(merged_from="composed")
-    )
 
 
 def target_image(graph):
@@ -88,7 +86,7 @@ class TestVersionGraph:
 class TestReplayIdentity:
     """Acceptance: every planned path yields the identical final image."""
 
-    def test_every_pair_every_strategy(self, graph, composed_graph):
+    def test_every_pair_every_strategy(self, graph):
         words, data = target_image(graph)
         pairs = [
             (src, dst)
@@ -104,9 +102,6 @@ class TestReplayIdentity:
                 graph.replay(chain, graph.step_edges(src, dst)),
                 graph.replay([src, dst], [graph.merged_edge(src, dst)]),
                 graph.replay([src, dst], [graph.full_edge(src, dst)]),
-                composed_graph.replay(
-                    [src, dst], [composed_graph.merged_edge(src, dst)]
-                ),
             ]
             for got_words, got_data in outcomes:
                 assert got_words == expected_words
@@ -163,6 +158,11 @@ class TestCohortPlanner:
         with pytest.raises(PlanStateError):
             plan_cohorts(graph, {1: 7}, target=5)
 
+    def test_loss_outside_the_unit_interval_raises(self, graph):
+        for loss in (-0.1, 1.0):
+            with pytest.raises(PlanStateError):
+                plan_cohorts(graph, {1: 3}, loss=loss)
+
     def test_diff_plans_beat_full_images(self, graph):
         """Acceptance direction: a tiny inter-version diff must always
         plan cheaper than shipping the whole image."""
@@ -172,7 +172,6 @@ class TestCohortPlanner:
             full = graph.full_edge(plan.from_version, 7)
             full_energy = predicted_wave_energy_j(
                 full.script_bytes, node_count=4, mean_degree=4.0,
-                config=graph.config,
             )
             assert plan.predicted_energy_j < full_energy
 
@@ -193,7 +192,6 @@ class TestCohortPlanner:
         the paper's hop model (every node broadcasts every packet once,
         every neighbour receives it) with the fleet's mean degree."""
         topology = make_topology()
-        config = VersionGraphConfig(loss=0.0)
         degrees = sum(
             len(topology.neighbors.get(node, ()))
             for node in range(topology.node_count)
@@ -202,14 +200,13 @@ class TestCohortPlanner:
             script_bytes,
             node_count=topology.node_count,
             mean_degree=degrees / topology.node_count,
-            config=config,
         )
         flood = disseminate(
             topology,
             Packetisation(
                 script_bytes=script_bytes,
-                payload_per_packet=config.payload_per_packet,
-                overhead_per_packet=config.overhead_per_packet,
+                payload_per_packet=DEFAULT_PAYLOAD,
+                overhead_per_packet=DEFAULT_OVERHEAD,
             ),
         )
         assert math.isclose(
@@ -238,10 +235,12 @@ class TestCohortPlanner:
             )
 
     def test_version_spec_validation(self):
-        with pytest.raises(ValueError):
-            VersionSpec(version=-1, source="void main() {}")
-        with pytest.raises(ValueError):
-            VersionSpec(version=1, source="")
+        with pytest.raises(PlanStateError):
+            build_version_graph({-1: V3, 5: V5})
+        with pytest.raises(PlanStateError):
+            build_version_graph({1: "", 5: V5})
+        with pytest.raises(PlanStateError):
+            build_version_graph({5: V5}, base={-1: Compiler().compile(V3)})
 
 
 class TestVersionedCampaign:
@@ -373,26 +372,78 @@ class TestGraphConstruction:
         with pytest.raises(PlanStateError):
             build_version_graph({7: V7})
 
-    def test_duplicate_spec_labels_rejected(self):
-        specs = [
-            VersionSpec(version=1, source=V3),
-            VersionSpec(version=1, source=V5),
-        ]
-        with pytest.raises(PlanStateError):
-            build_version_graph(specs)
-
     def test_base_must_precede_releases(self):
         deployed = Compiler().compile(V3)
         with pytest.raises(PlanStateError):
-            build_version_graph({5: V5}, base=(6, deployed))
+            build_version_graph({5: V5}, base={6: deployed})
 
     def test_base_anchor_labels_deployed_binary(self):
         deployed = Compiler().compile(V3)
-        graph = build_version_graph({5: V5, 7: V7}, base=(3, deployed))
+        graph = build_version_graph({5: V5, 7: V7}, base={3: deployed})
         assert graph.versions == (3, 5, 7)
-        assert graph.specs[3].label == "deployed"
+        assert graph.programs[3] is deployed
         assert isinstance(graph, VersionGraph)
         assert isinstance(graph.edge(3, 5), VersionEdge)
+
+
+def release_chain(seed, count):
+    """A generated program and ``count - 1`` semantic mutations of it,
+    labelled v1..v{count}, drawn as the versioned fuzz sweep draws its
+    release histories."""
+    rng = random.Random(seed)
+    program = generate_program(rng)
+    releases = {1: program.render()}
+    for label in range(2, count + 1):
+        program, _edits = mutate(program, rng, rng.randrange(1, 3))
+        releases[label] = program.render()
+    return releases
+
+
+class TestRandomHistories:
+    """Replay identity on generated release chains: every edge kind and
+    every cohort plan rebuilds the canonical image, and anchoring the
+    chain on a compiled base changes nothing."""
+
+    @settings(max_examples=settings.default.max_examples // 5, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        count=st.integers(3, 4),
+        fleet=st.lists(st.integers(1, 4), min_size=1, max_size=12),
+    )
+    def test_every_path_replays_to_the_canonical_image(
+        self, seed, count, fleet
+    ):
+        releases = release_chain(seed, count)
+        graph = build_version_graph(releases)
+        assert graph.versions == tuple(range(1, count + 1))
+        for src, dst in itertools.combinations(graph.versions, 2):
+            image = graph.programs[dst].image
+            expected = (image.words(), image.data)
+            chain = graph.step_path(src, dst)
+            assert graph.replay(chain, graph.step_edges(src, dst)) == expected
+            assert graph.replay([src, dst], [graph.merged_edge(src, dst)]) == expected
+            assert graph.replay([src, dst], [graph.full_edge(src, dst)]) == expected
+
+        versions = {0: count}
+        versions.update(
+            (node, min(version, count))
+            for node, version in enumerate(fleet, start=1)
+        )
+        target = graph.programs[count].image
+        for plan in plan_cohorts(graph, versions):
+            assert graph.replay(plan.path, plan_edges(graph, plan)) == (
+                target.words(),
+                target.data,
+            )
+
+        # Only the first step differs between the two forms: from v2 on,
+        # both graphs plan from the same image.
+        anchored = build_version_graph(
+            {2: releases[2]}, base={1: compile_source(releases[1])}
+        )
+        for version in (1, 2):
+            assert anchored.image_digest(version) == graph.image_digest(version)
+        assert anchored.edge(1, 2).step_bytes() == graph.edge(1, 2).step_bytes()
 
 
 class TestVersionedFuzz:
