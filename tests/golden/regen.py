@@ -9,8 +9,8 @@ Run from the repository root::
 :func:`campaign_cases`: the NACK flood and the LT fountain, each
 through every entry point that reaches it; the kernel protocols
 (Trickle and gossip, plain and with XOR burst parity); plus the
-built-in device profiles, under the flood and the kernel protocols, and
-an empty blob.
+built-in device profiles, under the flood and the kernel protocols, an
+empty blob, and the flood and the fountain on a one-way map.
 ``tests/test_golden_regression.py`` re-runs the same table and
 compares digest by digest.
 
@@ -70,6 +70,7 @@ from repro.net import (
     NodeCrash,
     PartitionWindow,
     PowerTrace,
+    Topology,
     grid,
     random_geometric,
     run_campaign,
@@ -120,6 +121,17 @@ def heavy_plan() -> FaultPlan:
         corrupt_prob=0.02,
         duplicate_prob=0.03,
         seed=17,
+    )
+
+
+def directed20() -> Topology:
+    """A one-way map of 20 nodes: node i lists (i+1) and (i+3) mod 20,
+    and the sink also lists 7.  The nodes that hear a node are not the
+    nodes it hears."""
+    neighbors = {node: [(node + 1) % 20, (node + 3) % 20] for node in range(20)}
+    neighbors[0].append(7)
+    return Topology(
+        positions=[(float(node), 0.0) for node in range(20)], neighbors=neighbors
     )
 
 
@@ -206,6 +218,16 @@ def campaign_cases() -> dict:
                             )
 
                         cases[f"{name}{scheme}/run_{name}/{tail}"] = kernel
+
+    # Directed links: a sender reaches its own list, not the nodes that
+    # list it.  The fountain ends partial here (a node elects a server
+    # from its own list, but the server sends along the server's list).
+    cases["flood/run_campaign/directed20/faulted"] = lambda: run_campaign(
+        directed20(), CAMPAIGN_BLOB, heavy_plan(), loss=0.15, seed=5
+    )
+    cases["lt/run_coded_campaign/directed20/faulted"] = lambda: run_coded_campaign(
+        directed20(), CAMPAIGN_BLOB, heavy_plan(), params=lt, loss=0.15, seed=5
+    )
 
     cases["flood/run_campaign/flood-parity"] = lambda: run_campaign(
         grid(4, 4), b"y" * 400, flood_parity_plan(), loss=0.1, seed=3
