@@ -84,7 +84,7 @@ from .config import (
 )
 from .core import compile_source, measure_cycles, plan_update
 from .core.errors import EmptyFleetError
-from .net.errors import DisseminationIncomplete
+from .net.errors import DisseminationIncomplete, NetConfigError
 from .net.profiles import PROFILE_NAMES
 from .sim import DeviceBoard, Simulator, Timer
 from .workloads import CASES
@@ -454,10 +454,14 @@ def cmd_campaign(args) -> int:
         print(f"campaign: {error}", file=sys.stderr)
         return 2
     profile = get_profile(args.profile) if args.profile else None
-    result = session.push_campaign(
-        {to_version: new_source}, plan=plan, max_rounds=args.rounds,
-        protocol=args.protocol, coding=coding, profile=profile,
-    )
+    try:
+        result = session.push_campaign(
+            {to_version: new_source}, plan=plan, max_rounds=args.rounds,
+            protocol=args.protocol, coding=coding, profile=profile,
+        )
+    except NetConfigError as error:
+        print(f"campaign: {error}", file=sys.stderr)
+        return 2
     print(f"campaign {label} (ra={args.ra} da={args.da}, "
           f"{topology.node_count} nodes, loss={args.loss:g}, "
           f"protocol={args.protocol}, v{from_version} -> v{to_version}"

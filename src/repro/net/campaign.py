@@ -297,6 +297,18 @@ class _CampaignEngine(FleetEngine):
                 self.states[node].commit(new_version)
 
         self.ledgers = {node: NodeLedger() for node in range(node_count)}
+        #: Non-sink nodes not committed yet, ascending.  A node never
+        #: un-commits, so :meth:`advance_round` prunes it once a round
+        #: and every per-node loop of the round body walks it.
+        self.uncommitted = [
+            node for node in range(1, node_count) if not self.states[node].committed
+        ]
+        #: The senders whose neighbour list holds each node: the nodes
+        #: that can serve it (``neighbors`` may be one-way).
+        self.listed_by: list[list[int]] = [[] for _ in range(node_count)]
+        for sender in range(node_count):
+            for peer in topology.neighbors.get(sender, ()):
+                self.listed_by[peer].append(sender)
         self.crashes_by_round: dict[int, list] = {}
         self.reboots_by_round: dict[int, list] = {}
         self.event_rounds: set[int] = set()
@@ -375,8 +387,9 @@ class _CampaignEngine(FleetEngine):
         """Reachable nodes not yet committed that can still recover."""
         return [
             node
-            for node in self.reachable
+            for node in self.uncommitted
             if not self.states[node].committed
+            and node not in self.unreachable
             and (
                 self.states[node].alive
                 or self.can_recover(node)
@@ -400,6 +413,10 @@ class _CampaignEngine(FleetEngine):
         round, so the deferred TX has a legal slot coming), and a
         browned-out node still recharging toward its restart level.
         """
+        states = self.states
+        self.uncommitted = [
+            node for node in self.uncommitted if not states[node].committed
+        ]
         if not self.pending_nodes():
             return False
         if self.rounds - self.last_progress >= DEFAULT_STALL_LIMIT and not any(
@@ -502,13 +519,15 @@ class _CampaignEngine(FleetEngine):
         power = self.power
         count = self.count
         rounds = self.rounds
-        node_count = self.node_count
         round_progress = self.round_progress
         # Partition labels of this round: a link is up iff the labels of
         # its ends are equal (``None``: no window open, every link is up).
         side = self.link_gate.sides(rounds)
         tx_bit_j = power.tx_bit_energy_j
         rx_bit_j = power.rx_bit_energy_j
+        uncommitted = self.uncommitted
+        # Without a capacitor every debit succeeds: skip the calls.
+        metered = self.capacitor is not None
 
         # -- power phase (harvest income, recharge-driven resumes) -------
         self.power_round()
@@ -517,7 +536,7 @@ class _CampaignEngine(FleetEngine):
         nack_airtime = self.nack_bits / power.radio_bps
         nack_tx_j = self.nack_bits * tx_bit_j
         nack_rx_j = self.nack_bits * rx_bit_j
-        for node in range(1, node_count):
+        for node in uncommitted:
             state = states[node]
             if not state.should_nack(rounds, count):
                 continue
@@ -528,22 +547,32 @@ class _CampaignEngine(FleetEngine):
             state.note_nack(rounds, count)
             self.note_tx_airtime(node, nack_airtime)
             ledgers[node].tx_j += nack_tx_j
-            if not self.spend(node, nack_tx_j):
+            if metered and not self.spend(node, nack_tx_j):
                 self.fire_brownout(node, "NACK tx")
                 continue
             for peer in topology.neighbors.get(node, ()):
                 if states[peer].alive and (side is None or side[node] == side[peer]):
                     ledgers[peer].rx_j += nack_rx_j
-                    if not self.spend(peer, nack_rx_j):
+                    if metered and not self.spend(peer, nack_rx_j):
                         self.fire_brownout(peer, "NACK rx")
 
         # -- broadcast phase (snapshot: hop-by-hop progression) ----------
+        # Only an alive, loaded sender that lists a node with an
+        # advertised need can find anything wanted: advertised sets only
+        # shrink within the phase, and no node comes back alive in it.
+        listed_by = self.listed_by
+        listers: set[int] = set()
+        for node in uncommitted:
+            if states[node].advertised_missing:
+                listers.update(listed_by[node])
         snapshot = {
-            node: frozenset(states[node].bank) for node in range(node_count)
+            sender: frozenset(states[sender].bank)
+            for sender in sorted(listers)
+            if states[sender].alive and states[sender].bank
         }
-        for sender in range(node_count):
+        for sender, held in snapshot.items():
             state = states[sender]
-            if not state.alive or not snapshot[sender]:
+            if not state.alive:
                 continue
             neighbours = [
                 peer
@@ -556,7 +585,7 @@ class _CampaignEngine(FleetEngine):
             wanted: set[int] = set()
             for peer in neighbours:
                 wanted |= states[peer].advertised_missing
-            sendable = sorted(snapshot[sender] & wanted)
+            sendable = sorted(held & wanted)
             for slot, index in enumerate(sendable):
                 packet = self.packets[index]
                 bits = 8 * (len(packet.payload) + self.overhead_per_packet)
@@ -575,7 +604,7 @@ class _CampaignEngine(FleetEngine):
                 rx_j = bits * rx_bit_j
                 ledgers[sender].tx_j += tx_j
                 ledgers[sender].packets_sent += 1
-                sender_powered = self.spend(sender, tx_j)
+                sender_powered = not metered or self.spend(sender, tx_j)
                 for peer in neighbours:
                     peer_state = states[peer]
                     if not peer_state.alive:
@@ -590,7 +619,7 @@ class _CampaignEngine(FleetEngine):
                         deliveries = 2
                     for _ in range(deliveries):
                         ledgers[peer].rx_j += rx_j
-                        if not self.spend(peer, rx_j):
+                        if metered and not self.spend(peer, rx_j):
                             self.fire_brownout(peer, "packet rx")
                             break
                         if self.rng_link.random() < self.loss:
@@ -619,7 +648,7 @@ class _CampaignEngine(FleetEngine):
 
         # -- apply phase (two-bank write, commit = boot-pointer flip) ----
         pages_per_round = -(-self.pages_total // APPLY_ROUNDS)
-        for node in range(1, node_count):
+        for node in uncommitted:
             state = states[node]
             if state.state not in ("staged", "applying"):
                 continue
@@ -645,7 +674,7 @@ class _CampaignEngine(FleetEngine):
                     if done or not state.alive:
                         break
                     ledgers[node].cpu_j += page_j
-                    if not self.spend(node, page_j):
+                    if metered and not self.spend(node, page_j):
                         # The in-flight page write tears: it is *not*
                         # checkpointed, so resume restarts this page.
                         self.fire_brownout(node, "flash page write")
@@ -656,16 +685,14 @@ class _CampaignEngine(FleetEngine):
                     self.last_progress = rounds
                 continue
             ledgers[node].cpu_j += self.patch_j / APPLY_ROUNDS
-            if self.capacitor is not None and not self.spend(
-                node, self.patch_j / APPLY_ROUNDS
-            ):
+            if metered and not self.spend(node, self.patch_j / APPLY_ROUNDS):
                 self.fire_brownout(node, "patch apply")
                 continue
             if state.tick_apply(self.new_version):
                 round_progress[node] = True
                 self.last_progress = rounds
 
-        for node in range(1, node_count):
+        for node in uncommitted:
             if states[node].alive and not states[node].committed:
                 states[node].note_round(round_progress.get(node, False))
 

@@ -317,6 +317,12 @@ class _FountainEngine(_CampaignEngine):
         ]
         self.next_seq = [0] * self.node_count
         self.decoders: Dict[int, GenerationDecoder] = {}
+        #: Nodes whose neighbour list holds a committed node: the only
+        #: nodes an election can find a server for.
+        self.served: set[int] = set()
+        for node in range(self.node_count):
+            if self.states[node].committed:
+                self.served.update(self.listed_by[node])
 
     def decoder(self, node: int) -> GenerationDecoder:
         """``node``'s decoder, started afresh unless it is receiving."""
@@ -336,6 +342,7 @@ class _FountainEngine(_CampaignEngine):
         side = self.link_gate.sides(rounds)
         rng_link = self.rng_link
         loss = self.loss
+        k = self.count
         tx_j = self.packet_bits * self.power.tx_bit_energy_j
         rx_j = self.packet_bits * self.power.rx_bit_energy_j
 
@@ -347,20 +354,29 @@ class _FountainEngine(_CampaignEngine):
         # multicast gain, since every coded packet is innovative to
         # every receiver regardless of *which* packets each one lost.
         servers: Dict[int, int] = {}
-        for node in range(1, self.node_count):
+        served = self.served
+        uncommitted = self.uncommitted
+        for node in uncommitted:
             state = states[node]
-            if state.committed or not state.alive or node in self.unreachable:
+            if (
+                node not in served
+                or state.committed
+                or not state.alive
+                or node in self.unreachable
+            ):
                 continue
-            candidates = [
-                peer
-                for peer in neighbors.get(node, ())
-                if states[peer].committed
-                and states[peer].alive
-                and (side is None or side[node] == side[peer])
-            ]
-            if candidates:
-                chosen = min(candidates)
-                deficit = self.count - self.decoder(node).rank
+            chosen = -1
+            for peer in neighbors.get(node, ()):
+                peer_state = states[peer]
+                if (
+                    peer_state.committed
+                    and peer_state.alive
+                    and (chosen < 0 or peer < chosen)
+                    and (side is None or side[node] == side[peer])
+                ):
+                    chosen = peer
+            if chosen >= 0:
+                deficit = k - self.decoder(node).rank
                 servers[chosen] = max(servers.get(chosen, 0), deficit)
 
         # -- coded bursts --------------------------------------------------
@@ -402,19 +418,19 @@ class _FountainEngine(_CampaignEngine):
                         # the mask ever reaches the decoder.
                         self.crc_rejections += 1
                         continue
-                    if decoder.complete or not decoder.add(mask, payload):
+                    if len(decoder.rows) >= k or not decoder.add(mask, payload):
                         self.duplicates += 1  # non-innovative: no rank gained
                         continue
                     ledgers[peer].packets_received += 1
                     self.last_progress = rounds
 
         # -- rank-k commit: verify, patch, flip ----------------------------
-        for node in range(1, self.node_count):
+        for node in uncommitted:
             state = states[node]
             if not state.alive or state.state != "receiving":
                 continue
             decoder = self.decoders[node]
-            if not decoder.complete:
+            if len(decoder.rows) < k:
                 continue
             if b"".join(decoder.payloads())[: len(self.blob)] != self.blob:
                 # Unreachable with per-packet CRCs; never commit an
@@ -423,6 +439,7 @@ class _FountainEngine(_CampaignEngine):
                 continue
             ledgers[node].cpu_j += self.patch_j
             state.commit(self.new_version)
+            served.update(self.listed_by[node])
             self.last_progress = rounds
 
 

@@ -1,6 +1,8 @@
 """Campaign controller tests: determinism, crash consistency, degradation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import FleetJob, TopologySpec, UpdateSession, compile_source, plan_update
 from repro.net import (
@@ -12,8 +14,9 @@ from repro.net import (
     line,
     run_campaign,
 )
-from repro.net.coding import CodedTransferParams
+from repro.net.coding import CodedTransferParams, run_coded_campaign
 from repro.net.errors import DisseminationIncomplete
+from repro.net.node_state import APPLY_ROUNDS
 from repro.obs import metrics
 from repro.service import execute_job
 from repro.sim import DeviceBoard, Timer
@@ -194,6 +197,50 @@ class TestCampaignConvergence:
         assert rough.max_node_energy_j(exclude_sink=False) >= (
             rough.max_node_energy_j()
         )
+
+
+@st.composite
+def connected_graphs(draw) -> Topology:
+    """A random spanning tree over 2-30 nodes plus extra links, with
+    random labels (the sink stays 0) and shuffled neighbour lists."""
+    size = draw(st.integers(2, 30))
+    order = [0, *draw(st.permutations(range(1, size)))]
+    links = set()
+    for index in range(1, size):
+        parent = order[draw(st.integers(0, index - 1))]
+        links.add((min(parent, order[index]), max(parent, order[index])))
+    extra = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))
+    for a, b in draw(st.lists(extra, max_size=2 * size)):
+        if a != b:
+            links.add((min(a, b), max(a, b)))
+    neighbors = {node: [] for node in range(size)}
+    for a, b in sorted(links):
+        neighbors[a].append(b)
+        neighbors[b].append(a)
+    shuffle = draw(st.randoms(use_true_random=False))
+    for peers in neighbors.values():
+        shuffle.shuffle(peers)
+    return Topology(
+        positions=[(float(node), 0.0) for node in range(size)], neighbors=neighbors
+    )
+
+
+class TestHopByHopProgression:
+    """The paper's hop-by-hop model as an oracle: on a clean, loss-free
+    connected graph the flood moves one hop a round, so hop h stages in
+    round h and commits APPLY_ROUNDS - 1 rounds later, every sensor
+    takes each packet exactly once, and the fountain converges too."""
+
+    @settings(max_examples=settings.default.max_examples // 5, deadline=None)
+    @given(topology=connected_graphs(), blob=st.binary(min_size=1, max_size=600))
+    def test_clean_flood_takes_one_round_per_hop(self, topology, blob):
+        report = run_campaign(topology, blob)
+        assert report.converged
+        assert report.rounds == topology.max_hops() + APPLY_ROUNDS - 1
+        assert report.drops == report.duplicates == 0
+        for node in range(1, topology.node_count):
+            assert report.ledgers[node].packets_received == report.packets
+        assert run_coded_campaign(topology, blob).converged
 
 
 class TestCrashConsistency:
@@ -412,6 +459,35 @@ class TestCampaignCli:
         code = main(["campaign", "--case", "6", "--grid", "1"])
         assert code == 2
         assert "no sensor nodes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "push",
+        [
+            ["--case", "6", "--grid", "3"],
+            ["--case", "3", "--from-version", "3", "--to-version", "7"],
+        ],
+        ids=["one-release", "multi-release"],
+    )
+    def test_cli_lt_under_a_non_neutral_profile_exits_two(self, capsys, push):
+        from repro.cli import main
+
+        code = main(
+            ["campaign", *push, "--coding", "lt", "--profile", "lorawan-dr3"]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("campaign: the 'lt' fountain path does not model")
+        assert "Traceback" not in err
+
+    def test_cli_lt_under_the_neutral_profile_runs(self, capsys):
+        from repro.cli import main
+
+        code = main(
+            ["campaign", "--case", "6", "--grid", "3", "--coding", "lt",
+             "--profile", "mica2"]
+        )
+        assert code == 0
+        assert "coding=lt, profile=mica2" in capsys.readouterr().out
 
 
 class TestFaultFuzzAcceptance:
