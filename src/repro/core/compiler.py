@@ -17,7 +17,7 @@ from ..datalayout.gcc_da import allocate_gcc_da
 from ..datalayout.layout import DataLayout, collect_layout_objects
 from ..ir.builder import build_ir
 from ..ir.function import IRModule
-from ..isa.assembler import BinaryImage, assemble
+from ..isa.assembler import AssemblyError, BinaryImage, assemble
 from ..isa.instructions import MachineInstr
 from ..lang import frontend
 from ..lang.sema import CheckedProgram
@@ -28,7 +28,6 @@ from ..codegen.placement import (
     apply_placement,
     baseline_placement,
     code_size_words,
-    ucc_placement,
 )
 from ..codegen.selector import select_function
 from ..regalloc.base import AllocationRecord, verify_allocation
@@ -116,61 +115,21 @@ class Compiler:
         module: IRModule,
         records: dict[str, AllocationRecord],
         layout: DataLayout,
-        old_placement: PlacementPlan | None = None,
-        placement_strategy: str = "baseline",
-        old_slot_words: dict[str, tuple[int, ...]] | None = None,
     ) -> tuple[list[MachineInstr], BinaryImage, PlacementPlan]:
-        """Instruction selection + placement + assembly.
+        """Instruction selection + baseline placement + link.
 
-        ``placement_strategy="ucc"`` (with ``old_placement``) keeps
-        surviving functions at their old flash addresses so call sites
-        do not re-encode; ``"baseline"`` packs in definition order.
+        The update planner runs the same steps itself, so that it
+        selects once and links each placement it tries
+        (:meth:`repro.core.update.UpdatePlanner.plan`).
         """
-        with trace.span("compile.backend", placement=placement_strategy):
-            return self._back_end(
-                module,
-                records,
-                layout,
-                old_placement,
-                placement_strategy,
-                old_slot_words,
-            )
-
-    def _back_end(
-        self,
-        module: IRModule,
-        records: dict[str, AllocationRecord],
-        layout: DataLayout,
-        old_placement: PlacementPlan | None,
-        placement_strategy: str,
-        old_slot_words: dict[str, tuple[int, ...]] | None,
-    ) -> tuple[list[MachineInstr], BinaryImage, PlacementPlan]:
-        function_code = {
-            name: select_function(fn, records[name], layout, module)
-            for name, fn in module.functions.items()
-        }
-        sizes = {
-            name: code_size_words(code) for name, code in function_code.items()
-        }
-        order = list(module.functions)
-        if placement_strategy == "ucc" and old_placement is not None:
-            plan = ucc_placement(
-                sizes,
-                order,
-                old_placement,
-                self.config.placement_headroom,
-                old_slot_words=old_slot_words,
-            )
-        else:
+        with trace.span("compile.backend", placement="baseline"):
+            code = select_code(module, records, layout)
             plan = baseline_placement(
-                sizes, order, self.config.placement_headroom
+                code_sizes(code), list(code), self.config.placement_headroom
             )
-        machine = apply_placement(function_code, plan)
-        data = build_data_image(module, layout)
-        image = assemble(machine, data=data, data_base=layout.segment_base)
-        for slot in plan.slots:  # the plan must match reality
-            assert image.symbols[slot.name] == slot.start, slot
-        return machine, image, plan
+            data = build_data_image(module, layout)
+            machine, image = link(code, plan, data, layout.segment_base)
+            return machine, image, plan
 
     def compile(self, source: str, filename: str = "<source>") -> CompiledProgram:
         """Run the whole pipeline."""
@@ -200,6 +159,53 @@ class Compiler:
 
             verify_program(program).raise_if_failed()
         return program
+
+
+def select_code(
+    module: IRModule,
+    records: dict[str, AllocationRecord],
+    layout: DataLayout,
+) -> dict[str, list[MachineInstr]]:
+    """Instruction selection for every function, in definition order.
+
+    Selection reads nothing from the placement, so one selection links
+    under any number of placements: :func:`link` never mutates the
+    lists (``apply_placement`` concatenates them and ``assemble``
+    clones every instruction it resolves).
+    """
+    return {
+        name: select_function(fn, records[name], layout, module)
+        for name, fn in module.functions.items()
+    }
+
+
+def code_sizes(code: dict[str, list[MachineInstr]]) -> dict[str, int]:
+    """Each function's encoded size in words, the input of placement."""
+    return {name: code_size_words(instrs) for name, instrs in code.items()}
+
+
+def link(
+    code: dict[str, list[MachineInstr]],
+    plan: PlacementPlan,
+    data: bytes,
+    data_base: int,
+) -> tuple[list[MachineInstr], BinaryImage]:
+    """Lay the selected ``code`` out by ``plan`` and assemble it.
+
+    Raises :class:`~repro.isa.assembler.AssemblyError` when a function
+    does not land at its slot's start, i.e. when the plan's sizes do
+    not match the code.
+    """
+    machine = apply_placement(code, plan)
+    image = assemble(machine, data=data, data_base=data_base)
+    for slot in plan.slots:
+        start = image.symbols[slot.name]
+        if start != slot.start:
+            raise AssemblyError(
+                f"function {slot.name!r} assembled at word {start}, "
+                f"but its placement slot starts at word {slot.start}"
+            )
+    return machine, image
 
 
 def build_data_image(module: IRModule, layout: DataLayout) -> bytes:

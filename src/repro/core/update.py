@@ -37,7 +37,16 @@ from .errors import PatchDivergenceError, PlanStateError
 from ..regalloc.ucc_ra import UCCReport, allocate_ucc_greedy
 from ..sim.devices import DeviceBoard, Timer
 from ..sim.executor import run_image
-from .compiler import CompiledProgram, Compiler, RA_BASELINES
+from ..codegen.placement import baseline_placement, ucc_placement
+from .compiler import (
+    RA_BASELINES,
+    CompiledProgram,
+    Compiler,
+    build_data_image,
+    code_sizes,
+    link,
+    select_code,
+)
 
 
 @dataclass
@@ -220,31 +229,32 @@ class UpdatePlanner:
                 layout = allocate_gcc_da(objects)
 
         # -- back end + diff -----------------------------------------------------
-        old_slot_words = {
-            slot.name: old.image.words_in_range(
-                slot.start, slot.start + slot.slot_words
-            )
-            for slot in old.placement.slots
-        }
-
-        def finish(strategy: str):
-            machine, image, plan = compiler.back_end(
-                module,
-                records,
-                layout,
-                old_placement=old.placement,
-                placement_strategy=strategy,
-                old_slot_words=old_slot_words,
-            )
-            return machine, image, plan, diff_images(old.image, image)
-
-        if cp == "auto":
-            # Evaluate both placements, ship the smaller script.
-            candidates = [finish("ucc"), finish("gcc")]
-            candidates.sort(key=lambda c: (c[3].script.size_bytes, c[2].algorithm != "ucc"))
-            machine, image, plan, diff = candidates[0]
-        else:
-            machine, image, plan, diff = finish(cp)
+        # Select once, then link each distinct placement: under "auto"
+        # the update-conscious and the baseline placement often
+        # coincide, and equal slots link to the same image and diff.
+        with trace.span("compile.backend", placement=cp):
+            code = select_code(module, records, layout)
+            sizes = code_sizes(code)
+            order = list(code)
+            headroom = compiler.config.placement_headroom
+            plans = []
+            if cp != "gcc":
+                plans.append(ucc_placement(sizes, order, old.placement, headroom))
+            if cp != "ucc":
+                baseline = baseline_placement(sizes, order, headroom)
+                if not plans or baseline.slots != plans[0].slots:
+                    plans.append(baseline)
+            data = build_data_image(module, layout)
+            linked = [
+                (plan, *link(code, plan, data, layout.segment_base)) for plan in plans
+            ]
+        candidates = [
+            (machine, image, plan, diff_images(old.image, image))
+            for plan, machine, image in linked
+        ]
+        # Ship the smaller code script; ties go to the ucc placement.
+        candidates.sort(key=lambda c: (c[3].script.size_bytes, c[2].algorithm != "ucc"))
+        machine, image, plan, diff = candidates[0]
 
         new_program = CompiledProgram(
             source=new_source,

@@ -66,15 +66,6 @@ class BinaryImage:
             flat.extend(enc.words)
         return flat
 
-    def words_in_range(self, start: int, end: int) -> tuple[int, ...]:
-        """Raw words of the instructions in ``[start, end)`` (used to
-        build placement tombstones)."""
-        flat: list[int] = []
-        for enc in self.code:
-            if start <= enc.address < end:
-                flat.extend(enc.words)
-        return tuple(flat)
-
     def to_bytes(self) -> bytes:
         """The code words as little-endian 16-bit bytes."""
         return np.asarray(self.words(), dtype="<u2").tobytes()

@@ -174,3 +174,99 @@ class TestVerifyCommand:
 
     def test_verify_without_inputs(self, capsys):
         assert main(["verify"]) == 2
+
+
+BAD_SYNTAX = "void main( {\n"
+NO_MAIN = "u8 g;\nvoid tick() { g = g + 1; }\n"
+
+
+class TestInputErrors:
+    """A file that cannot be read or compiled is reported on one
+    ``repro <command>: <file>...`` line on stderr, with exit status 2
+    and no traceback."""
+
+    @pytest.fixture()
+    def files(self, tmp_path, source_file):
+        bad = tmp_path / "bad.c"
+        bad.write_text(BAD_SYNTAX)
+        no_main = tmp_path / "nomain.c"
+        no_main.write_text(NO_MAIN)
+        return {
+            "ok": source_file,
+            "bad": str(bad),
+            "nomain": str(no_main),
+            "missing": str(tmp_path / "missing.c"),
+        }
+
+    @staticmethod
+    def refused(capsys, argv, message):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"repro {argv[0]}: {message}\n"
+
+    @pytest.mark.parametrize("command", ["compile", "run"])
+    def test_syntax_error_names_the_file_and_position(self, files, capsys, command):
+        self.refused(
+            capsys,
+            [command, files["bad"]],
+            f"{files['bad']}:1:12: expected a type, found '{{'",
+        )
+
+    def test_back_end_error_names_the_file(self, files, capsys):
+        self.refused(
+            capsys,
+            ["compile", files["nomain"]],
+            f"{files['nomain']}: entry point 'main' not defined",
+        )
+
+    def test_missing_file_gives_the_os_error(self, files, capsys):
+        self.refused(
+            capsys,
+            ["compile", files["missing"]],
+            f"[Errno 2] No such file or directory: '{files['missing']}'",
+        )
+
+    def test_undecodable_file_names_the_file(self, files, tmp_path, capsys):
+        binary = tmp_path / "binary.c"
+        binary.write_bytes(b"\xff\xfe")
+        assert main(["compile", str(binary)]) == 2
+        assert capsys.readouterr().err.startswith(f"repro compile: {binary}: 'utf-8' codec")
+
+    @pytest.mark.parametrize("command", ["update", "verify", "campaign", "profile"])
+    def test_new_file_error_names_the_new_file(self, files, capsys, command):
+        self.refused(
+            capsys,
+            [command, files["ok"], files["bad"]],
+            f"{files['bad']}:1:12: expected a type, found '{{'",
+        )
+
+    @pytest.mark.parametrize("command", ["update", "verify", "campaign", "profile"])
+    def test_old_file_error_names_the_old_file(self, files, capsys, command):
+        self.refused(
+            capsys,
+            [command, files["nomain"], files["ok"]],
+            f"{files['nomain']}: entry point 'main' not defined",
+        )
+
+    def test_profile_back_end_error_in_the_new_file(self, files, capsys):
+        self.refused(
+            capsys,
+            ["profile", files["ok"], files["nomain"]],
+            f"{files['nomain']}: entry point 'main' not defined",
+        )
+
+    def test_missing_new_file(self, files, capsys):
+        self.refused(
+            capsys,
+            ["update", files["ok"], files["missing"]],
+            f"[Errno 2] No such file or directory: '{files['missing']}'",
+        )
+
+    @pytest.mark.parametrize("broken", ["bad", "nomain"])
+    def test_plan_versions_names_the_failing_release(self, files, capsys, broken):
+        message = {
+            "bad": f"{files['bad']}:1:12: expected a type, found '{{'",
+            "nomain": f"{files['nomain']}: entry point 'main' not defined",
+        }[broken]
+        self.refused(
+            capsys, ["plan-versions", files["ok"], files[broken], files["ok"]], message
+        )

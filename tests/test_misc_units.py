@@ -137,13 +137,6 @@ class TestEditScriptRender:
 
 
 class TestImageHelpers:
-    def test_words_in_range(self, simple_program):
-        symbols = simple_program.image.symbols
-        start = symbols["bump"]
-        end = symbols["main"]
-        words = simple_program.image.words_in_range(start, end)
-        assert 0 < len(words) <= end - start + 2
-
     def test_size_accounting(self, simple_program):
         image = simple_program.image
         assert image.size_bytes == 2 * image.size_words
