@@ -3,7 +3,7 @@ count — the paper observes near-linear growth."""
 
 import numpy as np
 
-from repro.regalloc import build_chunk_model
+from repro.regalloc.ilp_model import build_chunk_model
 from repro.workloads.synthetic import ilp_spec
 
 from conftest import emit_table

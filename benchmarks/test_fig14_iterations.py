@@ -7,7 +7,7 @@ instructions), plus §5.6's preferred-register-tag observation:
 """
 
 from repro.ilp import solve
-from repro.regalloc import build_chunk_model
+from repro.regalloc.ilp_model import build_chunk_model
 from repro.regalloc.ilp_model import greedy_incumbent
 
 from repro.workloads.synthetic import ilp_spec

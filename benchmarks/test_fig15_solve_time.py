@@ -5,7 +5,7 @@ because each pivot touches the whole (dense) tableau."""
 import numpy as np
 
 from repro.ilp import solve
-from repro.regalloc import build_chunk_model
+from repro.regalloc.ilp_model import build_chunk_model
 
 from repro.workloads.synthetic import ilp_spec
 

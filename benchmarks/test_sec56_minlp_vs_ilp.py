@@ -17,14 +17,11 @@ from repro.core import Compiler, compile_source
 from repro.energy import DEFAULT_ENERGY_MODEL
 from repro.ilp import solve
 from repro.ir import analyze, static_frequencies
-from repro.regalloc import (
-    allocate_ucc_greedy,
-    build_chunk_model,
-    nonlinear_objective,
-    solve_chunk_minlp,
-)
+from repro.regalloc import allocate_ucc_greedy
 from repro.regalloc.chunks import changed_indices
+from repro.regalloc.ilp_model import build_chunk_model, nonlinear_objective
 from repro.regalloc.ilp_ra import build_spec_for_chunk
+from repro.regalloc.minlp import solve_chunk_minlp
 from repro.workloads import CASES
 
 from conftest import emit_table

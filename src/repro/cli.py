@@ -344,20 +344,25 @@ def cmd_batch(args) -> int:
 
     from .service import FleetUpdateService
 
-    with open(args.jobs, "r", encoding="utf-8") as handle:
-        document = json.load(handle)
+    try:
+        document = json.loads(_read(args.jobs))
+    except json.JSONDecodeError as error:
+        raise _InputError(f"{args.jobs}: {error}") from None
     if isinstance(document, list):
         specs, defaults = document, {}
-    else:
+    elif isinstance(document, dict):
         specs, defaults = document.get("jobs", []), document
+    else:
+        raise _InputError(
+            f"{args.jobs}: expected a list of jobs or an object with \"jobs\", "
+            f"found {type(document).__name__}"
+        )
     if not specs:
-        print(f"{args.jobs}: no jobs found", file=sys.stderr)
-        return 2
+        raise _InputError(f"{args.jobs}: no jobs found")
     try:
         jobs = [_job_from_spec(spec, index) for index, spec in enumerate(specs)]
     except (KeyError, TypeError, ValueError) as error:
-        print(f"{args.jobs}: {error}", file=sys.stderr)
-        return 2
+        raise _InputError(f"{args.jobs}: {error}") from None
 
     workers = args.workers or defaults.get("workers")
     service = FleetUpdateService(

@@ -13,10 +13,12 @@ paths must produce bit-identical answers;
 other on the Figure 13-15 sweep.
 
 The fast path is the default; the reference path is selected either
-with the ``REPRO_REFERENCE_PATH=1`` environment variable (picked up at
-import time — handy for subprocesses and whole test runs) or with the
+with the ``REPRO_REFERENCE_PATH=1`` environment variable or with the
 :func:`reference_mode` context manager (in-process differential tests
-and the speedup benchmark).
+and the speedup benchmark).  The variable is read once, when this
+module is first imported: at the first ILP model build or solve, not
+at ``import repro``, which loads no ILP module.  Set it before the
+process starts — handy for subprocesses and whole test runs.
 
 The switch is deliberately *not* thread-local: the optimized and
 reference paths return identical results, so a racing reader can never

@@ -11,9 +11,8 @@ patcher rewrites one into another, and the simulator executes one.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from ..lang.errors import CompileError
 from .instructions import (
@@ -68,7 +67,8 @@ class BinaryImage:
 
     def to_bytes(self) -> bytes:
         """The code words as little-endian 16-bit bytes."""
-        return np.asarray(self.words(), dtype="<u2").tobytes()
+        words = self.words()
+        return struct.pack(f"<{len(words)}H", *words)
 
     @property
     def size_words(self) -> int:

@@ -96,9 +96,10 @@ class FaultPlanError(ValueError):
 class TopologyError(ValueError):
     """A topology cannot be built as specified.
 
-    Covers both an unknown ``kind`` selector and a random-geometric
-    sample that never produced a connected network; ``kind`` names the
-    topology family involved.
+    Covers an unknown ``kind`` selector, a random-geometric radio range
+    that is not positive or an area that is not finite, and a
+    random-geometric sample that never produced a connected network;
+    ``kind`` names the topology family involved.
     """
 
     def __init__(self, kind: str, message: str):

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
+
 from .errors import TopologyError
 
 
@@ -106,21 +108,20 @@ def random_geometric(
 
     Resamples until connected (raises after ``max_attempts``), so the
     returned network is always usable for dissemination experiments.
+    Two nodes are linked when ``math.hypot(dx, dy) <= radio_range``;
+    only the nodes in nearby grid cells are tested (see
+    :func:`_unit_disc`).
     """
+    if not radio_range > 0:
+        raise TopologyError("random", f"radio range must be > 0, got {radio_range}")
+    if not math.isfinite(area):
+        raise TopologyError("random", f"area must be finite, got {area}")
     rng = random.Random(f"repro-topology:{seed}")
     for _ in range(max_attempts):
         positions = [
             (rng.uniform(0, area), rng.uniform(0, area)) for _ in range(node_count)
         ]
-        neighbors: dict[int, list[int]] = {i: [] for i in range(node_count)}
-        for i in range(node_count):
-            for j in range(i + 1, node_count):
-                dx = positions[i][0] - positions[j][0]
-                dy = positions[i][1] - positions[j][1]
-                if math.hypot(dx, dy) <= radio_range:
-                    neighbors[i].append(j)
-                    neighbors[j].append(i)
-        topo = Topology(positions=positions, neighbors=neighbors)
+        topo = Topology(positions=positions, neighbors=_unit_disc(positions, radio_range))
         if topo.is_connected():
             return topo
     raise TopologyError(
@@ -128,6 +129,46 @@ def random_geometric(
         f"could not sample a connected network of {node_count} nodes with "
         f"range {radio_range}",
     )
+
+
+def _unit_disc(
+    positions: list[tuple[float, float]], radio_range: float
+) -> dict[int, list[int]]:
+    """Ascending neighbour lists of the unit-disc graph on ``positions``.
+
+    Nodes are bucketed into square cells at least ``radio_range`` wide,
+    so two linked nodes sit in the same or adjacent cells.  Each node is
+    tested against the later nodes of the 5x5 block of cells around its
+    own: the outer ring keeps a pair whose cell index rounded the other
+    way, and the test is the pair loop's ``hypot(dx, dy) <= radio_range``.
+    """
+    span = max((abs(c) for point in positions for c in point), default=0.0)
+    # A cell floor of span / 2**20 keeps every index finite for a tiny range.
+    cell = max(radio_range, span / 2**20)
+    keys = [(math.floor(x / cell), math.floor(y / cell)) for x, y in positions]
+    cells: dict[tuple[int, int], list[int]] = {}
+    for node, key in enumerate(keys):
+        cells.setdefault(key, []).append(node)
+    blocks = {
+        (cx, cy): sorted(
+            node
+            for gx in range(cx - 2, cx + 3)
+            for gy in range(cy - 2, cy + 3)
+            for node in cells.get((gx, gy), ())
+        )
+        for cx, cy in cells
+    }
+    neighbors: dict[int, list[int]] = {i: [] for i in range(len(positions))}
+    hypot = math.hypot
+    for i, (x, y) in enumerate(positions):
+        block = blocks[keys[i]]
+        # Visiting i in ascending order keeps both lists ascending.
+        for j in block[bisect_right(block, i):]:
+            xj, yj = positions[j]
+            if hypot(x - xj, y - yj) <= radio_range:
+                neighbors[i].append(j)
+                neighbors[j].append(i)
+    return neighbors
 
 
 def build_topology(

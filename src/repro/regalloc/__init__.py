@@ -46,20 +46,3 @@ __all__ = [
     "misleading_preferences",
     "verify_allocation",
 ]
-
-from .ilp_model import ChunkSpec, THETA, build_chunk_model, nonlinear_objective
-from .ilp_ra import ILPChunkOutcome, ILPReport, allocate_ucc_ilp, build_spec_for_chunk
-from .minlp import MINLPResult, solve_chunk_minlp
-
-__all__ += [
-    "ChunkSpec",
-    "ILPChunkOutcome",
-    "ILPReport",
-    "MINLPResult",
-    "THETA",
-    "allocate_ucc_ilp",
-    "build_chunk_model",
-    "build_spec_for_chunk",
-    "nonlinear_objective",
-    "solve_chunk_minlp",
-]

@@ -80,7 +80,7 @@ from repro.net import (
 from repro.net.coding import CodedTransferParams, run_coded_campaign
 from repro.net.kernel import rounds_equivalent
 from repro.net.lossy import disseminate_lossy
-from repro.regalloc import build_chunk_model
+from repro.regalloc.ilp_model import build_chunk_model
 from repro.service import FleetUpdateService
 from repro.sim import DeviceBoard, Timer, run_image
 from repro.versioning import build_version_graph, plan_cohorts, run_versioned_campaign

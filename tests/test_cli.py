@@ -261,6 +261,30 @@ class TestInputErrors:
             f"[Errno 2] No such file or directory: '{files['missing']}'",
         )
 
+    def test_batch_missing_jobs_file(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        self.refused(
+            capsys,
+            ["batch", str(missing)],
+            f"[Errno 2] No such file or directory: '{missing}'",
+        )
+
+    def test_batch_truncated_jobs_file(self, tmp_path, capsys):
+        path = tmp_path / "jobs.json"
+        path.write_text('[{"old": ')
+        self.refused(
+            capsys, ["batch", str(path)], f"{path}: Expecting value: line 1 column 10 (char 9)"
+        )
+
+    def test_batch_jobs_file_neither_list_nor_object(self, tmp_path, capsys):
+        path = tmp_path / "jobs.json"
+        path.write_text("42")
+        self.refused(
+            capsys,
+            ["batch", str(path)],
+            f'{path}: expected a list of jobs or an object with "jobs", found int',
+        )
+
     @pytest.mark.parametrize("broken", ["bad", "nomain"])
     def test_plan_versions_names_the_failing_release(self, files, capsys, broken):
         message = {

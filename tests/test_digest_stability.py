@@ -64,7 +64,7 @@ _ANSWER_PREIMAGES = """
 from repro.config import UpdateConfig
 from repro.core import compile_source, plan_update
 from repro.ilp import solve_branch_bound
-from repro.regalloc import build_chunk_model
+from repro.regalloc.ilp_model import build_chunk_model
 from repro.workloads import CASES
 from repro.workloads.synthetic import ilp_spec
 

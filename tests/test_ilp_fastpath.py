@@ -159,7 +159,7 @@ class TestChunkModelDifferential:
 
     @pytest.mark.parametrize("size", [8, 16])
     def test_model_and_solve_bit_identical(self, size):
-        from repro.regalloc import build_chunk_model
+        from repro.regalloc.ilp_model import build_chunk_model
 
         spec = ilp_spec(size)
         fast_prog = build_chunk_model(spec)

@@ -7,17 +7,16 @@ from repro.energy import DEFAULT_ENERGY_MODEL
 from repro.ir import analyze, static_frequencies
 from repro.ir.liveness import analyze as analyze_liveness
 from repro.ilp import solve
-from repro.regalloc import (
-    allocate_ucc_greedy,
-    allocate_ucc_ilp,
-    build_chunk_model,
-    build_spec_for_chunk,
-    nonlinear_objective,
-    solve_chunk_minlp,
-    verify_allocation,
-)
+from repro.regalloc import allocate_ucc_greedy, verify_allocation
 from repro.regalloc.chunks import changed_indices
-from repro.regalloc.ilp_model import THETA, greedy_incumbent
+from repro.regalloc.ilp_model import (
+    THETA,
+    build_chunk_model,
+    greedy_incumbent,
+    nonlinear_objective,
+)
+from repro.regalloc.ilp_ra import allocate_ucc_ilp, build_spec_for_chunk
+from repro.regalloc.minlp import solve_chunk_minlp
 from repro.workloads import CASES
 from repro.config import UpdateConfig
 

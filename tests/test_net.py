@@ -1,16 +1,25 @@
 """Network substrate tests: topologies, dissemination, report model."""
 
+import math
+import random
+import types
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.diff import EditScript, packetize
 from repro.energy import MICA2
 from repro.net import (
     ReportModel,
+    Topology,
     disseminate,
     grid,
     line,
     random_geometric,
 )
+from repro.net import topology as topology_module
+from repro.net.errors import TopologyError
 
 
 def script_of_bytes(n):
@@ -54,6 +63,91 @@ class TestTopologies:
         for a, b in zip(path, path[1:]):
             assert hops[b] == hops[a] - 1
         assert path[-1] == 0
+
+
+def all_pairs_geometric(node_count, radio_range, seed, area, max_attempts):
+    """``random_geometric`` written as its contract: the same seeded
+    placements, every pair tested, the first connected sample kept
+    (None when no attempt connects)."""
+    rng = random.Random(f"repro-topology:{seed}")
+    for _ in range(max_attempts):
+        positions = [
+            (rng.uniform(0, area), rng.uniform(0, area)) for _ in range(node_count)
+        ]
+        neighbors = {i: [] for i in range(node_count)}
+        for i in range(node_count):
+            for j in range(i + 1, node_count):
+                dx = positions[i][0] - positions[j][0]
+                dy = positions[i][1] - positions[j][1]
+                if math.hypot(dx, dy) <= radio_range:
+                    neighbors[i].append(j)
+                    neighbors[j].append(i)
+        topo = Topology(positions=positions, neighbors=neighbors)
+        if topo.is_connected():
+            return topo
+    return None
+
+
+class TestRandomGeometricReference:
+    """The grid-cell neighbour search links exactly the pairs the
+    all-pairs loop links, from ranges far below the node spacing to
+    ranges above the area's diagonal, including ranges equal to one
+    pair's distance."""
+
+    MAX_ATTEMPTS = 3
+
+    @settings(max_examples=settings.default.max_examples // 5, deadline=None)
+    @given(
+        node_count=st.integers(1, 150),
+        seed=st.integers(0, 2**32 - 1),
+        area=st.sampled_from([1e-3, 0.5, 1.0, 7.0, 250.0]),
+        scale=st.floats(1e-9, 1.6),
+        tie=st.booleans(),
+        data=st.data(),
+    )
+    def test_matches_the_all_pairs_loop(self, node_count, seed, area, scale, tie, data):
+        radio_range = area * scale
+        if tie and node_count > 1:
+            # The distance of one pair of the first sample: the ``<=``
+            # boundary, where a rounded cell index would show.
+            rng = random.Random(f"repro-topology:{seed}")
+            first = [(rng.uniform(0, area), rng.uniform(0, area)) for _ in range(node_count)]
+            i, j = data.draw(
+                st.lists(st.integers(0, node_count - 1), min_size=2, max_size=2, unique=True)
+            )
+            radio_range = math.hypot(first[i][0] - first[j][0], first[i][1] - first[j][1])
+        expected = all_pairs_geometric(node_count, radio_range, seed, area, self.MAX_ATTEMPTS)
+        if expected is None:
+            with pytest.raises(TopologyError):
+                random_geometric(
+                    node_count, radio_range, seed, area, max_attempts=self.MAX_ATTEMPTS
+                )
+            return
+        topo = random_geometric(
+            node_count, radio_range, seed, area, max_attempts=self.MAX_ATTEMPTS
+        )
+        assert topo.positions == expected.positions
+        assert topo.neighbors == expected.neighbors
+
+    @pytest.mark.parametrize(
+        "radio_range, area, message",
+        [
+            (0.0, 1.0, "radio range must be > 0"),
+            (-0.1, 1.0, "radio range must be > 0"),
+            (math.nan, 1.0, "radio range must be > 0"),
+            (0.1, math.inf, "area must be finite"),
+            (0.1, math.nan, "area must be finite"),
+        ],
+    )
+    def test_unusable_range_or_area_is_refused_before_sampling(
+        self, monkeypatch, radio_range, area, message
+    ):
+        def no_sampling(*args):
+            raise AssertionError("drew a placement")
+
+        monkeypatch.setattr(topology_module, "random", types.SimpleNamespace(Random=no_sampling))
+        with pytest.raises(TopologyError, match=message):
+            random_geometric(1000, radio_range=radio_range, seed=3, area=area)
 
 
 class TestDissemination:

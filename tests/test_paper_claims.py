@@ -136,7 +136,7 @@ class TestSection3:
 
     def test_theta_is_three_quarters(self):
         """'...which decides theta to be 3/4.'"""
-        from repro.regalloc import THETA
+        from repro.regalloc.ilp_model import THETA
 
         assert THETA == 0.75
 
@@ -211,11 +211,8 @@ class TestSection5:
         """'We observed the same allocation decisions for all the test
         cases with or without the approximation.'"""
         from repro.ilp import solve
-        from repro.regalloc import (
-            build_chunk_model,
-            nonlinear_objective,
-            solve_chunk_minlp,
-        )
+        from repro.regalloc.ilp_model import build_chunk_model, nonlinear_objective
+        from repro.regalloc.minlp import solve_chunk_minlp
         from tests.test_ilp_ra import chunk_fixture
 
         _, _, _, spec = chunk_fixture()
