@@ -9,8 +9,10 @@ Run from the repository root::
 :func:`campaign_cases`: the NACK flood and the LT fountain, each
 through every entry point that reaches it; the kernel protocols
 (Trickle and gossip, plain and with XOR burst parity); plus the
-built-in device profiles, under the flood and the kernel protocols, an
-empty blob, and the flood and the fountain on a one-way map.
+built-in device profiles, under the flood and the kernel protocols
+(the kernel protocols also with XOR parity under ``lorawan-dr3`` and
+the faulted battery-less power trace), an empty blob, and the flood,
+the fountain, Trickle and gossip on a one-way map.
 ``tests/test_golden_regression.py`` re-runs the same table and
 compares digest by digest.
 
@@ -228,6 +230,10 @@ def campaign_cases() -> dict:
     cases["lt/run_coded_campaign/directed20/faulted"] = lambda: run_coded_campaign(
         directed20(), CAMPAIGN_BLOB, heavy_plan(), params=lt, loss=0.15, seed=5
     )
+    for name, runner in (("trickle", run_trickle), ("gossip", run_gossip)):
+        cases[f"{name}/run_{name}/directed20/faulted"] = lambda r=runner: r(
+            directed20(), CAMPAIGN_BLOB, heavy_plan(), loss=0.15, seed=5
+        )
 
     cases["flood/run_campaign/flood-parity"] = lambda: run_campaign(
         grid(4, 4), b"y" * 400, flood_parity_plan(), loss=0.1, seed=3
@@ -284,6 +290,20 @@ def campaign_cases() -> dict:
                 grid(5, 5), HEAVY_BLOB,
                 dataclasses.replace(heavy_plan(), power_traces=(trace,)),
                 loss=0.1, seed=7, max_time=4000.0, profile=BATTERYLESS_HARVEST,
+            ),
+            # XOR parity under a profile: parity bits pay airtime and
+            # capacitor debits like data bits.
+            f"profile/lorawan-dr3/run_{name}-xor": lambda r=runner: r(
+                grid(4, 4), PROFILE_BLOB, loss=0.1, seed=7, max_time=40000.0,
+                profile=LORAWAN_DR3, coding=xor,
+            ),
+            f"profile/batteryless/power-trace-faulted/run_{name}-xor": (
+                lambda r=runner: r(
+                    grid(5, 5), HEAVY_BLOB,
+                    dataclasses.replace(heavy_plan(), power_traces=(trace,)),
+                    loss=0.1, seed=7, max_time=4000.0,
+                    profile=BATTERYLESS_HARVEST, coding=xor,
+                )
             ),
         })
 
