@@ -282,21 +282,6 @@ class FleetSim(FleetEngine):
             if nodes[peer].alive and sides[peer] == side
         ]
 
-    def _receivers(self, sender: int, bits: int) -> "Iterable[int]":
-        """Bill a ``bits``-long broadcast from ``sender`` to its hearers
-        and yield, in neighbour order, those still powered to handle it.
-
-        The kernel accrues every hearer's RX airtime in one call.  Under
-        a capacitor the debits are taken lazily, each just before the
-        caller handles that hearer: a debit can brown the hearer out
-        and schedule its resume, so debits and handling stay
-        interleaved one hearer at a time."""
-        hearers = self._hearers(sender)
-        self.kernel._account_rx_all(hearers, bits)
-        if self.capacitor is None:
-            return hearers
-        return (peer for peer in hearers if self._debit_rx(peer, bits))
-
     # -- device-profile machinery ---------------------------------------
 
     def tx_gate(self, node: int, retry=None) -> bool:
@@ -360,6 +345,18 @@ class FleetSim(FleetEngine):
         self.log_resume(node, state.pages_done)
         self.on_reboot(node)
 
+    def transmit(self, node: int, bits: int) -> "bool | None":
+        """Gate and bill one ``bits``-long transmission by ``node``.
+
+        None means the airtime budget deferred it (:meth:`tx_gate`,
+        nothing billed).  Otherwise the TX is billed, kernel airtime
+        first, then the capacitor, and the result is whether ``node``
+        is still powered; on False the caller fires the brownout once
+        the packet is out."""
+        if self.kernel.airtime_budget < 1.0 and not self.tx_gate(node):
+            return None
+        return self.account_tx(node, bits)
+
     def account_tx(self, node: int, bits: int) -> bool:
         """Kernel TX accounting plus the capacitor debit; returns False
         when the transmission browned the sender out."""
@@ -383,134 +380,128 @@ class FleetSim(FleetEngine):
 
     # -- data delivery (shared coin order) ------------------------------
 
-    def _send_burst(
-        self, sender: int, batch: "list[int]"
-    ) -> "tuple[int, list[list[int]]]":
-        """Count ``batch`` as sent by ``sender``, plus, under XOR coding,
-        one parity packet after every ``group`` data packets, sized like
-        the widest packet it covers; returns the burst's bits and its
-        parity groups.  Both data senders use it, so parity rides every
-        protocol's bursts."""
-        bits = sum(map(self.packet_bits.__getitem__, batch))
-        parity_groups: "list[list[int]]" = []
-        if self.coding is not None and batch:
-            group = self.coding.group
-            parity_groups = [
-                batch[start : start + group]
-                for start in range(0, len(batch), group)
-            ]
-            bits += sum(
-                max(self.packet_bits[index] for index in members)
-                for members in parity_groups
-            )
-        self.transmissions += len(batch) + len(parity_groups)
-        self.sent[sender] += len(batch) + len(parity_groups)
-        return bits, parity_groups
-
     def broadcast_data(self, sender: int, batch: "list[int]") -> int:
         """Broadcast the packets in ``batch`` from ``sender`` to every
-        alive, connected neighbour; returns the batch's bitmask.
-
-        Per receiver and packet the fault coins are drawn in a fixed
-        order — duplication, then loss, then corruption — matching the
-        flood campaign's delivery model, so a fault plan stresses every
-        protocol the same way.
-        """
-        mask = 0
-        for index in batch:
-            mask |= 1 << index
-        bits, parity_groups = self._send_burst(sender, batch)
-        # The sender's capacitor is debited first but a resulting
-        # brownout fires only after the peer loop: the packets were
-        # already in flight when the supply collapsed.
-        sender_powered = self.account_tx(sender, bits)
-        for peer in self._receivers(sender, bits):
-            self.on_overhear_data(peer, mask)
-            self._deliver(peer, batch, parity_groups)
-        if not sender_powered:
-            self._brownout(sender, "packet tx")
-        return mask
+        alive, connected neighbour; returns the batch's bitmask."""
+        return self._deliver(sender, self._hearers(sender), batch, True)
 
     def unicast_data(self, sender: int, receiver: int, batch: "list[int]") -> None:
         """Point-to-point transfer of ``batch`` (gossip push/pull leg)."""
-        bits, parity_groups = self._send_burst(sender, batch)
-        sender_powered = self.account_tx(sender, bits)
-        if self.account_rx(receiver, bits):
-            self._deliver(receiver, batch, parity_groups)
-        if not sender_powered:
-            self._brownout(sender, "packet tx")
+        self._deliver(sender, (receiver,), batch, False)
 
     def _deliver(
-        self, peer: int, batch: "list[int]", parity_groups: "list[list[int]]"
-    ) -> None:
-        state = self.nodes[peer]
-        if state.committed:
-            return
-        plan = self.plan
-        duplicate_prob = plan.duplicate_prob
-        corrupt_prob = plan.corrupt_prob
+        self, sender: int, hearers: "Iterable[int]", batch: "list[int]",
+        broadcast: bool,
+    ) -> int:
+        """Send ``batch`` (distinct packet indices) from ``sender`` to
+        ``hearers`` in one burst; returns the batch's bitmask.
+
+        Under XOR coding one parity packet follows every ``group`` data
+        packets, sized like the widest packet it covers, so parity rides
+        every protocol's bursts.  Each hearer is handled in one pass, in
+        order: accrue its RX airtime, take its capacitor debit (a debit
+        can brown the hearer out and schedule its resume, so debits and
+        handling stay interleaved), tell a broadcast's hearer what it
+        overheard, then draw the coins and stage.  Per packet copy the
+        coins fall in a fixed order, duplication (once per packet), then
+        loss, then corruption, as in the flood campaign, so a fault plan
+        stresses every protocol the same way.
+        """
+        packet_bits = self.packet_bits
+        bits = sum(map(packet_bits.__getitem__, batch))
+        masks = [1 << index for index in batch]
+        parity: "list[int]" = []  # one member mask per parity packet
+        if self.coding is not None:
+            group = self.coding.group
+            for start in range(0, len(batch), group):
+                bits += max(map(packet_bits.__getitem__, batch[start : start + group]))
+                parity.append(sum(masks[start : start + group]))
+        self.transmissions += len(masks) + len(parity)
+        self.sent[sender] += len(masks) + len(parity)
+        # The sender's capacitor is debited first but a resulting
+        # brownout fires only after the hearer loop: the packets were
+        # already in flight when the supply collapsed.
+        sender_powered = self.account_tx(sender, bits)
+        mask = sum(masks)
+        airtime = bits / self.power.radio_bps
+        rx_s = self.kernel.rx_s
+        metered = self.capacitor is not None
+        overhear = self.on_overhear_data if broadcast else None
+        nodes = self.nodes
+        full_mask = self.full_mask
+        duplicate_prob = self.plan.duplicate_prob
+        corrupt_prob = self.plan.corrupt_prob
         link_coin = self.rng_link.random
         fault_coin = self.rng_fault.random
         loss = self.loss
-        held = state.held
-        staged = drops = crc_rejections = duplicates = 0
-        for index in batch:
-            copies = (
-                2 if duplicate_prob and fault_coin() < duplicate_prob else 1
-            )
-            while copies:
-                copies -= 1
-                if link_coin() < loss:
-                    drops += 1
-                    continue
-                if corrupt_prob and fault_coin() < corrupt_prob:
-                    # A flipped payload byte fails the per-packet CRC;
-                    # the bank never stages it.
-                    crc_rejections += 1
-                    continue
-                bit = 1 << index
-                if held & bit:
-                    duplicates += 1
-                else:
-                    held |= bit
-                    staged += 1
-        for members in parity_groups:
-            # The parity packet rides the same link, so it draws the
-            # same fault coins in the same order; when it lands and
-            # exactly one member of its group is still missing, the
-            # receiver XORs the loss back locally — no ADV/REQ round
-            # trip and no fresh Trickle interval.
-            copies = (
-                2 if duplicate_prob and fault_coin() < duplicate_prob else 1
-            )
-            arrived = False
-            while copies:
-                copies -= 1
-                if link_coin() < loss:
-                    drops += 1
-                    continue
-                if corrupt_prob and fault_coin() < corrupt_prob:
-                    crc_rejections += 1
-                    continue
-                if arrived:
-                    duplicates += 1
-                    continue
-                arrived = True
-            if not arrived:
+        drops = crc_rejections = duplicates = repairs = 0
+        for peer in hearers:
+            rx_s[peer] += airtime
+            if metered and not self._debit_rx(peer, bits):
                 continue
-            missing = [index for index in members if not held & (1 << index)]
-            if len(missing) == 1:
-                self.repairs += 1
-                held |= 1 << missing[0]
-                staged += 1
+            if overhear is not None:
+                overhear(peer, mask)
+            state = nodes[peer]
+            if state.committed:
+                continue
+            held = state.held
+            staged = 0
+            for bit in masks:
+                # The duplication coin sends a second copy; the usual
+                # single copy leaves after one pass.
+                again = duplicate_prob and fault_coin() < duplicate_prob
+                while True:
+                    if link_coin() < loss:
+                        drops += 1
+                    elif corrupt_prob and fault_coin() < corrupt_prob:
+                        # A flipped payload byte fails the per-packet
+                        # CRC; the bank never stages it.
+                        crc_rejections += 1
+                    elif held & bit:
+                        duplicates += 1
+                    else:
+                        held |= bit
+                        staged += 1
+                    if not again:
+                        break
+                    again = False
+            for members in parity:
+                # The parity packet rides the same link, so it draws the
+                # same fault coins in the same order; when it lands and
+                # exactly one member of its group is still missing, the
+                # receiver XORs the loss back locally — no ADV/REQ round
+                # trip and no fresh Trickle interval.
+                again = duplicate_prob and fault_coin() < duplicate_prob
+                arrived = False
+                while True:
+                    if link_coin() < loss:
+                        drops += 1
+                    elif corrupt_prob and fault_coin() < corrupt_prob:
+                        crc_rejections += 1
+                    elif arrived:
+                        duplicates += 1
+                    else:
+                        arrived = True
+                    if not again:
+                        break
+                    again = False
+                missing = members & ~held
+                if arrived and missing and not missing & (missing - 1):
+                    repairs += 1
+                    held |= missing
+                    staged += 1
+            if staged:
+                state.held = held
+                self.received[peer] += staged
+                if held == full_mask:
+                    self._stage_apply(peer)
         self.drops += drops
         self.crc_rejections += crc_rejections
         self.duplicates += duplicates
-        if staged:
-            state.held = held
-            self.received[peer] += staged
-            if held == self.full_mask:
-                self._stage_apply(peer)
+        self.repairs += repairs
+        if not sender_powered:
+            self._brownout(sender, "packet tx")
+        return mask
 
     # -- crash-consistent apply -----------------------------------------
 

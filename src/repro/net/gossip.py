@@ -138,10 +138,10 @@ class GossipSim(FleetSim):
             self.drops += 1
             return
         # b's reply summary (its own airtime budget applies).
-        if not self.tx_gate(b):
+        b_powered = self.transmit(b, self.summary_bits)
+        if b_powered is None:
             return
         self.beacons += 1
-        b_powered = self.account_tx(b, self.summary_bits)
         a_ok = self.account_rx(a, self.summary_bits)
         if not b_powered:
             self._brownout(b, "packet tx")

@@ -211,15 +211,16 @@ class SimKernel:
                 f"max_time must be a number >= now ({self.now}s), got {max_time}",
             )
         limit = math.inf if max_time is None else max_time
-        dispatched = 0
+        dispatched = cancelled = 0
         with trace.span(
             "net.kernel.run", nodes=self.node_count, queued=len(self._heap)
-        ):
+        ) as span:
             heap = self._heap
             pop = heappop
             while heap and not self._stopped:
                 time_s, seq, node, handle, callback, per_node = pop(heap)
                 if handle.cancelled:
+                    cancelled += 1
                     continue
                 if time_s > limit:
                     # Past the budget: requeue it for a later run().
@@ -232,8 +233,10 @@ class SimKernel:
                     callback(node)
                 else:
                     callback()
+            span.set(dispatched=dispatched, cancelled=cancelled)
         self.events_dispatched += dispatched
         metrics.counter("net.kernel.events").inc(dispatched)
+        metrics.counter("net.kernel.cancelled").inc(cancelled)
         return self.now
 
     # -- radio-time accounting ------------------------------------------
@@ -277,13 +280,6 @@ class SimKernel:
     def account_rx(self, node: int, bits: int) -> None:
         """Accrue the airtime of receiving ``bits`` at ``node``."""
         self.rx_s[node] += bits / self.power.radio_bps
-
-    def _account_rx_all(self, nodes: "list[int]", bits: int) -> None:
-        """:meth:`account_rx` for every hearer of one broadcast."""
-        airtime = bits / self.power.radio_bps
-        rx_s = self.rx_s
-        for node in nodes:
-            rx_s[node] += airtime
 
     def ledgers(self) -> "dict[int, NodeLedger]":
         """Per-node energy at the current clock under the duty cycle.

@@ -153,22 +153,31 @@ class TrickleSim(FleetSim):
     # -- beacons ---------------------------------------------------------
 
     def _beacon(self, node: int) -> None:
-        if not self.tx_gate(node):
+        bits = self.beacon_bits
+        sender_powered = self.transmit(node, bits)
+        if sender_powered is None:
             # Regulatory off-time not elapsed: skip this interval's
             # beacon (a deferral, never a violation).  The Trickle
             # timer itself supplies the retry.
             return
         self.beacons += 1
-        bits = self.beacon_bits
-        sender_powered = self.account_tx(node, bits)
+        # A hearer pays to hear the beacon before its link coin decides
+        # whether it decodes it (docs/SIMULATOR.md, *Who pays to receive*).
+        airtime = bits / self.power.radio_bps
+        rx_s = self.kernel.rx_s
+        metered = self.capacitor is not None
         link_coin = self.rng_link.random
         loss = self.loss
         nodes = self.nodes
         sstate = nodes[node]
         imin_s = self.params.imin_s
-        for peer in self._receivers(node, bits):
+        drops = 0
+        for peer in self._hearers(node):
+            rx_s[peer] += airtime
+            if metered and not self._debit_rx(peer, bits):
+                continue
             if link_coin() < loss:
-                self.drops += 1
+                drops += 1
                 continue
             lstate = nodes[peer]
             # ``sstate.held`` is read per hearer: a hearer's request can
@@ -185,6 +194,7 @@ class TrickleSim(FleetSim):
             want = sstate.held & ~lstate.held
             if want and not lstate.committed and lstate.request_evt is None:
                 self._request(peer, node, want)
+        self.drops += drops
         if not sender_powered:
             self._brownout(node, "packet tx")
 
@@ -202,11 +212,11 @@ class TrickleSim(FleetSim):
         response window either way — a lost REQ costs silence, never a
         storm.
         """
-        if not self.tx_gate(node):
+        requester_powered = self.transmit(node, self.beacon_bits)
+        if requester_powered is None:
             # Budget-gated REQ: stay silent; a later beacon re-triggers.
             return
         self.requests += 1
-        requester_powered = self.account_tx(node, self.beacon_bits)
         holder_powered = self.account_rx(holder, self.beacon_bits)
         if requester_powered:
             state = self.nodes[node]

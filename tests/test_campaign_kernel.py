@@ -8,8 +8,6 @@ digest is also checked against ``tests/golden/campaign_digests.json``.
 """
 
 import json
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -20,8 +18,8 @@ from repro.net.campaign import PROTOCOLS, CampaignReport
 from repro.net.errors import NetConfigError
 from repro.net.kernel import KernelReport
 from repro.workloads import CASES
+from tests.fresh import run_fresh
 
-REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
 GOLDEN = Path(__file__).resolve().parent / "golden" / "campaign_digests.json"
 
 BLOB = bytes(range(251)) * 2
@@ -116,22 +114,6 @@ print(report.digest())
 _FLOOD_GOLDEN = json.loads(GOLDEN.read_text())["flood/run_campaign/flood-parity"]
 
 
-def _run_under_hashseed(snippet: str, seed: str) -> str:
-    proc = subprocess.run(
-        [sys.executable, "-c", snippet],
-        capture_output=True,
-        text=True,
-        env={
-            "PYTHONHASHSEED": seed,
-            "PYTHONPATH": REPO_SRC,
-            "PATH": "/usr/bin:/bin",
-        },
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
-
-
 @pytest.mark.parametrize(
     "snippet,golden",
     [(_TRICKLE_DIGEST, None), (_FLOOD_DIGEST, _FLOOD_GOLDEN)],
@@ -139,7 +121,7 @@ def _run_under_hashseed(snippet: str, seed: str) -> str:
 )
 def test_kernel_digests_stable_across_hashseed(snippet, golden):
     outputs = {
-        _run_under_hashseed(snippet, seed) for seed in ("0", "1", "4242")
+        run_fresh(snippet, PYTHONHASHSEED=seed) for seed in ("0", "1", "4242")
     }
     assert len(outputs) == 1, (
         "report digest depends on PYTHONHASHSEED: "

@@ -13,15 +13,11 @@ across processes launched with different ``PYTHONHASHSEED`` values
 (the environment knob that perturbs set/dict-hash iteration order).
 """
 
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
 from repro.config import CompileConfig, TopologySpec, UpdateConfig
+from tests.fresh import run_fresh
 
-REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 # One script per digest surface: each prints the digest(s) and is run
 # under several PYTHONHASHSEED values; all outputs must be identical.
@@ -78,22 +74,6 @@ for cid in ("1", "3"):
 """
 
 
-def _run_under_hashseed(snippet: str, seed: str) -> str:
-    proc = subprocess.run(
-        [sys.executable, "-c", snippet],
-        capture_output=True,
-        text=True,
-        env={
-            "PYTHONHASHSEED": seed,
-            "PYTHONPATH": REPO_SRC,
-            "PATH": "/usr/bin:/bin",
-        },
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
-
-
 class TestStrictEncoder:
     def test_rejects_non_json_values(self):
         from repro.config import _digest_of
@@ -126,7 +106,7 @@ class TestStrictEncoder:
 )
 def test_digests_stable_across_hashseed(snippet):
     outputs = {
-        _run_under_hashseed(snippet, seed) for seed in ("0", "1", "4242")
+        run_fresh(snippet, PYTHONHASHSEED=seed) for seed in ("0", "1", "4242")
     }
     assert len(outputs) == 1, (
         "digest depends on PYTHONHASHSEED (set/dict iteration order "

@@ -18,9 +18,6 @@ degenerate pivots, deterministically and identically on both paths.
 from __future__ import annotations
 
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,8 +42,7 @@ from repro.isa.instructions import (
 from repro.obs import metrics
 from repro.workloads import CASES
 from repro.workloads.synthetic import ilp_spec
-
-REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
+from tests.fresh import run_fresh
 
 
 def _solve_lp_both(c, a_ub, b_ub, a_eq, b_eq, **kwargs):
@@ -346,14 +342,5 @@ def test_env_flag_selects_the_reference_path():
     snippet = "from repro.ilp.fastpath import fastpath_enabled; print(fastpath_enabled())"
     seen = {}
     for flag in ("1", "0"):
-        proc = subprocess.run(
-            [sys.executable, "-c", snippet],
-            capture_output=True,
-            text=True,
-            env={"REPRO_REFERENCE_PATH": flag, "PYTHONPATH": REPO_SRC,
-                 "PATH": "/usr/bin:/bin"},
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        seen[flag] = proc.stdout.strip()
+        seen[flag] = run_fresh(snippet, REPRO_REFERENCE_PATH=flag).strip()
     assert seen == {"1": "False", "0": "True"}

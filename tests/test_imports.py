@@ -12,11 +12,11 @@ only what the snippet itself loaded.
 """
 
 import json
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+
+from tests.fresh import run_fresh
 
 ROOT = Path(__file__).resolve().parent.parent
 ANSWERS = json.loads((ROOT / "tests" / "golden" / "answers.json").read_text())
@@ -64,31 +64,19 @@ print(json.dumps({
 """
 
 
-def run_fresh(snippet: str):
+def fresh_json(snippet: str):
     """Run ``snippet`` in a new interpreter; its last line, as JSON."""
-    proc = subprocess.run(
-        [sys.executable, "-c", snippet],
-        capture_output=True,
-        text=True,
-        env={
-            "PYTHONPATH": str(ROOT / "src"),
-            "PATH": "/usr/bin:/bin",
-            "PYTHONDONTWRITEBYTECODE": "1",
-        },
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(run_fresh(snippet).splitlines()[-1])
 
 
 @pytest.mark.parametrize("module", ["repro", "repro.api", "repro.cli"])
 def test_import_loads_no_numpy_scipy_or_ilp(module):
     snippet = _LOADED + f"import json\nimport {module}\nprint(json.dumps(loaded()))\n"
-    assert run_fresh(snippet) == []
+    assert fresh_json(snippet) == []
 
 
 def test_first_ilp_plan_loads_the_ilp_and_keeps_the_fig09_answer():
-    out = run_fresh(_ILP_PLAN)
+    out = fresh_json(_ILP_PLAN)
     assert out["before"] == []
     # scipy loads at the first HiGHS solve and minlp with its callers;
     # case 1 changes no chunk, so its plan needs neither.

@@ -261,14 +261,16 @@ class TestBatterylessHarvest:
             assert any("browned out" in line for line in report.fault_log)
 
     def test_broadcast_debits_each_hearer_just_before_it_handles(self):
-        """The kernel accrues a broadcast's RX airtime for all hearers at
-        once, but each capacitor debit waits until the hearer before it
-        has handled the packet: a debit can brown its hearer out and
-        schedule a resume, so the two must not be reordered."""
+        """A broadcast walks its hearers once: each hearer's RX airtime
+        is accrued, then its capacitor debit is taken, and only then
+        does it handle the packet, before the next hearer's debit.  A
+        debit can brown its hearer out and schedule a resume, so debits
+        and handling must not be reordered."""
         order = []
 
         class Recording(FleetSim):
             def _debit_rx(self, node, bits):
+                assert self.kernel.rx_s[node] > 0.0  # accrued first
                 order.append(("debit", node))
                 return super()._debit_rx(node, bits)
 
