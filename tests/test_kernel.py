@@ -20,6 +20,7 @@ from repro.net.kernel import (
 )
 from repro.net.topology import grid
 from repro.net.trickle import run_trickle
+from repro.obs import metrics, trace
 
 
 class TestEventOrdering:
@@ -107,6 +108,25 @@ class TestCancellation:
         handle = kernel.schedule(1.0, 0, lambda: None)
         handle.cancel()
         assert kernel.pending() == 1
+
+    def test_cancelled_pops_are_counted(self):
+        """Every cancelled entry the run pops and discards is counted, on
+        ``net.kernel.cancelled`` and on the run's span."""
+        kernel = SimKernel(1)
+        handles = [kernel.schedule(float(t), 0, lambda: None) for t in range(5)]
+        for handle in handles[1:4]:
+            handle.cancel()
+        before = metrics.counter("net.kernel.cancelled").value
+        trace.enable()
+        try:
+            kernel.run()
+            spans = [e for e in trace.events() if e.name == "net.kernel.run"]
+        finally:
+            trace.disable()
+            trace.reset()
+        assert metrics.counter("net.kernel.cancelled").value - before == 3
+        assert spans[-1].args["dispatched"] == 2
+        assert spans[-1].args["cancelled"] == 3
 
 
 class TestStopAndBudget:
