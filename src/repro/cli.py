@@ -30,7 +30,7 @@ Commands
 ``batch JOBS.json``
     Plan a whole fleet of updates through
     :class:`repro.service.FleetUpdateService` — content-addressed
-    caching, process-parallel execution, deterministic job order.
+    caching, in-process execution, deterministic job order.
 
 ``verify OLD NEW`` / ``verify --case ID``
     Plan an update and run every static verification pass
@@ -349,9 +349,9 @@ def cmd_batch(args) -> int:
     except json.JSONDecodeError as error:
         raise _InputError(f"{args.jobs}: {error}") from None
     if isinstance(document, list):
-        specs, defaults = document, {}
+        specs = document
     elif isinstance(document, dict):
-        specs, defaults = document.get("jobs", []), document
+        specs = document.get("jobs", [])
     else:
         raise _InputError(
             f"{args.jobs}: expected a list of jobs or an object with \"jobs\", "
@@ -364,16 +364,10 @@ def cmd_batch(args) -> int:
     except (KeyError, TypeError, ValueError) as error:
         raise _InputError(f"{args.jobs}: {error}") from None
 
-    workers = args.workers or defaults.get("workers")
-    service = FleetUpdateService(
-        workers=1 if args.serial else workers,
-        timeout_s=args.timeout,
-        retries=args.retries,
-    )
+    service = FleetUpdateService()
     result = service.run(jobs)
-    if args.repeat > 1:
-        for _ in range(args.repeat - 1):
-            result = service.run(jobs)
+    for _ in range(args.repeat - 1):
+        result = service.run(jobs)
     print(result.render())
     return 0 if result.ok else 1
 
@@ -770,17 +764,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_batch = sub.add_parser(
         "batch", help="plan a fleet of updates through the batched, "
-                      "cached, process-parallel update service"
+                      "cached update service"
     )
     p_batch.add_argument("jobs", help="JSON job file (see docs/API.md)")
-    p_batch.add_argument("--workers", type=int, default=None,
-                         help="worker processes (default: file or cpu count)")
-    p_batch.add_argument("--serial", action="store_true",
-                         help="run in-process, no worker pool")
-    p_batch.add_argument("--timeout", type=float, default=None,
-                         help="per-job timeout in seconds")
-    p_batch.add_argument("--retries", type=int, default=1,
-                         help="retries per job on worker failure")
     p_batch.add_argument("--repeat", type=int, default=1,
                          help="run the batch N times (cache warm-up demo)")
     p_batch.set_defaults(func=cmd_batch)

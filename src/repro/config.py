@@ -15,7 +15,7 @@ Everything here is immutable, validated at construction, and
 content-addressable: :meth:`digest` renders the configuration to
 canonical JSON and hashes it, which is what the service and solver
 caches key on.  The module deliberately imports almost nothing so any
-layer (CLI, planner, worker process) can depend on it.
+layer (CLI, planner, service) can depend on it.
 """
 
 from __future__ import annotations

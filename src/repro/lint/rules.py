@@ -133,8 +133,9 @@ class PoolSubmitRule(Rule):
         "ProcessPoolExecutor pickles the callable by qualified name: "
         "lambdas and closures fail at submit time (or silently change "
         "behaviour under fork when they capture mutable parent state). "
-        "repro.service therefore submits only module-level functions "
-        "whose inputs are frozen dataclasses."
+        "Code under repro/service/ that hands work to a process pool "
+        "submits only module-level functions whose inputs are frozen "
+        "dataclasses."
     )
 
     scopes: Tuple[str, ...] = ("repro/service/",)

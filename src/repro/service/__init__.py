@@ -1,29 +1,22 @@
-"""Fleet update service: batched, cached, process-parallel planning.
+"""Fleet update service: batched, cached planning, in-process.
 
 Public entry points:
 
-* :class:`FleetUpdateService` — owns the caches, runs batches;
+* :class:`FleetUpdateService` — owns the caches, runs batches of
+  :class:`~repro.config.FleetJob`;
 * :func:`run_batch` — one-shot convenience wrapper;
-* :class:`~repro.config.FleetJob` (re-exported from :mod:`repro.config`)
-  — one unit of work;
+* :func:`execute_job` — one job, outside any service;
 * :class:`JobOutcome` / :class:`FleetResult` — what comes back.
 """
 
-from ..config import CompileConfig, FleetJob, TopologySpec, UpdateConfig
-from .cache import ContentCache, compile_key, source_digest
+from .cache import ContentCache
 from .fleet import FleetResult, FleetUpdateService, JobOutcome, execute_job, run_batch
 
 __all__ = [
-    "CompileConfig",
     "ContentCache",
-    "FleetJob",
     "FleetResult",
     "FleetUpdateService",
     "JobOutcome",
-    "TopologySpec",
-    "UpdateConfig",
-    "compile_key",
     "execute_job",
     "run_batch",
-    "source_digest",
 ]

@@ -1,12 +1,12 @@
-"""Content-addressed caches backing the fleet update service.
+"""The bounded LRU behind the fleet update service's caches.
 
-A :class:`ContentCache` is a bounded LRU from content digest (any
-string, typically a SHA-256 hex from :mod:`repro.config`) to an
-arbitrary value.  It is deliberately dumb: it neither computes digests
-nor publishes telemetry — call sites own their key derivation and emit
-their own literal metric names (`docs/OBSERVABILITY.md` requires
-metric names to be literals at the call site, so a generic cache must
-not publish on behalf of its users).
+A :class:`ContentCache` maps a content digest (any string, typically a
+SHA-256 hex from :mod:`repro.config`) to an arbitrary value.  It is
+deliberately dumb: it neither computes digests nor publishes telemetry
+— call sites own their key derivation and emit their own literal
+metric names (`docs/OBSERVABILITY.md` requires metric names to be
+literals at the call site, so a generic cache must not publish on
+behalf of its users).
 
 Two caches matter in practice:
 
@@ -23,38 +23,20 @@ lives with the solver in :mod:`repro.ilp.canonical`.)
 
 from __future__ import annotations
 
-import hashlib
 from collections import OrderedDict
 from typing import Any, Optional
-
-
-def source_digest(source: str) -> str:
-    """SHA-256 content address of one source text."""
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
-
-
-def compile_key(source: str, config_digest: str) -> str:
-    """Cache key of one compile: source content x configuration."""
-    return f"{source_digest(source)}:{config_digest}"
 
 
 class ContentCache:
     """A bounded LRU keyed by content digest."""
 
-    def __init__(self, maxsize: int = 1024, name: str = "cache"):
+    def __init__(self, maxsize: int = 1024):
         if maxsize < 1:
             raise ValueError(f"maxsize must be >= 1, got {maxsize}")
         self.maxsize = maxsize
-        self.name = name
         self.hits = 0
         self.misses = 0
         self._entries: "OrderedDict[str, Any]" = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, digest: str) -> bool:
-        return digest in self._entries
 
     def get(self, digest: str) -> Optional[Any]:
         entry = self._entries.get(digest)
@@ -71,15 +53,10 @@ class ContentCache:
         while len(self._entries) > self.maxsize:
             self._entries.popitem(last=False)
 
-    def clear(self) -> None:
-        self._entries.clear()
-        self.hits = 0
-        self.misses = 0
-
     @property
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
 
-__all__ = ["ContentCache", "compile_key", "source_digest"]
+__all__ = ["ContentCache"]

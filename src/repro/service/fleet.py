@@ -1,51 +1,47 @@
-"""The fleet update service: batched, cached, process-parallel planning.
+"""The fleet update service: batched, cached planning, in-process.
 
 The paper's sink plans one update at a time; a production fleet plans
 *many* — several program versions across several node groups, often
 with heavy overlap between jobs.  :class:`FleetUpdateService` executes
-a batch of :class:`~repro.config.FleetJob`s with three accelerations:
+a batch of :class:`~repro.config.FleetJob`s in job order, one outcome
+per job:
 
 * **content-addressed caching** — compiles are memoised on ``(source
   digest, CompileConfig digest)``, whole jobs on
   :meth:`~repro.config.FleetJob.digest`, and register-allocation ILPs
   on their canonical model (:mod:`repro.ilp.canonical`), so a warm
   batch replays without redoing any of the work;
-* **process parallelism** — cache misses fan out over a
-  :class:`concurrent.futures.ProcessPoolExecutor` with deterministic
-  result ordering (outcomes always return in job order), a per-job
-  timeout, bounded retries, and graceful degradation to in-process
-  serial execution when the pool cannot be created or breaks;
 * **telemetry** — ``service.*`` spans and metrics (see
-  ``docs/OBSERVABILITY.md``) report batch/job wall time, cache
-  hit-rates, retries, and fallbacks.
+  ``docs/OBSERVABILITY.md``) report batch/job wall time and cache
+  hit-rates; every executed job's ``service.job`` span, and all the
+  pipeline spans under it, nest inside its batch's ``service.batch``
+  span.
 
-Jobs are plain frozen dataclasses of sources and configs — cheap to
-pickle, deterministic to digest — and outcomes are flat metric
-records, so nothing heavyweight (IR, images, solver state) ever
-crosses a process boundary.
+Outcomes are flat metric records, so the job cache holds nothing
+heavyweight (IR, images, solver state).
 """
 
 from __future__ import annotations
 
-import os
+import hashlib
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from ..config import FleetJob
+from ..core.compiler import compile_source
+from ..core.session import UpdateSession
+from ..core.update import UpdatePlanner, measure_cycles
 from ..obs import metrics, trace
-from .cache import ContentCache, compile_key
+from .cache import ContentCache
 
 
 @dataclass(frozen=True)
 class JobOutcome:
-    """Flat, picklable record of one executed (or failed) job.
+    """Flat record of one executed (or failed) job.
 
-    Everything except ``index``/``job_id``/``cached``/``attempts``/
-    ``wall_ms`` is a pure function of the job's content — that is what
+    Everything except ``index``/``job_id``/``cached``/``wall_ms`` is a
+    pure function of the job's content — that is what
     :meth:`key_metrics` exposes and what the determinism tests pin.
     """
 
@@ -54,7 +50,6 @@ class JobOutcome:
     ok: bool
     error: str = ""
     cached: bool = False
-    attempts: int = 1
     wall_ms: float = 0.0
     # -- plan metrics (the paper's vocabulary) ---------------------------
     ra: str = ""
@@ -91,7 +86,7 @@ class JobOutcome:
     def key_metrics(self) -> dict:
         """The deterministic slice of the outcome (execution-mode and
         cache-state independent)."""
-        skip = {"index", "job_id", "cached", "attempts", "wall_ms"}
+        skip = {"index", "job_id", "cached", "wall_ms"}
         return {
             name: value
             for name, value in self.__dict__.items()
@@ -105,14 +100,16 @@ class FleetResult:
 
     outcomes: List[JobOutcome]
     wall_ms: float = 0.0
-    workers: int = 1
-    #: "serial", "parallel", "cached", "serial-fallback", or
-    #: "parallel+serial-fallback"
-    mode: str = "serial"
     job_cache_hits: int = 0
     job_cache_misses: int = 0
     compile_cache_hits: int = 0
     compile_cache_misses: int = 0
+
+    @property
+    def mode(self) -> str:
+        """``"serial"`` when a job executed, ``"cached"`` when every
+        job replayed from the job cache."""
+        return "serial" if self.job_cache_misses else "cached"
 
     @property
     def ok(self) -> bool:
@@ -126,7 +123,7 @@ class FleetResult:
     def render(self) -> str:
         lines = [
             f"fleet batch: {len(self.outcomes)} jobs, mode={self.mode}, "
-            f"workers={self.workers}, wall={self.wall_ms:.1f} ms",
+            f"wall={self.wall_ms:.1f} ms",
             f"job cache  : {self.job_cache_hits} hits / "
             f"{self.job_cache_misses} misses "
             f"(hit rate {100.0 * self.cache_hit_rate:.0f}%)",
@@ -151,37 +148,18 @@ class FleetResult:
         return "\n".join(lines)
 
 
-def _failed(job: FleetJob, index: int, error: str, attempts: int) -> JobOutcome:
-    return JobOutcome(
-        index=index,
-        job_id=job.job_id or str(index),
-        ok=False,
-        error=error,
-        attempts=attempts,
-        ra=job.update.ra,
-        da=job.update.da,
-        cp=job.update.resolved_cp(),
-    )
-
-
 def execute_job(
     job: FleetJob,
     index: int = 0,
     compile_cache: Optional[ContentCache] = None,
 ) -> JobOutcome:
-    """Plan (and optionally disseminate/simulate) one job, serially.
+    """Plan (and optionally disseminate/simulate) one job.
 
     Never raises: expected failures — bad source, infeasible update,
     incomplete dissemination — come back as ``ok=False`` outcomes with
     the exception message, so a batch always yields one outcome per
-    job.  Shared by the in-process serial path and the pool workers.
+    job.
     """
-    # Imported here so a forked worker only pays for what it runs.
-    import hashlib
-
-    from ..core.session import UpdateSession
-    from ..core.update import UpdatePlanner, measure_cycles
-
     start = time.perf_counter()
     with trace.span("service.job", index=index, ra=job.update.ra):
         try:
@@ -229,9 +207,15 @@ def execute_job(
             ).hexdigest()
         except Exception as exc:  # noqa: BLE001 — the contract is one
             # outcome per job, whatever the planner raises.
-            outcome = _failed(job, index, f"{type(exc).__name__}: {exc}", 1)
-            return replace(
-                outcome, wall_ms=(time.perf_counter() - start) * 1000.0
+            return JobOutcome(
+                index=index,
+                job_id=job.job_id or str(index),
+                ok=False,
+                error=f"{type(exc).__name__}: {exc}",
+                wall_ms=(time.perf_counter() - start) * 1000.0,
+                ra=job.update.ra,
+                da=job.update.da,
+                cp=job.update.resolved_cp(),
             )
         return JobOutcome(
             index=index,
@@ -265,11 +249,10 @@ def execute_job(
 
 
 def _compile_cached(source, config, cache: Optional[ContentCache]):
-    from ..core.compiler import compile_source
-
     if cache is None:
         return compile_source(source, config)
-    key = compile_key(source, config.digest())
+    source_digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
+    key = f"{source_digest}:{config.digest()}"
     program = cache.get(key)
     if program is not None:
         metrics.counter("service.cache.compile_hits").inc()
@@ -284,209 +267,65 @@ def _compile_cached(source, config, cache: Optional[ContentCache]):
 JOB_CACHE_SIZE = 1024
 COMPILE_CACHE_SIZE = 256
 
-#: Per-worker-process compile cache (module global: survives across the
-#: jobs one worker executes; with fork start, seeds from the parent).
-_WORKER_COMPILE_CACHE = ContentCache(COMPILE_CACHE_SIZE, name="worker-compile")
-
-
-def _worker_run(payload: Tuple[int, FleetJob]) -> JobOutcome:
-    index, job = payload
-    return execute_job(job, index=index, compile_cache=_WORKER_COMPILE_CACHE)
-
 
 class FleetUpdateService:
-    """Executes batches of update jobs with caching and parallelism.
+    """Executes batches of update jobs in-process, with caching.
 
-    One service instance owns the parent-side caches; reuse it across
-    batches to keep them warm.  ``workers=1`` forces the in-process
-    serial path — results are identical either way, only wall time
-    changes.
+    One service instance owns the caches; reuse it across batches to
+    keep them warm.
     """
 
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        timeout_s: Optional[float] = None,
-        retries: int = 1,
-    ):
-        if workers is not None and workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if retries < 0:
-            raise ValueError(f"retries must be >= 0, got {retries}")
-        self.workers = workers or min(8, os.cpu_count() or 1)
-        self.timeout_s = timeout_s
-        self.retries = retries
-        self.job_cache = ContentCache(JOB_CACHE_SIZE, name="job")
-        self.compile_cache = ContentCache(COMPILE_CACHE_SIZE, name="compile")
-
-    # -- public API -----------------------------------------------------
+    def __init__(self):
+        self.job_cache = ContentCache(JOB_CACHE_SIZE)
+        self.compile_cache = ContentCache(COMPILE_CACHE_SIZE)
 
     def run(self, jobs: Sequence[FleetJob]) -> FleetResult:
         """Execute a batch; outcomes come back in job order."""
-        jobs = list(jobs)
         start = time.perf_counter()
         job_hits_before = self.job_cache.hits
         job_misses_before = self.job_cache.misses
         compile_hits_before = self.compile_cache.hits
         compile_misses_before = self.compile_cache.misses
-        with trace.span("service.batch", jobs=len(jobs), workers=self.workers):
+        jobs = list(jobs)
+        outcomes: List[JobOutcome] = []
+        with trace.span("service.batch", jobs=len(jobs)):
             metrics.counter("service.batches").inc()
-            metrics.gauge("service.workers").set(self.workers)
-            outcomes: List[Optional[JobOutcome]] = [None] * len(jobs)
-            pending: List[Tuple[int, str, FleetJob]] = []
             for index, job in enumerate(jobs):
-                digest = job.digest()
-                hit = self.job_cache.get(digest)
-                if hit is not None:
-                    metrics.counter("service.cache.job_hits").inc()
-                    metrics.counter("service.jobs").inc()
-                    outcomes[index] = replace(
-                        hit,
-                        index=index,
-                        job_id=job.job_id or str(index),
-                        cached=True,
-                    )
-                else:
-                    metrics.counter("service.cache.job_misses").inc()
-                    pending.append((index, digest, job))
-
-            mode = "cached"
-            if pending:
-                if self.workers > 1 and len(pending) > 1:
-                    mode = self._run_parallel(pending, outcomes)
-                else:
-                    self._run_serial(pending, outcomes)
-                    mode = "serial"
-
+                outcomes.append(self._outcome(index, job))
+                metrics.counter("service.jobs").inc()
         wall_ms = (time.perf_counter() - start) * 1000.0
         metrics.histogram("service.batch_wall_ms").observe(wall_ms)
-        done = [outcome for outcome in outcomes if outcome is not None]
-        assert len(done) == len(jobs), "every job must produce an outcome"
         return FleetResult(
-            outcomes=done,
+            outcomes=outcomes,
             wall_ms=wall_ms,
-            workers=self.workers,
-            mode=mode,
             job_cache_hits=self.job_cache.hits - job_hits_before,
             job_cache_misses=self.job_cache.misses - job_misses_before,
             compile_cache_hits=self.compile_cache.hits - compile_hits_before,
             compile_cache_misses=self.compile_cache.misses - compile_misses_before,
         )
 
-    # -- execution paths ------------------------------------------------
-
-    def _finish(
-        self,
-        index: int,
-        digest: str,
-        outcome: JobOutcome,
-        outcomes: List[Optional[JobOutcome]],
-    ) -> None:
-        outcomes[index] = outcome
-        metrics.counter("service.jobs").inc()
+    def _outcome(self, index: int, job: FleetJob) -> JobOutcome:
+        """Replay one job from the job cache, or execute it."""
+        digest = job.digest()
+        hit = self.job_cache.get(digest)
+        if hit is not None:
+            metrics.counter("service.cache.job_hits").inc()
+            return replace(
+                hit, index=index, job_id=job.job_id or str(index), cached=True
+            )
+        metrics.counter("service.cache.job_misses").inc()
+        outcome = execute_job(job, index=index, compile_cache=self.compile_cache)
         metrics.histogram("service.job_wall_ms").observe(outcome.wall_ms)
         if outcome.ok:
             self.job_cache.put(digest, outcome)
         else:
             metrics.counter("service.job_failures").inc()
-
-    def _run_serial(
-        self,
-        pending: List[Tuple[int, str, FleetJob]],
-        outcomes: List[Optional[JobOutcome]],
-    ) -> None:
-        for index, digest, job in pending:
-            outcome = execute_job(job, index=index, compile_cache=self.compile_cache)
-            self._finish(index, digest, outcome, outcomes)
-
-    def _run_parallel(
-        self,
-        pending: List[Tuple[int, str, FleetJob]],
-        outcomes: List[Optional[JobOutcome]],
-    ) -> str:
-        try:
-            pool = ProcessPoolExecutor(
-                max_workers=min(self.workers, len(pending))
-            )
-        except Exception:
-            metrics.counter("service.serial_fallbacks").inc()
-            self._run_serial(pending, outcomes)
-            return "serial-fallback"
-
-        attempts = {index: 0 for index, _, _ in pending}
-        remaining = list(pending)
-        degraded = False
-        try:
-            while remaining:
-                futures = [
-                    (index, digest, job, pool.submit(_worker_run, (index, job)))
-                    for index, digest, job in remaining
-                ]
-                retry: List[Tuple[int, str, FleetJob]] = []
-                for index, digest, job, future in futures:
-                    attempts[index] += 1
-                    try:
-                        outcome = future.result(timeout=self.timeout_s)
-                        outcome = replace(outcome, attempts=attempts[index])
-                    except FutureTimeoutError:
-                        future.cancel()
-                        metrics.counter("service.job_timeouts").inc()
-                        outcome = _failed(
-                            job,
-                            index,
-                            f"timeout after {self.timeout_s:g}s",
-                            attempts[index],
-                        )
-                    except BrokenProcessPool:
-                        raise
-                    except Exception as exc:  # infrastructure failure
-                        if attempts[index] <= self.retries:
-                            metrics.counter("service.job_retries").inc()
-                            retry.append((index, digest, job))
-                            continue
-                        # Last resort: run it here, in-process.
-                        metrics.counter("service.serial_fallbacks").inc()
-                        degraded = True
-                        outcome = execute_job(
-                            job, index=index, compile_cache=self.compile_cache
-                        )
-                        if outcome.ok:
-                            outcome = replace(outcome, attempts=attempts[index])
-                        else:
-                            outcome = replace(
-                                outcome,
-                                attempts=attempts[index],
-                                error=f"{outcome.error} (after pool error: "
-                                f"{type(exc).__name__})",
-                            )
-                    self._finish(index, digest, outcome, outcomes)
-                remaining = retry
-        except (BrokenProcessPool, OSError):
-            # The pool is gone; degrade every job still unaccounted for.
-            metrics.counter("service.serial_fallbacks").inc()
-            degraded = True
-            leftovers = [
-                (index, digest, job)
-                for index, digest, job in pending
-                if outcomes[index] is None
-            ]
-            self._run_serial(leftovers, outcomes)
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-        return "parallel+serial-fallback" if degraded else "parallel"
+        return outcome
 
 
-def run_batch(
-    jobs: Sequence[FleetJob],
-    workers: Optional[int] = None,
-    timeout_s: Optional[float] = None,
-    retries: int = 1,
-) -> FleetResult:
+def run_batch(jobs: Sequence[FleetJob]) -> FleetResult:
     """One-shot convenience: a fresh service, one batch."""
-    service = FleetUpdateService(
-        workers=workers, timeout_s=timeout_s, retries=retries
-    )
-    return service.run(jobs)
+    return FleetUpdateService().run(jobs)
 
 
 __all__ = [

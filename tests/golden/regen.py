@@ -579,7 +579,7 @@ def batch_answer() -> tuple:
         for cid in ("1", "3", "6", "9")
         for ra, da in (("ucc", "ucc"), ("ucc-ilp", "ucc"), ("gcc", "gcc"), ("linear", "ucc"))
     ]
-    service = FleetUpdateService(workers=1)
+    service = FleetUpdateService()
     cold = service.run(jobs)
     warm = service.run(jobs)
     digest = _sha({
@@ -634,7 +634,7 @@ def service_network_answer() -> tuple:
         ),
         job("line-loss0.99", topology=TopologySpec.line(8), loss=0.99),
     ]
-    result = FleetUpdateService(workers=1).run(jobs)
+    result = FleetUpdateService().run(jobs)
     outcomes = [outcome.key_metrics() for outcome in result.outcomes]
     return _sha(outcomes), {
         "ok": [int(outcome.ok) for outcome in result.outcomes],

@@ -101,7 +101,7 @@ class TestBatchCommand:
     def jobs_file(self, tmp_path):
         path = tmp_path / "jobs.json"
         path.write_text(
-            '{"workers": 1, "jobs": ['
+            '{"jobs": ['
             '{"case": "1", "grid": [3, 3]},'
             '{"case": "6", "ra": "gcc", "da": "gcc"}'
             "]}"
@@ -109,7 +109,7 @@ class TestBatchCommand:
         return str(path)
 
     def test_batch_runs_case_jobs(self, jobs_file, capsys):
-        assert main(["batch", jobs_file, "--serial"]) == 0
+        assert main(["batch", jobs_file]) == 0
         out = capsys.readouterr().out
         assert "fleet batch: 2 jobs" in out
         assert "case1" in out and "case6" in out
@@ -120,12 +120,12 @@ class TestBatchCommand:
         path.write_text(
             f'[{{"old": "{source_file}", "new": "{edited_file}", "id": "blink"}}]'
         )
-        assert main(["batch", str(path), "--serial"]) == 0
+        assert main(["batch", str(path)]) == 0
         out = capsys.readouterr().out
         assert "blink" in out and "ok" in out
 
     def test_batch_repeat_hits_the_cache(self, jobs_file, capsys):
-        assert main(["batch", jobs_file, "--serial", "--repeat", "2"]) == 0
+        assert main(["batch", jobs_file, "--repeat", "2"]) == 0
         out = capsys.readouterr().out
         assert "mode=cached" in out
         assert "hit rate 100%" in out
@@ -146,7 +146,7 @@ class TestBatchCommand:
         bad.write_text("this is not a program")
         path = tmp_path / "jobs.json"
         path.write_text(f'[{{"old": "{bad}", "new": "{bad}"}}]')
-        assert main(["batch", str(path), "--serial"]) == 1
+        assert main(["batch", str(path)]) == 1
         assert "FAIL" in capsys.readouterr().out
 
 

@@ -5,7 +5,10 @@ numpy, scipy and the ILP stack (``repro.ilp`` and the three ILP modules
 of ``repro.regalloc``) serve only ``ra="ucc-ilp"`` and the Figure 13-15
 benchmarks, so they load at the first ILP plan, or when a caller
 imports them, and never with the package.  A package ``__init__`` that
-re-exports one of them fails here.
+re-exports one of them fails here.  The fleet update service runs every
+batch in-process, so neither ``multiprocessing`` nor
+``concurrent.futures`` loads with ``repro``, ``repro.api`` or
+``repro.cli`` either.
 
 Each check runs in a fresh interpreter, whose ``sys.modules`` holds
 only what the snippet itself loaded.
@@ -29,6 +32,9 @@ HEAVY = (
     "repro.regalloc.ilp_ra",
     "repro.regalloc.minlp",
 )
+
+#: The process-pool stack, which nothing in ``repro`` uses.
+POOL = ("multiprocessing", "concurrent.futures")
 
 _LOADED = f"""
 def loaded():
@@ -72,6 +78,15 @@ def fresh_json(snippet: str):
 @pytest.mark.parametrize("module", ["repro", "repro.api", "repro.cli"])
 def test_import_loads_no_numpy_scipy_or_ilp(module):
     snippet = _LOADED + f"import json\nimport {module}\nprint(json.dumps(loaded()))\n"
+    assert fresh_json(snippet) == []
+
+
+@pytest.mark.parametrize("module", ["repro", "repro.api", "repro.cli"])
+def test_import_loads_no_process_pool(module):
+    snippet = (
+        f"import json\nimport sys\nimport {module}\n"
+        f"print(json.dumps([name for name in {POOL!r} if name in sys.modules]))\n"
+    )
     assert fresh_json(snippet) == []
 
 

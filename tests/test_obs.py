@@ -207,7 +207,7 @@ def test_render_mentions_every_metric():
 # the docs checker's extraction
 
 
-def test_check_docs_extracts_multiline_span_names(tmp_path):
+def _check_docs():
     import importlib.util
     from pathlib import Path
 
@@ -217,7 +217,11 @@ def test_check_docs_extracts_multiline_span_names(tmp_path):
     )
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
+    return mod
 
+
+def test_check_docs_extracts_multiline_span_names():
+    mod = _check_docs()
     sample = 'with trace.span(\n    "multi.line",\n    x=1,\n):\n    pass\n'
     sample += 'metrics.counter("some.count").inc()\n'
     assert mod._SPAN_RE.findall(sample) == ["multi.line"]
@@ -230,6 +234,27 @@ def test_check_docs_extracts_multiline_span_names(tmp_path):
     assert "net.disseminate_lossy" in spans
     assert "ilp.simplex_iterations" in mets
     assert "fuzz.oracle_failures.trace" in mets
+
+
+def test_check_docs_reports_a_stale_catalogue_row(tmp_path):
+    """A catalogue row naming a span or metric that nothing emits is a
+    problem; the schema fields, which have no dot, are not."""
+    mod = _check_docs()
+    catalogue = (mod.REPO / mod.CATALOGUE).read_text(encoding="utf-8")
+    assert "| `start_us` |" in catalogue
+    doctored = tmp_path / "OBSERVABILITY.md"
+    doctored.write_text(
+        catalogue.replace(
+            "| `service.batches` |",
+            "| `service.workers` | G | processes | worker count |\n"
+            "| `service.batches` |",
+        ),
+        encoding="utf-8",
+    )
+    assert mod.check_catalogue(doctored) == [
+        f"'service.workers' is catalogued in {mod.CATALOGUE} but no span "
+        f"or metric literal in src/repro emits it"
+    ]
 
 
 def test_check_docs_passes_on_this_repo():

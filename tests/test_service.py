@@ -1,16 +1,18 @@
 """The fleet update service (`repro.service`).
 
-Pins the three service guarantees:
+Pins the four service guarantees:
 
-* **determinism** — serial, parallel, and cached execution produce
-  identical per-job metrics (down to the edit-script digest), and
-  outcomes always come back in job order;
-* **the acceptance batch** — the ISSUE's 16-job Figure-9 batch on a
-  5x5 grid runs >= 2x faster through a warm service than through a
-  plain serial loop, with identical per-job metrics;
-* **resilience** — per-job failures, pool breakage, and timeouts
-  degrade to ``ok=False`` outcomes or serial execution, never to a
-  raised batch.
+* **determinism** — executed and cached outcomes carry identical
+  per-job metrics (down to the edit-script digest), and outcomes
+  always come back in job order;
+* **the acceptance batch** — the 16-job Figure-9 batch on a 5x5 grid
+  runs >= 2x faster through a warm service than through a plain
+  serial loop, with identical per-job metrics;
+* **resilience** — a per-job failure is an ``ok=False`` outcome, never
+  a raised batch;
+* **telemetry** — a batch and every job it executes land in the one
+  process-wide trace, and the ``service.*`` counters agree with the
+  batch's own counts.
 """
 
 import dataclasses
@@ -19,8 +21,8 @@ import time
 import pytest
 
 from repro.config import CompileConfig, FleetJob, TopologySpec, UpdateConfig
+from repro.obs import metrics, trace
 from repro.service import ContentCache, FleetUpdateService, execute_job, run_batch
-from repro.service import fleet as fleet_module
 from repro.workloads import CASES, RA_CASE_IDS
 
 GRID = TopologySpec.grid(5, 5)
@@ -56,26 +58,32 @@ def _metrics(outcomes):
 
 
 class TestDeterminism:
-    def test_serial_and_parallel_agree(self):
-        jobs = _small_batch()
-        serial = FleetUpdateService(workers=1).run(jobs)
-        parallel = FleetUpdateService(workers=2).run(jobs)
-        assert serial.ok and parallel.ok
-        assert serial.mode == "serial"
-        assert parallel.mode == "parallel"
-        assert _metrics(serial.outcomes) == _metrics(parallel.outcomes)
-
     def test_outcomes_come_back_in_job_order(self):
+        """A batch whose middle job replays from the job cache still
+        returns its outcomes in job order."""
         jobs = _small_batch()
-        result = FleetUpdateService(workers=2).run(jobs)
+        service = FleetUpdateService()
+        service.run(jobs[1:2])
+        result = service.run(jobs)
         assert [outcome.index for outcome in result.outcomes] == [0, 1, 2]
         assert [outcome.job_id for outcome in result.outcomes] == [
             job.job_id for job in jobs
         ]
+        assert [outcome.cached for outcome in result.outcomes] == [
+            False, True, False
+        ]
+        assert result.mode == "serial"
+
+    def test_a_repeated_job_executes_once(self):
+        job = _small_batch()[0]
+        result = FleetUpdateService().run([job, job])
+        assert [outcome.cached for outcome in result.outcomes] == [False, True]
+        assert [outcome.index for outcome in result.outcomes] == [0, 1]
+        assert _metrics(result.outcomes[:1]) == _metrics(result.outcomes[1:])
 
     def test_warm_replay_is_bit_identical(self):
         jobs = _small_batch()
-        service = FleetUpdateService(workers=1)
+        service = FleetUpdateService()
         cold = service.run(jobs)
         warm = service.run(jobs)
         assert warm.mode == "cached"
@@ -90,12 +98,12 @@ class TestDeterminism:
     def test_compile_cache_dedupes_shared_old_sources(self):
         # Jobs 2 and 3 of the small batch share old_source under the
         # same CompileConfig: the second compile must be a hit.
-        service = FleetUpdateService(workers=1)
+        service = FleetUpdateService()
         result = service.run(_small_batch())
         assert result.compile_cache_hits >= 1
 
     def test_run_batch_convenience(self):
-        result = run_batch(_small_batch(), workers=1)
+        result = run_batch(_small_batch())
         assert result.ok
         assert len(result.outcomes) == 3
 
@@ -125,7 +133,7 @@ class TestAcceptanceBatch:
         serial_ms = (time.perf_counter() - start) * 1000.0
         assert all(outcome.ok for outcome in loop_outcomes)
 
-        service = FleetUpdateService(workers=4)
+        service = FleetUpdateService()
         cold = service.run(jobs)  # warms the job cache
         warm = service.run(jobs)
 
@@ -135,7 +143,7 @@ class TestAcceptanceBatch:
         assert warm.wall_ms * 2 <= serial_ms, (
             f"warm batch took {warm.wall_ms:.1f} ms vs {serial_ms:.1f} ms serial"
         )
-        # Identical per-job metrics across all three execution modes.
+        # Identical per-job metrics: plain loop, executed, replayed.
         assert _metrics(loop_outcomes) == _metrics(cold.outcomes)
         assert _metrics(loop_outcomes) == _metrics(warm.outcomes)
         # Every job disseminated to the 24 sensor nodes of the grid.
@@ -156,11 +164,9 @@ class TestAcceptanceBatch:
         assert len(jobs) == 20
 
         def batch(reference):
-            # reference_mode is process-local, so both runs stay
-            # in-process (a worker pool would ignore the toggle).
             SOLVE_CACHE.clear()
             with reference_mode(reference):
-                return FleetUpdateService(workers=1).run(jobs)
+                return FleetUpdateService().run(jobs)
 
         fast, ref = batch(False), batch(True)
         assert fast.ok and ref.ok
@@ -188,7 +194,7 @@ class TestFailurePaths:
             FleetJob(old_source="this is not ucc-C", new_source="nor is this"),
             _case_job("6", topology=None),
         ]
-        result = FleetUpdateService(workers=1).run(jobs)
+        result = FleetUpdateService().run(jobs)
         assert not result.ok
         assert [outcome.ok for outcome in result.outcomes] == [True, False, True]
         failed = result.outcomes[1]
@@ -197,33 +203,13 @@ class TestFailurePaths:
 
     def test_failed_jobs_are_not_cached(self):
         bad = FleetJob(old_source="syntax error", new_source="syntax error")
-        service = FleetUpdateService(workers=1)
+        service = FleetUpdateService()
         service.run([bad])
         second = service.run([bad])
         # The failure re-executes (a transient infra failure must not
         # poison the cache); both runs miss.
         assert second.job_cache_hits == 0
         assert not second.outcomes[0].cached
-
-    def test_pool_creation_failure_degrades_to_serial(self, monkeypatch):
-        def broken_pool(*args, **kwargs):
-            raise OSError("no more processes")
-
-        monkeypatch.setattr(fleet_module, "ProcessPoolExecutor", broken_pool)
-        jobs = _small_batch()
-        result = FleetUpdateService(workers=4).run(jobs)
-        assert result.ok
-        assert result.mode == "serial-fallback"
-        reference = FleetUpdateService(workers=1).run(jobs)
-        assert _metrics(result.outcomes) == _metrics(reference.outcomes)
-
-    def test_timeout_produces_failed_outcome(self):
-        jobs = [_case_job("1", topology=None), _case_job("6", topology=None)]
-        result = FleetUpdateService(workers=2, timeout_s=1e-6).run(jobs)
-        assert not result.ok
-        timed_out = [outcome for outcome in result.outcomes if not outcome.ok]
-        assert timed_out
-        assert all("timeout" in outcome.error for outcome in timed_out)
 
     @pytest.mark.parametrize("side", [0, 1])
     def test_empty_fleet_fails_the_job(self, side):
@@ -248,11 +234,60 @@ class TestFailurePaths:
         )
         assert outcome.error.count("dissemination incomplete") == 1
 
-    def test_constructor_validation(self):
-        with pytest.raises(ValueError, match="workers"):
-            FleetUpdateService(workers=0)
-        with pytest.raises(ValueError, match="retries"):
-            FleetUpdateService(retries=-1)
+
+# ---------------------------------------------------------------------------
+# Telemetry
+# ---------------------------------------------------------------------------
+
+
+def _traced_run(service, jobs):
+    """One batch on a fresh global trace: the result, its spans, and
+    the change of every ``service.*`` metric."""
+    before = metrics.REGISTRY.values("service.")
+    trace.reset()
+    trace.enable()
+    try:
+        result = service.run(jobs)
+        events = trace.events()
+    finally:
+        trace.disable()
+        trace.reset()
+    return result, events, metrics.REGISTRY.delta(before, "service.")
+
+
+def _counts(result):
+    return {
+        "service.jobs": len(result.outcomes),
+        "service.cache.job_hits": result.job_cache_hits,
+        "service.cache.job_misses": result.job_cache_misses,
+        "service.cache.compile_hits": result.compile_cache_hits,
+        "service.cache.compile_misses": result.compile_cache_misses,
+    }
+
+
+class TestTelemetry:
+    def test_one_trace_per_batch(self):
+        """Every job a batch executes opens its ``service.job`` span one
+        level under the batch's span, in the same trace; a warm replay
+        executes nothing.  The counters agree with the batch's counts."""
+        service = FleetUpdateService()
+        jobs = _small_batch()
+
+        cold, events, delta = _traced_run(service, jobs)
+        [batch] = [event for event in events if event.name == "service.batch"]
+        assert batch.args["jobs"] == 3
+        job_spans = [event for event in events if event.name == "service.job"]
+        assert [span.args["index"] for span in job_spans] == [0, 1, 2]
+        assert all(span.depth == batch.depth + 1 for span in job_spans)
+        assert cold.job_cache_misses == 3
+        assert {name: delta.get(name, 0.0) for name in _counts(cold)} == _counts(cold)
+
+        warm, events, delta = _traced_run(service, jobs)
+        names = [event.name for event in events]
+        assert names.count("service.batch") == 1
+        assert "service.job" not in names
+        assert warm.job_cache_hits == 3
+        assert {name: delta.get(name, 0.0) for name in _counts(warm)} == _counts(warm)
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,23 @@
 #!/usr/bin/env python3
 """Documentation gate for CI (the ``docs`` job).
 
-Two checks, both against the working tree, no third-party deps:
+Three checks, all against the working tree, no third-party deps:
 
 1. **Intra-repo Markdown links.**  Every relative link target in the
    curated documentation set must exist on disk.  External URLs and
    pure-anchor links are skipped; ``#fragment`` suffixes are stripped
    before the existence check.
 
-2. **Telemetry catalogue coverage.**  Every literal span/metric name
+2. **Telemetry catalogue, both ways.**  Every literal span/metric name
    used in ``src/repro`` — a string passed to ``trace.span("...")``,
    ``metrics.counter("...")``, ``metrics.gauge("...")`` or
    ``metrics.histogram("...")`` — must appear (backticked) in
    ``docs/OBSERVABILITY.md``.  This is why instrumented code must pass
    names as literals: a name routed through a variable is invisible
-   here and would silently escape the contract.
+   here and would silently escape the contract.  Conversely, every
+   backticked dotted name in the first column of a catalogue table
+   must be emitted by such a literal, so a deleted span or metric
+   cannot keep its row.
 
 3. **Lint rule catalogue coverage.**  Every ``rule_id = "..."``
    declared under ``src/repro/lint`` (plus the ``SUP001``
@@ -22,7 +25,7 @@ Two checks, both against the working tree, no third-party deps:
    ``docs/LINT.md`` — the registry is the source of truth and the
    catalogue cannot drift from it.
 
-Exit status: 0 when both checks pass, 1 otherwise (one line per
+Exit status: 0 when every check passes, 1 otherwise (one line per
 problem on stderr).
 """
 
@@ -56,6 +59,8 @@ _LINK_RE = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)\)")
 
 _SPAN_RE = re.compile(r"\bspan\(\s*\"([a-z0-9_.]+)\"")
 _METRIC_RE = re.compile(r"\b(?:counter|gauge|histogram)\(\s*\"([a-z0-9_.]+)\"")
+#: A table row whose first cell is one backticked name.
+_ROW_NAME_RE = re.compile(r"^\|\s*`([a-z0-9_.]+)`\s*\|", re.M)
 _RULE_ID_RE = re.compile(r"^\s*(?:rule_id|SUP_RULE_ID)\s*=\s*\"([A-Z0-9-]+)\"", re.M)
 
 
@@ -101,8 +106,12 @@ def emitted_names() -> tuple[set[str], set[str]]:
     return spans, mets
 
 
-def check_catalogue() -> list[str]:
-    catalogue_path = REPO / CATALOGUE
+def catalogued_names(catalogue: str) -> set[str]:
+    """Dotted names in the first column of the catalogue's tables."""
+    return {name for name in _ROW_NAME_RE.findall(catalogue) if "." in name}
+
+
+def check_catalogue(catalogue_path: Path = REPO / CATALOGUE) -> list[str]:
     if not catalogue_path.exists():
         return [f"{CATALOGUE} is missing"]
     catalogue = catalogue_path.read_text(encoding="utf-8")
@@ -120,6 +129,11 @@ def check_catalogue() -> list[str]:
                 f"metric {name!r} is emitted in src/repro but not "
                 f"catalogued in {CATALOGUE}"
             )
+    for name in sorted(catalogued_names(catalogue) - spans - mets):
+        problems.append(
+            f"{name!r} is catalogued in {CATALOGUE} but no span or "
+            f"metric literal in src/repro emits it"
+        )
     return problems
 
 
