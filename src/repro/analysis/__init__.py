@@ -3,8 +3,6 @@
 ``repro.analysis`` proves, from the shipped artefacts alone, that an
 update is safe before it is disseminated:
 
-* :mod:`.dataflow` — reusable forward dataflow (reaching definitions,
-  def-use chains, dominators) layered on the CFG/liveness machinery;
 * :mod:`.alloc_verifier` — register assignments respect liveness,
   calling conventions, and UCC-RA's preferred-tag accounting;
 * :mod:`.layout_verifier` — the data layout is overlap-free and every
@@ -20,18 +18,8 @@ mode turns a failed report into a :class:`VerificationError`.
 """
 
 from .base import Finding, VerificationError, VerificationReport
-from .dataflow import (
-    ENTRY_DEF,
-    Definition,
-    DefUseChains,
-    ReachingDefinitions,
-    def_use_chains,
-    dominators,
-    immediate_dominators,
-    reaching_definitions,
-)
 from .alloc_verifier import verify_allocation_record
-from .driver import ALL_PASSES, verify_program, verify_update
+from .driver import verify_program, verify_update
 from .energy_audit import audit_ilp_solution, audit_update
 from .layout_verifier import (
     verify_addressing,
@@ -41,20 +29,11 @@ from .layout_verifier import (
 from .patch_verifier import verify_patch_product
 
 __all__ = [
-    "ALL_PASSES",
-    "ENTRY_DEF",
-    "DefUseChains",
-    "Definition",
     "Finding",
-    "ReachingDefinitions",
     "VerificationError",
     "VerificationReport",
     "audit_ilp_solution",
     "audit_update",
-    "def_use_chains",
-    "dominators",
-    "immediate_dominators",
-    "reaching_definitions",
     "verify_addressing",
     "verify_allocation_record",
     "verify_data_image",

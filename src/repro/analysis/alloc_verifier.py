@@ -32,7 +32,6 @@ def verify_allocation_record(
     fn: IRFunction,
     record: AllocationRecord,
     report=None,
-    liveness: LivenessInfo | None = None,
 ) -> list[Finding]:
     """Run every allocation check; returns all findings (empty = clean).
 
@@ -40,7 +39,7 @@ def verify_allocation_record(
     preferred-tag accounting check.
     """
     findings: list[Finding] = []
-    info = liveness or analyze(fn)
+    info = analyze(fn)
 
     findings.extend(_check_piece_shape(fn, record))
     findings.extend(_check_register_classes(fn, record, info))

@@ -29,14 +29,6 @@ from .layout_verifier import (
 from .patch_verifier import PASS_NAME as PATCH_PASS
 from .patch_verifier import verify_patch_product
 
-ALL_PASSES = (
-    ALLOCATION_PASS,
-    LAYOUT_PASS,
-    ADDRESSING_PASS,
-    PATCH_PASS,
-    ENERGY_PASS,
-)
-
 
 def verify_program(program, ra_reports=None) -> VerificationReport:
     """Verify one compiled program (a

@@ -31,8 +31,8 @@ PASS_NAME = "energy"
 TOLERANCE = 1e-6
 
 
-def _close(a: float, b: float, tol: float = TOLERANCE) -> bool:
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+def _close(a: float, b: float) -> bool:
+    return abs(a - b) <= TOLERANCE * max(1.0, abs(a), abs(b))
 
 
 def audit_update(result, energy: EnergyModel, cnt: float = 1000.0) -> list[Finding]:
@@ -110,7 +110,7 @@ def audit_update(result, energy: EnergyModel, cnt: float = 1000.0) -> list[Findi
     return findings
 
 
-def audit_ilp_solution(model, result, tolerance: float = 1e-6) -> list[Finding]:
+def audit_ilp_solution(model, result) -> list[Finding]:
     """Cross-check one ILP solve against its own model.
 
     ``model`` is an :class:`~repro.ilp.model.Problem`; ``result`` an
@@ -119,7 +119,7 @@ def audit_ilp_solution(model, result, tolerance: float = 1e-6) -> list[Finding]:
     findings: list[Finding] = []
     if result.status != "optimal":
         return findings
-    if not model.is_feasible(result.values, tol=tolerance):
+    if not model.is_feasible(result.values, tol=TOLERANCE):
         findings.append(
             Finding(
                 pass_name=PASS_NAME,
@@ -127,7 +127,7 @@ def audit_ilp_solution(model, result, tolerance: float = 1e-6) -> list[Finding]:
             )
         )
     evaluated = model.evaluate(result.values)
-    if not _close(evaluated, result.objective, tolerance):
+    if not _close(evaluated, result.objective):
         findings.append(
             Finding(
                 pass_name=PASS_NAME,

@@ -474,13 +474,6 @@ def cmd_campaign(args) -> int:
               f"{from_version}", file=sys.stderr)
         return 2
     coding = _coding_params(args.coding)
-    if coding is not None and not _coding_fits_protocol(
-        coding, args.protocol
-    ):
-        print(f"--coding {args.coding} does not fit --protocol "
-              f"{args.protocol} (lt rides flood, xor rides "
-              f"trickle/gossip)", file=sys.stderr)
-        return 2
 
     with _blame(old_name):
         old = compile_source(old_source, _compile_config(args), filename=old_name)
@@ -520,10 +513,6 @@ def _coding_params(name: str):
     from .net.coding import CodedTransferParams
 
     return CodedTransferParams(scheme=name)
-
-
-def _coding_fits_protocol(coding, protocol: str) -> bool:
-    return (coding.scheme == "lt") == (protocol == "flood")
 
 
 def cmd_plan_versions(args) -> int:

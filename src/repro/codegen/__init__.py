@@ -5,7 +5,6 @@ from .selector import (
     FunctionSelector,
     SelectionError,
     select_function,
-    select_module,
 )
 
 __all__ = [
@@ -14,7 +13,6 @@ __all__ = [
     "ScratchPool",
     "SelectionError",
     "select_function",
-    "select_module",
 ]
 
 from .placement import (

@@ -749,15 +749,3 @@ def select_function(
 ) -> list[MachineInstr]:
     """Lower one function; the first element is its entry label."""
     return FunctionSelector(fn, record, layout, module).select()
-
-
-def select_module(
-    module: IRModule,
-    records: dict[str, AllocationRecord],
-    layout: DataLayout,
-) -> list[MachineInstr]:
-    """Lower a whole module, functions in definition order."""
-    out: list[MachineInstr] = []
-    for name, fn in module.functions.items():
-        out.extend(select_function(fn, records[name], layout, module))
-    return out

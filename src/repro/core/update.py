@@ -329,46 +329,39 @@ class UpdatePlanner:
         return baseline
 
 
-def measure_cycles(
-    result: UpdateResult,
-    fire_every_polls: int = 3,
-    max_cycles: int = 20_000_000,
-) -> UpdateResult:
+#: Poll-driven timer period of every measurement run, so both binaries
+#: of an update see the identical logical event schedule (see
+#: :class:`repro.sim.devices.Timer`).
+FIRE_EVERY_POLLS = 3
+#: Cycle budget of one measurement run.
+MAX_CYCLES = 20_000_000
+
+
+def _measurement_run(image, collect_profile: bool = False):
+    return run_image(
+        image,
+        devices=DeviceBoard(timer=Timer(fire_every_polls=FIRE_EVERY_POLLS)),
+        max_cycles=MAX_CYCLES,
+        collect_profile=collect_profile,
+    )
+
+
+def measure_cycles(result: UpdateResult) -> UpdateResult:
     """Simulate both versions (single run) and fill
     ``old_cycles``/``new_cycles``.
 
-    Uses the *poll-driven* timer so both binaries see the identical
-    logical event schedule — Diff_cycle then reflects code quality, not
-    timer-interleaving noise (see :class:`repro.sim.devices.Timer`).
+    Uses the *poll-driven* timer so Diff_cycle reflects code quality,
+    not timer-interleaving noise.
     """
-    old_run = run_image(
-        result.old.image,
-        devices=DeviceBoard(timer=Timer(fire_every_polls=fire_every_polls)),
-        max_cycles=max_cycles,
-    )
-    new_run = run_image(
-        result.new.image,
-        devices=DeviceBoard(timer=Timer(fire_every_polls=fire_every_polls)),
-        max_cycles=max_cycles,
-    )
-    result.old_cycles = old_run.cycles
-    result.new_cycles = new_run.cycles
+    result.old_cycles = _measurement_run(result.old.image).cycles
+    result.new_cycles = _measurement_run(result.new.image).cycles
     return result
 
 
-def profile_program(
-    program: CompiledProgram,
-    fire_every_polls: int = 3,
-    max_cycles: int = 20_000_000,
-):
+def profile_program(program: CompiledProgram):
     """Run ``program`` once with profiling on — paper §2.1's
     "program execution profiles" input to the update decisions."""
-    return run_image(
-        program.image,
-        devices=DeviceBoard(timer=Timer(fire_every_polls=fire_every_polls)),
-        max_cycles=max_cycles,
-        collect_profile=True,
-    )
+    return _measurement_run(program.image, collect_profile=True)
 
 
 def plan_update(

@@ -25,13 +25,9 @@ def name_hash(uid: str) -> int:
     return zlib.crc32(uid.encode("utf-8"))
 
 
-def allocate_gcc_da(
-    objects: list[LayoutObject], base: int | None = None
-) -> DataLayout:
+def allocate_gcc_da(objects: list[LayoutObject]) -> DataLayout:
     """Lay out ``objects`` in name-hash order, densely packed."""
     layout = DataLayout(algorithm="gcc-da")
-    if base is not None:
-        layout.segment_base = base
     address = layout.segment_base
     for obj in sorted(objects, key=lambda o: (name_hash(o.uid), o.uid)):
         layout.objects[obj.uid] = obj

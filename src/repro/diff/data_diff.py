@@ -82,11 +82,11 @@ class DataScript:
         return script
 
 
-def diff_data(old: bytes, new: bytes, merge_gap: int = _HEADER_BYTES) -> DataScript:
+def diff_data(old: bytes, new: bytes) -> DataScript:
     """Byte-level diff of two data images.
 
-    Differing runs closer than ``merge_gap`` bytes are coalesced into
-    one patch (a patch header costs more than re-sending a short
+    Differing runs at most a patch header's size apart are coalesced
+    into one patch (a patch header costs more than re-sending a short
     unchanged gap).
     """
     script = DataScript(new_length=len(new))
@@ -112,7 +112,7 @@ def diff_data(old: bytes, new: bytes, merge_gap: int = _HEADER_BYTES) -> DataScr
 
     merged: list[tuple[int, int]] = []
     for start, end in runs:
-        if merged and start - merged[-1][1] <= merge_gap:
+        if merged and start - merged[-1][1] <= _HEADER_BYTES:
             merged[-1] = (merged[-1][0], end)
         else:
             merged.append((start, end))

@@ -26,12 +26,6 @@ class FunctionDiff:
     changed_instructions: int = 0
     total_instructions: int = 0
 
-    @property
-    def changed_fraction(self) -> float:
-        if self.total_instructions == 0:
-            return 0.0
-        return self.changed_instructions / self.total_instructions
-
 
 @dataclass
 class BinaryDiff:

@@ -129,18 +129,22 @@ def loop_depths(cfg: CFG) -> dict[int, int]:
     return depths
 
 
-def static_frequencies(fn: IRFunction, loop_weight: float = 10.0) -> dict[int, float]:
+#: Frequency factor per loop nesting level, the classic compiler
+#: heuristic.
+LOOP_WEIGHT = 10.0
+
+
+def static_frequencies(fn: IRFunction) -> dict[int, float]:
     """Static per-instruction execution frequency estimate.
 
     Each loop nesting level multiplies the base frequency by
-    ``loop_weight``, the classic compiler heuristic.  Keys are
-    instruction indices.
+    :data:`LOOP_WEIGHT`.  Keys are instruction indices.
     """
     cfg = build_cfg(fn)
     depths = loop_depths(cfg)
     freqs: dict[int, float] = {}
     for block in cfg.blocks:
-        weight = loop_weight ** depths[block.index]
+        weight = LOOP_WEIGHT ** depths[block.index]
         for idx in block.instruction_indices():
             freqs[idx] = weight
     return freqs

@@ -72,9 +72,6 @@ class IRModule:
     def globals(self) -> list[Symbol]:
         return self.checked.globals
 
-    def function(self, name: str) -> IRFunction:
-        return self.functions[name]
-
     def memory_symbols(self) -> list[Symbol]:
         """All memory-resident symbols: globals plus local arrays.
 

@@ -49,12 +49,6 @@ class LiveInterval:
     #: must sit in callee-saved registers under our calling convention).
     crosses_call: bool = False
 
-    def overlaps(self, other: "LiveInterval") -> bool:
-        return not (self.end < other.start or other.end < self.start)
-
-    def covers(self, index: int) -> bool:
-        return self.start <= index <= self.end
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"LiveInterval({self.vreg.name}, [{self.start}, {self.end}])"
 
@@ -68,9 +62,6 @@ class LivenessInfo:
     live_in: list[set]
     live_out: list[set]
     intervals: dict[str, LiveInterval]
-
-    def interval(self, name: str) -> LiveInterval:
-        return self.intervals[name]
 
     def is_last_use(self, index: int, name: str) -> bool:
         """Is instruction ``index`` the last use of ``name`` (paper's

@@ -103,9 +103,9 @@ def assemble(
     instrs: list[MachineInstr],
     data: bytes = b"",
     data_base: int = 0,
-    entry_label: str = "main",
 ) -> BinaryImage:
-    """Assemble a flat instruction list (with label pseudo-instrs).
+    """Assemble a flat instruction list (with label pseudo-instrs); the
+    image enters at label ``main``.
 
     Label scoping is the caller's concern: the code generator emits
     function-qualified local labels (``main.L0``), so one flat namespace
@@ -156,9 +156,9 @@ def assemble(
         for addr, words, resolved in zip(addresses, encoded, resolved_instrs)
     ]
 
-    if entry_label not in symbols:
-        raise AssemblyError(f"entry point {entry_label!r} not defined")
-    image.entry = symbols[entry_label]
+    if "main" not in symbols:
+        raise AssemblyError("entry point 'main' not defined")
+    image.entry = symbols["main"]
     return image
 
 

@@ -203,9 +203,3 @@ class Program:
     # Original top-level order (mix of GlobalDecl and FunctionDef); some
     # passes (e.g. the data-layout baselines) care about declaration order.
     decl_order: list[object] = field(default_factory=list)
-
-    def function(self, name: str) -> FunctionDef:
-        for fn in self.functions:
-            if fn.name == name:
-                return fn
-        raise KeyError(name)

@@ -214,22 +214,13 @@ def run_campaign(
     metrics.counter("campaign.nacks").inc(report.nacks)
     metrics.counter("campaign.drops").inc(report.drops)
     metrics.counter("campaign.energy_j").inc(report.total_energy_j)
-    metrics.counter("net.fault.duplicates").inc(report.duplicates)
     if report.converged:
         metrics.counter("campaign.converged").inc()
     else:
         metrics.counter("campaign.partial").inc()
         metrics.counter("campaign.quarantined_nodes").inc(len(report.quarantined))
-    if report.profile_stats is not None:
-        stats = report.profile_stats
-        metrics.counter("net.profile.airtime_deferrals").inc(
-            stats["airtime_deferrals"]
-        )
-        metrics.counter("net.profile.airtime_violations").inc(
-            stats["airtime_violations"]
-        )
-        if report.outcome == "stalled-budget":
-            metrics.counter("net.profile.stalled_budget").inc()
+    if report.outcome == "stalled-budget":
+        metrics.counter("net.profile.stalled_budget").inc()
     return report
 
 
@@ -369,6 +360,7 @@ class _CampaignEngine(FleetEngine):
             self.apply_faults()
             self.run_phases()
         metrics.counter("net.fault.corruptions").inc(self.crc_rejections)
+        metrics.counter("net.fault.duplicates").inc(self.duplicates)
         return self.build_report()
 
     # -- predicates ------------------------------------------------------

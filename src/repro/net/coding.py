@@ -63,15 +63,14 @@ class CodedTransferParams:
     """Knobs of one coded transfer (frozen, content-addressable).
 
     ``scheme`` picks the machinery (``"lt"`` for the flood campaign,
-    ``"xor"`` for the kernel protocols); ``overhead`` is the fountain's
-    ε — the fraction of extra coded packets a sender budgets beyond
-    ``k`` per epoch; ``burst`` caps coded packets per broadcast;
-    ``group`` is the XOR parity group size; ``seed`` derives every
-    coefficient stream.
+    ``"xor"`` for the kernel protocols); ``burst`` caps coded packets
+    per broadcast (a fountain server sends enough for its worst-off
+    receiver to finish in expectation, ``ceil(deficit / (1 - loss))``,
+    at least one and at most ``burst``); ``group`` is the XOR parity
+    group size; ``seed`` derives every coefficient stream.
     """
 
     scheme: str = "lt"
-    overhead: float = 0.25
     burst: int = 8
     group: int = 4
     seed: int = 1
@@ -82,11 +81,6 @@ class CodedTransferParams:
                 "scheme", self.scheme,
                 f"coding scheme must be one of {CODING_SCHEMES}, "
                 f"got {self.scheme!r}",
-            )
-        if not 0.0 <= self.overhead <= 2.0:
-            raise NetConfigError(
-                "overhead", self.overhead,
-                f"coding overhead ε must be in [0, 2], got {self.overhead}",
             )
         if self.burst < 1:
             raise NetConfigError(

@@ -93,7 +93,6 @@ def disseminate(
     topology: Topology,
     packets: Packetisation,
     power: PowerModel = MICA2,
-    patch_cycles_per_byte: int = PATCH_CYCLES_PER_BYTE,
 ) -> DisseminationResult:
     """Flood the packetised script from the sink through ``topology``.
 
@@ -126,7 +125,7 @@ def disseminate(
                 peer_ledger.packets_received += count
 
         # Script interpretation + patching cost on every non-sink node.
-        patch_cycles = patch_cycles_per_byte * packets.script_bytes
+        patch_cycles = PATCH_CYCLES_PER_BYTE * packets.script_bytes
         for node in range(1, topology.node_count):
             ledgers[node].cpu_j += patch_cycles * power.cycle_energy_j
 

@@ -569,6 +569,7 @@ class FleetSim(FleetEngine):
         if self.coding is not None:
             metrics.counter("net.coding.repairs").inc(self.repairs)
         metrics.counter("net.fault.corruptions").inc(self.crc_rejections)
+        metrics.counter("net.fault.duplicates").inc(self.duplicates)
         return self.build_report()
 
     def build_report(self) -> KernelReport:

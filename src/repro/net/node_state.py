@@ -32,9 +32,6 @@ APPLY_ROUNDS = 2
 #: Ceiling of the exponential NACK backoff, in rounds.
 MAX_NACK_INTERVAL = 8
 
-#: Bytes of one packet's CRC trailer on the wire.
-CRC_BYTES = 4
-
 
 def packet_crc(index: int, payload: bytes) -> int:
     """Per-packet integrity check covering the index and the payload."""
@@ -285,7 +282,6 @@ class NodeUpdateState:
 
 __all__ = [
     "APPLY_ROUNDS",
-    "CRC_BYTES",
     "MAX_NACK_INTERVAL",
     "NodeUpdateState",
     "ScriptPacket",

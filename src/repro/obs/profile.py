@@ -178,7 +178,6 @@ def profile_update(
     new_source: str,
     grid_side: int = 4,
     loss: float = 0.0,
-    loss_seed: int = 1,
     simulate: bool = True,
     label: str = "update",
     config: UpdateConfig | None = None,
@@ -203,7 +202,6 @@ def profile_update(
                 compile_source(old_source),
                 topology=grid(grid_side, grid_side),
                 loss=loss,
-                loss_seed=loss_seed,
                 config=cfg,
             )
             pushed = session.push_update(new_source)

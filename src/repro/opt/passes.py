@@ -215,12 +215,16 @@ def remove_unreachable(fn: IRFunction) -> bool:
     return True
 
 
-def optimize_function(fn: IRFunction, max_rounds: int = 8) -> int:
+#: Cap on pipeline rounds per function; each round runs every pass once.
+MAX_ROUNDS = 8
+
+
+def optimize_function(fn: IRFunction) -> int:
     """Run the pass pipeline to a fixed point; returns rounds used."""
     from .cse import eliminate_common_subexpressions
 
     rounds = 0
-    for rounds in range(1, max_rounds + 1):
+    for rounds in range(1, MAX_ROUNDS + 1):
         changed = False
         changed |= fold_constants(fn)
         changed |= eliminate_common_subexpressions(fn)
@@ -232,7 +236,7 @@ def optimize_function(fn: IRFunction, max_rounds: int = 8) -> int:
     return rounds
 
 
-def optimize_module(module: IRModule, max_rounds: int = 8) -> None:
+def optimize_module(module: IRModule) -> None:
     """Optimize every function of a module in place."""
     for fn in module.functions.values():
-        optimize_function(fn, max_rounds)
+        optimize_function(fn)

@@ -13,14 +13,12 @@ from .chunks import (
     DEFAULT_K,
     IRMatch,
     build_chunks,
-    changed_fraction,
     changed_indices,
-    chunk_of,
     match_ir,
 )
 from .graph_coloring import allocate_graph_coloring
 from .linear_scan import allocate_linear_scan
-from .preferences import PreferenceMap, build_preferences, misleading_preferences
+from .preferences import PreferenceMap, build_preferences
 from .ucc_ra import UCCReport, allocate_ucc_greedy
 
 __all__ = [
@@ -39,10 +37,7 @@ __all__ = [
     "allocate_ucc_greedy",
     "build_chunks",
     "build_preferences",
-    "changed_fraction",
     "changed_indices",
-    "chunk_of",
     "match_ir",
-    "misleading_preferences",
     "verify_allocation",
 ]

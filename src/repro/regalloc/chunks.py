@@ -108,19 +108,3 @@ def build_chunks(
         else:
             merged.append(run)
     return merged
-
-
-def chunk_of(chunks: list[Chunk], index: int) -> Chunk:
-    """The chunk containing new-IR instruction ``index``."""
-    for chunk in chunks:
-        if chunk.start <= index < chunk.end:
-            return chunk
-    raise IndexError(f"instruction index {index} outside all chunks")
-
-
-def changed_fraction(new_fn: IRFunction, match: IRMatch) -> float:
-    """Fraction of new IR instructions that are changed (diagnostic)."""
-    total = len(new_fn.instrs)
-    if total == 0:
-        return 0.0
-    return len(changed_indices(new_fn, match)) / total

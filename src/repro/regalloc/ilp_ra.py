@@ -36,6 +36,11 @@ from .chunks import DEFAULT_K, changed_indices
 from .ilp_model import ChunkSpec, build_chunk_model, greedy_incumbent, _loc, _mem
 from .ucc_ra import UCCReport, allocate_ucc_greedy
 
+#: Registers each chunk-internal variable may be re-decided over.
+CANDIDATES_PER_VAR = 4
+#: Chunks whose model exceeds this many variables keep the greedy answer.
+MAX_MODEL_VARS = 6000
+
 
 @dataclass
 class ILPChunkOutcome:
@@ -63,10 +68,6 @@ def allocate_ucc_ilp(
     energy: EnergyModel = DEFAULT_ENERGY_MODEL,
     k: int = DEFAULT_K,
     expected_runs: float = 1000.0,
-    backend: str = "scipy",
-    candidates_per_var: int = 4,
-    max_model_vars: int = 6000,
-    cache: bool = True,
 ) -> tuple[AllocationRecord, ILPReport]:
     """UCC-RA with per-changed-chunk ILP refinement."""
     record, greedy_report = allocate_ucc_greedy(
@@ -91,7 +92,7 @@ def allocate_ucc_ilp(
             freqs,
             energy,
             expected_runs,
-            candidates_per_var,
+            CANDIDATES_PER_VAR,
         )
         internal = [a for a in spec.variables() if a not in spec.fixed]
         if not internal:
@@ -100,7 +101,7 @@ def allocate_ucc_ilp(
             )
             continue
         model = build_chunk_model(spec)
-        if model.num_variables > max_model_vars:
+        if model.num_variables > MAX_MODEL_VARS:
             report.chunks.append(
                 ILPChunkOutcome(chunk.start, chunk.end, "skipped_too_big")
             )
@@ -110,7 +111,7 @@ def allocate_ucc_ilp(
             for a in spec.variables()
         }
         incumbent = greedy_incumbent(spec, assignment)
-        result = solve(model, backend=backend, incumbent=incumbent, cache=cache)
+        result = solve(model, backend="scipy", incumbent=incumbent)
         _audit_solution(model, result)
         if result.status != "optimal":
             report.chunks.append(

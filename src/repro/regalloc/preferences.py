@@ -82,20 +82,3 @@ def build_preferences(
         base, _ = min(counter.items(), key=lambda kv: (-kv[1], kv[0]))
         prefs.dominant[name] = base
     return prefs
-
-
-def misleading_preferences(
-    prefs: PreferenceMap, registers: list[int], seed: int = 7
-) -> PreferenceMap:
-    """Derange the tags — the paper's §5.6 stress test where *"variables
-    are assigned to the preferred register tag randomly"* and the solver
-    needs 2-3x more iterations.  Deterministic given ``seed``."""
-    import random
-
-    rng = random.Random(f"repro-preferences:{seed}")
-    scrambled = PreferenceMap(was_spilled=dict(prefs.was_spilled))
-    for (name, idx), _ in prefs.tags.items():
-        scrambled.tags[(name, idx)] = rng.choice(registers)
-    for name in prefs.dominant:
-        scrambled.dominant[name] = rng.choice(registers)
-    return scrambled

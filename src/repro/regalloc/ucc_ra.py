@@ -83,7 +83,6 @@ def allocate_ucc_greedy(
     energy: EnergyModel = DEFAULT_ENERGY_MODEL,
     k: int = DEFAULT_K,
     expected_runs: float = 1000.0,
-    loop_weight: float = 10.0,
     old_profile: dict[int, float] | None = None,
 ) -> tuple[AllocationRecord, UCCReport]:
     """Allocate ``new_fn`` update-consciously against the old decisions.
@@ -118,7 +117,7 @@ def allocate_ucc_greedy(
         return record, report
 
     info = analyze(new_fn)
-    freqs = static_frequencies(new_fn, loop_weight)
+    freqs = static_frequencies(new_fn)
     if old_profile:
         # Per-run frequency = measured executions of the matched old
         # instruction; statically-estimated for new instructions.

@@ -9,7 +9,7 @@ from .programs import (
     CNT_TO_RFM,
     PROGRAMS,
 )
-from .updates import CASES, DATA_CASE_IDS, RA_CASE_IDS, UpdateCase, get_case
+from .updates import CASES, DATA_CASE_IDS, RA_CASE_IDS, UpdateCase
 
 __all__ = [
     "AES",
@@ -23,5 +23,4 @@ __all__ = [
     "PROGRAMS",
     "RA_CASE_IDS",
     "UpdateCase",
-    "get_case",
 ]

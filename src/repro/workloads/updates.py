@@ -333,7 +333,3 @@ RA_CASE_IDS = [str(i) for i in range(1, 13)]
 
 #: The data-layout cases of Figure 16.
 DATA_CASE_IDS = ["D1", "D2"]
-
-
-def get_case(case_id: str) -> UpdateCase:
-    return CASES[case_id]

@@ -3,16 +3,10 @@
 import pytest
 
 from repro.analysis import (
-    ENTRY_DEF,
-    Definition,
     Finding,
     VerificationError,
     VerificationReport,
     audit_ilp_solution,
-    def_use_chains,
-    dominators,
-    immediate_dominators,
-    reaching_definitions,
     verify_update,
 )
 from repro.core import (
@@ -23,111 +17,8 @@ from repro.core import (
 )
 from repro.ilp.branch_bound import SolveResult
 from repro.ilp.model import IntegerProgram
-from repro.ir import build_cfg, build_ir
-from repro.lang import frontend
 from repro.workloads import CASES, RA_CASE_IDS
 from repro.config import CompileConfig, UpdateConfig
-
-
-def lower_fn(source, name="f"):
-    return build_ir(frontend(source)).functions[name]
-
-
-# ---------------------------------------------------------------------------
-# dataflow framework
-# ---------------------------------------------------------------------------
-
-
-class TestReachingDefinitions:
-    def test_redefinition_kills_previous(self):
-        fn = lower_fn("u8 f() { u8 x = 1; x = 2; return x; }")
-        rd = reaching_definitions(fn)
-        ret_idx = len(fn.instrs) - 1
-        x_name = next(r.name for r in fn.instrs[0].defs())
-        reaching = rd.defs_reaching(ret_idx, x_name)
-        # only the second definition survives to the return
-        assert len(reaching) == 1
-        assert all(d.index > 0 for d in reaching)
-
-    def test_branch_merges_definitions(self):
-        fn = lower_fn(
-            "u8 f(u8 a) { u8 x = 1; if (a) { x = 2; } return x; }"
-        )
-        rd = reaching_definitions(fn)
-        x_name = next(r.name for r in fn.instrs[0].defs() if "x" in r.name)
-        # both arms' definitions can reach the join
-        reached = {d.index for d in rd.defs_reaching(len(fn.instrs) - 1, x_name)}
-        assert len(reached) == 2
-
-    def test_parameters_reach_from_entry(self):
-        fn = lower_fn("u8 f(u8 a) { return a; }")
-        rd = reaching_definitions(fn)
-        a_name = fn.param_vregs[0].name
-        assert Definition(a_name, ENTRY_DEF) in rd.reach_in[0]
-
-    def test_loop_carried_definition_reaches_header(self):
-        fn = lower_fn("void f(u8 a) { while (a) { a = a - 1; } }")
-        rd = reaching_definitions(fn)
-        a_name = fn.param_vregs[0].name
-        # the in-loop redefinition flows around the back edge to index 0
-        assert any(
-            d.index >= 0 for d in rd.defs_reaching(0, a_name)
-        ), "back-edge definition should reach the loop header"
-
-
-class TestDefUseChains:
-    def test_use_linked_to_its_definition(self):
-        fn = lower_fn("u8 f() { u8 x = 7; return x; }")
-        chains = def_use_chains(fn)
-        x_name = next(r.name for r in fn.instrs[0].defs())
-        definition = Definition(x_name, 0)
-        assert definition in chains.uses_of
-        assert chains.uses_of[definition]
-
-    def test_well_formed_function_has_no_undefined_uses(self):
-        fn = lower_fn(
-            "u8 f(u8 a) { u8 x = a + 1; if (x) { x = x + a; } return x; }"
-        )
-        chains = def_use_chains(fn)
-        assert chains.undefined_uses == []
-
-
-class TestDominators:
-    def test_entry_dominates_everything(self):
-        fn = lower_fn("void f(u8 a) { if (a) { a = 1; } else { a = 2; } }")
-        cfg = build_cfg(fn)
-        dom = dominators(cfg)
-        assert all(0 in dom[b.index] for b in cfg.blocks)
-
-    def test_branch_arm_does_not_dominate_join(self):
-        fn = lower_fn(
-            "u8 f(u8 a) { u8 x = 0; if (a) { x = 1; } else { x = 2; } return x; }"
-        )
-        cfg = build_cfg(fn)
-        dom = dominators(cfg)
-        entry = cfg.blocks[0]
-        arms = entry.successors
-        join = next(
-            b.index
-            for b in cfg.blocks
-            if b.index not in arms and b.index != entry.index
-        )
-        for arm in arms:
-            assert arm not in dom[join]
-
-    def test_immediate_dominator_of_join_is_branch_head(self):
-        fn = lower_fn(
-            "u8 f(u8 a) { u8 x = 0; if (a) { x = 1; } else { x = 2; } return x; }"
-        )
-        cfg = build_cfg(fn)
-        idom = immediate_dominators(cfg)
-        assert idom[0] is None
-        dom = dominators(cfg)
-        for block in cfg.blocks:
-            if block.index == 0:
-                continue
-            # the idom is a strict dominator
-            assert idom[block.index] in dom[block.index] - {block.index}
 
 
 # ---------------------------------------------------------------------------

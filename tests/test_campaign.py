@@ -65,19 +65,22 @@ class TestCampaignDeterminism:
     )
     def test_corruption_counter_matches_report(self, protocol, scheme):
         """Every engine publishes its CRC rejections as
-        ``net.fault.corruptions``."""
+        ``net.fault.corruptions`` and its duplicates (for LT, its
+        non-innovative coded packets) as ``net.fault.duplicates``."""
         before = metrics.REGISTRY.values("net.fault.")
         report = run_campaign(
             grid(4, 4),
             BLOB,
-            FaultPlan(corrupt_prob=0.05, seed=3),
+            FaultPlan(duplicate_prob=0.2, corrupt_prob=0.05, seed=3),
             seed=5,
             protocol=protocol,
             coding=CodedTransferParams(scheme=scheme) if scheme else None,
         )
         delta = metrics.REGISTRY.delta(before, "net.fault.")
         assert report.crc_rejections > 0
+        assert report.duplicates > 0
         assert delta["net.fault.corruptions"] == report.crc_rejections
+        assert delta["net.fault.duplicates"] == report.duplicates
 
     @pytest.mark.parametrize(
         "protocol,scheme",

@@ -176,6 +176,24 @@ class TestVerifyCommand:
         assert main(["verify"]) == 2
 
 
+class TestCampaignCommand:
+    @pytest.mark.parametrize(
+        "coding,refusal",
+        [
+            (["--coding", "xor"], "the 'xor' burst-parity scheme rides"),
+            (["--coding", "lt", "--protocol", "trickle"], "the 'lt' fountain replaces"),
+        ],
+        ids=["xor-on-flood", "lt-on-trickle"],
+    )
+    def test_coding_that_does_not_fit_the_protocol_is_refused(
+        self, capsys, coding, refusal
+    ):
+        assert main(["campaign", "--case", "6", "--grid", "3", *coding]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"campaign: {refusal}")
+
+
 BAD_SYNTAX = "void main( {\n"
 NO_MAIN = "u8 g;\nvoid tick() { g = g + 1; }\n"
 

@@ -164,8 +164,6 @@ class TestCodedTransferParams:
         "kwargs",
         [
             {"scheme": "rs"},
-            {"overhead": -0.1},
-            {"overhead": 2.5},
             {"burst": 0},
             {"group": 1},
         ],
