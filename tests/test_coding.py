@@ -164,6 +164,8 @@ class TestCodedTransferParams:
         "kwargs",
         [
             {"scheme": "rs"},
+            {"scheme": "LT"},
+            {"burst": -1},
             {"burst": 0},
             {"group": 1},
         ],
